@@ -141,8 +141,10 @@ def _cmd_coproduct(args) -> int:
         C = build_incidence_coalgebra(poset)
         if args.interval is None:
             raise InputError("--poset needs --interval X,Y")
-        x, _, y = args.interval.partition(",")
-        key = interval_key(x.strip(), y.strip())
+        x, _, y = (part.strip() for part in args.interval.partition(","))
+        if x not in poset.leq or not poset.le(x, y):
+            raise InputError(f"{args.interval!r} is not an interval of the poset")
+        key = interval_key(x, y)
         lines.append(f"delta({key}) = {C.delta(key).render()}")
     else:
         raise InputError("coproduct needs one of --tree/--graph/--word/--quiver/--poset")
@@ -414,10 +416,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_ranges(args) -> None:
+    for option in ("truncation", "seed"):
+        value = getattr(args, option)
+        if value < 0:
+            raise InputError(f"--{option} must be a non-negative integer, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.fn(args)
     except MathError as exc:
         sys.stderr.write(f"mathematical obstruction: {exc}\n")

@@ -2,22 +2,34 @@
 
 Three routes to the inverse of a map out of a coalgebra:
 
-* the geometric series over a filtration: after pre-composing with the
-  degree-0 inverse the series for a key of filtration degree r truncates
-  after r+1 terms, because every (r+1)-fold reduced product hits the base;
 * the colored recursion, peeling the unique left-flank term off the
-  coproduct of each key, valid on color-decomposable instances;
+  coproduct of each key.  This is the default route: :func:`convolution_inverse`
+  takes it whenever the filtration is exhaustive and
+  :func:`~sweedler.structure.color_decompose` reports no uncolorable key.
+  It runs without Python recursion, keeps all of its bookkeeping local to
+  the call, and shares only an idempotent memo, so one inverse map can be
+  evaluated from several threads at once;
+* the geometric series over a filtration (Takeuchi): after pre-composing
+  with the degree-0 inverse the series for a key of filtration degree r
+  truncates after r+1 terms, because every (r+1)-fold reduced product hits
+  the base.  The default route falls back to it when the filtration is
+  exhaustive but some key is uncolorable;
 * an exact sparse linear solve on finite-dimensional instances, which needs
-  no filtration at all (the route used for the group-double examples).
+  no filtration at all (the route used for the group-double examples).  The
+  default route falls back to it when the filtration is not exhaustive and
+  the instance is finite with values in the bialgebra itself.
 
-All routes are gated the same way: the map must send every (semi)grouplike
-basis key to an invertible target value, and that is the only obstruction
-for the instances in scope.
+``method="recursion"|"series"|"solve"`` picks a route explicitly; the
+series and the solve also serve as independent oracles for the recursion.
+All routes are gated the same way, once per call: the map must send every
+(semi)grouplike basis key to an invertible target value, and that is the
+only obstruction for the instances in scope.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from fractions import Fraction
 
 from .errors import (
@@ -74,17 +86,25 @@ def _read_flanks(C, key: BasisKey):
     return None
 
 
+def _grouplike_inverse(f: ConvMap, key: BasisKey):
+    inv = f.target.try_inverse(f(key))
+    if inv is None:
+        raise GrouplikeNotInvertible(key, f(key))
+    return inv
+
+
 def base_inverse_extension(f: ConvMap) -> ConvMap:
     """Extend the degree-0 inverse of f by zero on all other basis keys."""
     _gate_grouplikes(f)
+    return _base_inverse(f)
+
+
+def _base_inverse(f: ConvMap) -> ConvMap:
     C, T = f.source, f.target
 
     def fn(key):
         if _is_grouplike_key(C, key):
-            inv = T.try_inverse(f(key))
-            if inv is None:
-                raise GrouplikeNotInvertible(key, f(key))
-            return inv
+            return _grouplike_inverse(f, key)
         return T.zero()
 
     return ConvMap(C, T, fn, name="f0inv")
@@ -92,8 +112,13 @@ def base_inverse_extension(f: ConvMap) -> ConvMap:
 
 def takeuchi_inverse(f: ConvMap, filt: FiltrationTable) -> ConvMap:
     """Two-sided convolution inverse via the truncated geometric series."""
+    _gate_grouplikes(f)
+    return _series_inverse(f, filt)
+
+
+def _series_inverse(f: ConvMap, filt: FiltrationTable) -> ConvMap:
     C, T = f.source, f.target
-    g0 = base_inverse_extension(f)
+    g0 = _base_inverse(f)
     fp = convolve(f, g0, name="fnorm")
     eta_eps = convolution_unit(C, T)
 
@@ -102,10 +127,12 @@ def takeuchi_inverse(f: ConvMap, filt: FiltrationTable) -> ConvMap:
 
     u = ConvMap(C, T, u_fn, name="unit-minus-f")
     powers = [eta_eps]
+    powers_lock = threading.Lock()
 
     def ensure_power(i: int):
-        while len(powers) <= i:
-            powers.append(convolve(powers[-1], u, name=f"u^{len(powers)}"))
+        with powers_lock:
+            while len(powers) <= i:
+                powers.append(convolve(powers[-1], u, name=f"u^{len(powers)}"))
 
     def h_fn(key):
         d = filt.degree(key)
@@ -114,7 +141,7 @@ def takeuchi_inverse(f: ConvMap, filt: FiltrationTable) -> ConvMap:
         ensure_power(d)
         acc = T.zero()
         for i in range(d + 1):
-            acc = T.add(acc, powers[i](key))
+            acc = T.accumulate(acc, 1, powers[i](key))
         return acc
 
     h = ConvMap(C, T, h_fn, name="series")
@@ -123,52 +150,102 @@ def takeuchi_inverse(f: ConvMap, filt: FiltrationTable) -> ConvMap:
 
 def recursive_inverse(f: ConvMap) -> ConvMap:
     """Convolution inverse by the flank-peeling recursion on a colored source."""
-    C, T = f.source, f.target
+    _gate_grouplikes(f)
+    return _colored_inverse(f, _color_blocks(f.source))
+
+
+def _color_blocks(C) -> dict:
     blocks, uncolorable = color_decompose(C)
     if uncolorable:
         key, reason = uncolorable[0]
         raise ConfigurationError(f"source is not colored: {key} ({reason})")
-    flank_of: dict = {}
-    for (g, h), keys in blocks.items():
-        for k in keys:
-            flank_of[k] = (g, h)
-    _gate_grouplikes(f)
-    memo: dict = {}
-    in_progress: set = set()
+    return blocks
 
-    def h_fn(key: BasisKey):
-        if key in memo:
-            return memo[key]
-        if _is_grouplike_key(C, key):
-            inv = T.try_inverse(f(key))
-            if inv is None:
-                raise GrouplikeNotInvertible(key, f(key))
-            memo[key] = inv
-            return inv
-        if key in in_progress:
-            raise ConfigurationError(f"colored recursion cycles at {key}")
-        in_progress.add(key)
-        pair = flank_of.get(key)
-        if pair is None:
+
+def _colored_inverse(f: ConvMap, blocks: dict) -> ConvMap:
+    """The colored recursion, evaluated bottom-up from an explicit stack.
+
+    For a key x with left flank g the two-sided inverse h satisfies
+    f(g) h(x) = eps(x) 1 - sum c f(a) h(b) over the other terms of delta(x),
+    so h(x) needs h at the right factors b of those terms.  On a memo miss
+    the right factors that are still missing are walked depth first with an
+    explicit stack and evaluated in post-order, so each one is ready before
+    the keys that need it.  The order needs no filtration table: a right
+    factor of a reduced term sits strictly lower in any admissible
+    filtration, and a key that needs itself is reported as a cycle.  The
+    walk state is local to the call, and the memo only ever gains complete,
+    equal values, so threads sharing the map race harmlessly.
+    """
+    C, T = f.source, f.target
+    gpl, _ = find_grouplikes(C)
+    # left flank of every non-grouplike key; keys outside the enumerated
+    # universe are read off their coproduct on first use
+    flank_of: dict = {}
+    for (g, _h), keys in blocks.items():
+        for k in keys:
+            if k not in gpl:
+                flank_of[k] = g
+    memo: dict = {}
+    flank_inverse: dict = {}
+
+    def is_grouplike(key):
+        if key in gpl:
+            return True
+        return key not in flank_of and _is_grouplike_key(C, key)
+
+    def left_flank(key):
+        g = flank_of.get(key)
+        if g is None:
             pair = _read_flanks(C, key)
             if pair is None:
                 raise ConfigurationError(f"key {key} has no well-defined flanks")
-        g, _y = pair
-        finv_g = T.try_inverse(f(g))
-        if finv_g is None:
-            raise GrouplikeNotInvertible(g, f(g))
-        rest = T.zero()
+            g = flank_of[key] = pair[0]
+        return g
+
+    def right_factors(key):
+        if is_grouplike(key):
+            return ()
+        g = left_flank(key)
+        return [b for (a, b), _ in C.delta(key) if not (a == g and b == key)]
+
+    def evaluate(key):
+        if is_grouplike(key):
+            return _grouplike_inverse(f, key)
+        g = left_flank(key)
+        inv_g = flank_inverse.get(g)
+        if inv_g is None:
+            inv_g = _grouplike_inverse(f, g)
+            flank_inverse[g] = inv_g
+        # eps(x) 1 - sum c f(a) h(b), accumulated in place
+        acc = T.accumulate(T.zero(), C.counit(key), T.one())
         for (a, b), c in C.delta(key):
             if a == g and b == key:
                 continue
-            rest = T.add(rest, T.scale(c, T.mul(f(a), h_fn(b))))
-        value = T.mul(
-            finv_g,
-            T.add(T.scale(C.counit(key), T.one()), T.scale(Fraction(-1), rest)),
-        )
-        in_progress.discard(key)
-        memo[key] = value
-        return value
+            acc = T.accumulate(acc, -c, f(a), memo[b])
+        return acc if T.eq(inv_g, T.one()) else T.mul(inv_g, acc)
+
+    def h_fn(key: BasisKey):
+        value = memo.get(key)
+        if value is not None:
+            return value
+        stack = [(key, iter(right_factors(key)))]
+        on_path = {key}
+        while stack:
+            k, todo = stack[-1]
+            for b in todo:
+                if b in memo:
+                    continue
+                if b in on_path:
+                    raise ConfigurationError(f"colored recursion cycles at {b}")
+                on_path.add(b)
+                stack.append((b, iter(right_factors(b))))
+                break
+            else:
+                stack.pop()
+                on_path.discard(k)
+                if k not in memo:
+                    memo[k] = evaluate(k)
+        return memo[key]
 
     return ConvMap(C, T, h_fn, name=f"{f.name}^-1")
 
@@ -245,10 +322,16 @@ def convolution_inverse(
     method: str = "auto",
     bialgebra: BialgebraSpec | None = None,
 ) -> ConvMap:
-    """Dispatch to a suitable inversion route; grouplike gate applies first."""
+    """Dispatch to a suitable inversion route; grouplike gate applies first.
+
+    ``auto`` takes the colored recursion when the filtration is exhaustive
+    and every key is colorable, the series when it is exhaustive but some
+    key is not, and the finite solve on finite instances the filtration
+    does not exhaust.
+    """
     _gate_grouplikes(f)
     if method == "recursion":
-        return recursive_inverse(f)
+        return _colored_inverse(f, _color_blocks(f.source))
     if method == "solve":
         if bialgebra is None:
             raise ConfigurationError("finite solve needs the ambient bialgebra")
@@ -256,9 +339,12 @@ def convolution_inverse(
     if filt is None:
         filt = bivariate_filtration(f.source)
     if method == "series":
-        return takeuchi_inverse(f, filt)
+        return _series_inverse(f, filt)
     if filt.exhaustive:
-        return takeuchi_inverse(f, filt)
+        blocks, uncolorable = color_decompose(f.source)
+        if not uncolorable:
+            return _colored_inverse(f, blocks)
+        return _series_inverse(f, filt)
     if (
         bialgebra is not None
         and f.source.finite_universe
@@ -292,14 +378,15 @@ def validate_antipode(B: BialgebraSpec, S: ConvMap,
     """Both antipode identities on every key, antihomomorphism on samples."""
     report = ValidationReport(f"antipode axioms for {B.name}")
     C = B.coalgebra
-    alg = B.algebra
+    T = FormalSumTarget(B.algebra)
+    ident = identity_map(B)
     for k in C.keys:
         report.checked += 1
-        left = FormalSum.zero()
-        right = FormalSum.zero()
+        left = T.zero()
+        right = T.zero()
         for (a, b), c in C.delta(k):
-            left = left + alg.mul(S(a), FormalSum.basis(b)).scale(c)
-            right = right + alg.mul(FormalSum.basis(a), S(b)).scale(c)
+            left = T.accumulate(left, c, S(a), ident(b))
+            right = T.accumulate(right, c, ident(a), S(b))
         expected = B.unit.scale(C.counit(k))
         if left != expected:
             report.fail(k, "S*id != unit.counit")

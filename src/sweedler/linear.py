@@ -9,7 +9,10 @@ rendering, sweep order).
 
 :class:`FormalSum` and :class:`TensorSum` never store a zero coefficient, so
 equality of sums is plain map equality.  Both are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads.  The engine's accumulation
+loops grow a private sum from ``zero()`` in place (see the ``accumulate``
+method of the convolution targets in :mod:`sweedler.specs`) and publish it
+only when it is complete.
 """
 
 from __future__ import annotations
@@ -213,20 +216,36 @@ class FormalSum:
 
 
 def _addto(d: dict, k, c) -> None:
-    nc = d.get(k, 0) + c
+    old = d.get(k)
+    if old is None:
+        if c:
+            d[k] = c
+        return
+    nc = old + c
     if nc:
         d[k] = nc
     else:
-        d.pop(k, None)
+        del d[k]
 
 
-def _iadd(d: dict, other: dict) -> None:
-    for k, c in other.items():
-        nc = d.get(k, 0) + c
+def _iadd(d: dict, other: dict, scale=1) -> None:
+    """``d += scale * other`` on term dicts, in place, dropping zeros.
+
+    ``other`` holds no zero coefficient, so a new key needs no check.
+    """
+    if not scale:
+        return
+    items = other.items() if scale == 1 else [(k, scale * c) for k, c in other.items()]
+    for k, c in items:
+        old = d.get(k)
+        if old is None:
+            d[k] = c
+            continue
+        nc = old + c
         if nc:
             d[k] = nc
         else:
-            d.pop(k, None)
+            del d[k]
 
 
 class TensorSum:

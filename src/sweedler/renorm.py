@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ConfigurationError, InputError, RuleNotFound, UnsupportedError
-from .linear import BasisKey
+from .linear import BasisKey, _addto, _iadd
 from .scalars import render_scalar
 from .specs import BialgebraSpec, ConvMap, ValidationReport, convolve
 from .structure import filtration_from_grading, find_grouplikes
@@ -165,6 +165,17 @@ class LaurentTarget:
 
     def mul(self, a, b):
         return a * b
+
+    def accumulate(self, acc, c, a, b=None):
+        if c:
+            if b is None:
+                _iadd(acc.terms, a.terms, c)
+            else:
+                for e1, c1 in a.terms.items():
+                    c1 = c * c1
+                    for e2, c2 in b.terms.items():
+                        _addto(acc.terms, e1 + e2, c1 * c2)
+        return acc
 
     def is_zero(self, a):
         return a.is_zero()
@@ -432,11 +443,11 @@ def birkhoff(phi, B: BialgebraSpec, T: RBOperator, verify: bool = True) -> Birkh
     memo_minus: dict = {unit_key: target.one()}
 
     def prepared(key: BasisKey):
-        acc = phi(key)
+        acc = target.accumulate(target.zero(), 1, phi(key))
         for (a, b), c in C.delta(key):
             if a == unit_key or b == unit_key:
                 continue
-            acc = target.add(acc, target.scale(c, target.mul(minus(a), phi(b))))
+            acc = target.accumulate(acc, c, minus(a), phi(b))
         return acc
 
     def minus(key: BasisKey):

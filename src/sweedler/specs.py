@@ -8,7 +8,14 @@ controls stay observable.
 
 Convolution maps can land in the bialgebra itself (formal sums), in the
 rationals, or in an external exact algebra such as Laurent polynomials; the
-small target-algebra wrappers below give all three a uniform surface.
+small target-algebra wrappers below give all three a uniform surface:
+``zero``, ``one``, ``add``, ``scale``, ``mul``, ``eq``, ``try_inverse``,
+``render`` and ``accumulate``.  ``accumulate(acc, c, a, b=None)`` adds
+``c*a`` (or ``c*a*b``) into an accumulator that the caller obtained from
+``zero()`` and has not yet shared; it returns the accumulator, which is the
+same object for the mutable sum types and a new value for plain rationals.
+The convolution, inversion and validation loops sum through it, so none
+of them copies its accumulator once per term.
 Values are immutable and memo caches are pure, so concurrent reads of the
 same :class:`ConvMap` always return identical results.
 """
@@ -21,7 +28,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ConfigurationError, UnsupportedError
-from .linear import BasisKey, FormalSum, TensorSum, _addto
+from .linear import BasisKey, FormalSum, TensorSum, _addto, _iadd
 
 
 class CoalgebraSpec:
@@ -57,10 +64,10 @@ class CoalgebraSpec:
         return sum((c * self._counit(k) for k, c in s), Fraction(0))
 
     def delta_sum(self, s: FormalSum) -> TensorSum:
-        out = TensorSum.zero()
+        out: dict = {}
         for k, c in s:
-            out = out + self.delta(k).scale(c)
-        return out
+            _iadd(out, self.delta(k).terms, c)
+        return TensorSum(out, _clean=True)
 
     def keys_of_degree(self, d: int):
         return [k for k in self.keys if self.grading(k) == d]
@@ -95,11 +102,34 @@ class AlgebraSpec:
 
     def mul(self, s1: FormalSum, s2: FormalSum) -> FormalSum:
         out: dict = {}
-        for k1, c1 in s1:
-            for k2, c2 in s2:
-                for k, c in self.product(k1, k2):
-                    _addto(out, k, c1 * c2 * c)
+        self.mul_into(out, 1, s1, s2)
         return FormalSum(out, _clean=True)
+
+    def mul_into(self, out: dict, c, s1: FormalSum, s2: FormalSum) -> None:
+        """Add ``c * s1 * s2`` into the term dict ``out`` in place.
+
+        Nearly every coefficient is 1, and multiplications by 1 are skipped:
+        an exact rational product costs several times the comparison.
+        """
+        if not c:
+            return
+        product = self.product
+        right = s2.terms.items() if c == 1 else [(k, c * v) for k, v in s2.terms.items()]
+        for k1, c1 in s1.terms.items():
+            unit1 = c1 == 1
+            for k2, c2 in right:
+                c12 = c2 if unit1 else (c1 if c2 == 1 else c1 * c2)
+                for k, c3 in product(k1, k2).terms.items():
+                    term = c12 if c3 == 1 else c12 * c3
+                    old = out.get(k)
+                    if old is None:
+                        out[k] = term
+                        continue
+                    nc = old + term
+                    if nc:
+                        out[k] = nc
+                    else:
+                        del out[k]
 
     def __repr__(self) -> str:
         return f"<AlgebraSpec {self.name}>"
@@ -174,6 +204,13 @@ class FormalSumTarget:
     def mul(self, a, b):
         return self.algebra.mul(a, b)
 
+    def accumulate(self, acc, c, a, b=None):
+        if b is None:
+            _iadd(acc.terms, a.terms, c)
+        else:
+            self.algebra.mul_into(acc.terms, c, a, b)
+        return acc
+
     def is_zero(self, a):
         return a.is_zero()
 
@@ -219,6 +256,9 @@ class RationalTarget:
     def mul(self, a, b):
         return a * b
 
+    def accumulate(self, acc, c, a, b=None):
+        return acc + (c * a if b is None else c * a * b)
+
     def is_zero(self, a):
         return a == 0
 
@@ -256,9 +296,10 @@ class ConvMap:
         return out
 
     def evaluate(self, s: FormalSum):
-        acc = self.target.zero()
+        T = self.target
+        acc = T.zero()
         for k, c in s:
-            acc = self.target.add(acc, self.target.scale(c, self(k)))
+            acc = T.accumulate(acc, c, self(k))
         return acc
 
     def __repr__(self) -> str:
@@ -288,7 +329,7 @@ def convolve(f: ConvMap, g: ConvMap, name: str = "") -> ConvMap:
     def fn(key):
         acc = T.zero()
         for (a, b), c in C.delta(key):
-            acc = T.add(acc, T.scale(c, T.mul(f(a), g(b))))
+            acc = T.accumulate(acc, c, f(a), g(b))
         return acc
 
     return ConvMap(C, T, fn, name or f"({f.name}*{g.name})")

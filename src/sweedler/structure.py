@@ -270,7 +270,8 @@ def color_decompose(C: CoalgebraSpec):
     coproduct must have both tensor factors outside the grouplike span; keys
     violating this are reported as uncolorable.
     """
-    memo: dict = {}
+    grouplikes, _ = find_grouplikes(C)
+    memo: dict = {k: k in grouplikes for k in C.keys}
 
     def gpl(k: BasisKey) -> bool:
         v = memo.get(k)

@@ -91,8 +91,11 @@ CASES = [
 ]
 
 
-def run_cli(argv):
-    """Run the CLI in-process, returning (exit code, stdout bytes)."""
+def run_cli(argv, stderr=None):
+    """Run the CLI in-process, returning (exit code, stdout bytes).
+
+    Standard error goes to ``stderr`` when given, and is discarded otherwise.
+    """
     buffer = io.BytesIO()
 
     class FakeStdout:
@@ -102,7 +105,7 @@ def run_cli(argv):
     old = sys.stdout
     sys.stdout = FakeStdout()
     try:
-        with redirect_stderr(io.StringIO()):
+        with redirect_stderr(io.StringIO() if stderr is None else stderr):
             code = main(argv)
     finally:
         sys.stdout = old

@@ -316,3 +316,75 @@ def test_polynomial_deformation_not_invertible(trees_sym4):
     D = q_deform(trees_sym4, laurent=False)
     with pytest.raises(GrouplikeNotInvertible):
         antipode(D.bialgebra, validate=False)
+
+
+# ---------------------------------------------------------------------------
+# thread safety of the default route
+
+
+def test_colored_recursion_shared_across_threads():
+    # four threads evaluate one shared inverse over every key at once; the
+    # recursion's walk state is per call, so no thread may see another's
+    # unfinished keys, and every value must equal the single-threaded one
+    import sys
+    import threading
+
+    B = normalized_quotient(build_tree_bialgebra(5, 5, "s")).bialgebra
+    ident = identity_map(B)
+    reference = recursive_inverse(ident)
+    expected = {k: reference(k) for k in B.keys}
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            S = recursive_inverse(ident)
+            barrier = threading.Barrier(4, timeout=30)
+            errors = []
+            results = [{} for _ in range(4)]
+
+            def work(i):
+                try:
+                    barrier.wait()
+                    for k in reversed(B.keys):
+                        results[i][k] = S(k)
+                except Exception as exc:  # any error fails the test
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            for seen in results:
+                assert seen == expected
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_colored_recursion_needs_no_python_stack():
+    # on the loop quiver the inverse at e^n needs e^(n-1), ..., e; the walk
+    # must not spend an interpreter frame per link of that chain
+    import sys
+
+    from sweedler.gallery import Quiver, build_path_coalgebra
+    from sweedler.specs import RationalTarget
+
+    n = 300
+    C = build_path_coalgebra(Quiver(("v",), (("e", "v", "v"),)), n)
+    f = ConvMap(C, RationalTarget(), lambda k: Fraction(1), "ones")
+    inv = recursive_inverse(f)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + n // 3)
+    try:
+        deepest = inv(path_key(("e",) * n))
+    finally:
+        sys.setrecursionlimit(old_limit)
+    # 1/(1 - x) inverts to 1 - x
+    assert deepest == 0
+    assert inv(path_key(("e",))) == -1
+    assert inv(vertex_key("v")) == 1

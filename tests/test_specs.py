@@ -25,7 +25,7 @@ from sweedler.specs import (
     validate_bialgebra,
     validate_coalgebra,
 )
-from sweedler.specs import AlgebraSpec, BialgebraSpec, FormalSumTarget
+from sweedler.specs import AlgebraSpec, BialgebraSpec, FormalSumTarget, RationalTarget
 
 
 def word_target():
@@ -95,6 +95,38 @@ def test_convolution_bilinear(single_edge_paths):
     h = ConvMap(C, T, lambda k: T.add(f(k), g(k)), "f+g")
     for k in C.keys:
         assert convolve(h, f)(k) == T.add(convolve(f, f)(k), convolve(g, f)(k))
+
+
+def _accumulate_cases():
+    w = word_target()
+    x, y = BasisKey("w", ("x",)), BasisKey("w", ("y",))
+    sx = FormalSum({x: Fraction(2), y: Fraction(-1)})
+    sy = FormalSum({y: Fraction(3)})
+    z = LaurentPoly({-1: Fraction(1), 2: Fraction(1, 2)})
+    return [
+        (w, sx, sy),
+        (LAURENT, z, LaurentPoly({1: Fraction(-2), 0: Fraction(1)})),
+        (RationalTarget(), Fraction(3, 4), Fraction(-2)),
+    ]
+
+
+@pytest.mark.parametrize("T,a,b", _accumulate_cases(),
+                         ids=["formal-sum", "laurent", "rational"])
+def test_accumulate_matches_add_and_leaves_inputs_alone(T, a, b):
+    before = (T.add(a, T.zero()), T.add(b, T.zero()))
+    acc = T.zero()
+    for c in (Fraction(2), Fraction(0), Fraction(-1, 3)):
+        acc = T.accumulate(acc, c, a)
+        acc = T.accumulate(acc, c, a, b)
+    expected = T.zero()
+    for c in (Fraction(2), Fraction(0), Fraction(-1, 3)):
+        expected = T.add(expected, T.scale(c, a))
+        expected = T.add(expected, T.scale(c, T.mul(a, b)))
+    assert T.eq(acc, expected)
+    # a sum and its negation cancel to an empty accumulator, not to zeros
+    acc = T.accumulate(acc, -1, expected)
+    assert T.is_zero(acc)
+    assert T.eq(a, before[0]) and T.eq(b, before[1])
 
 
 def test_convolution_source_mismatch(single_edge_paths, two_vertex_complete_paths):
