@@ -10,6 +10,12 @@ minimal relabeling; minimization runs over attribute-preserving permutations
 only, which is sound because attributes are isomorphism-invariant (and the
 test suite cross-checks against the all-permutations brute force).
 
+``graph_class_key`` canonicalises each distinct labelled input once (the
+memo is pure: a result depends on its input alone) and interns the result by
+canonical payload, so equal classes are the same ``BasisKey`` object and
+dict lookups keyed by them hit on identity.  Inputs that fail a check raise
+every time and are never memoised.
+
 In connected mode every target group must be connected by its ghost edges
 (mergers are forbidden) and the partition is forced to the edge components;
 in non-connected mode target groups may merge disconnected pieces.
@@ -102,9 +108,26 @@ def _canonical(sizes, edges, blocks):
 
 
 def graph_class_key(sizes, edges, blocks, mode: str) -> BasisKey:
-    """Canonical class of a morphism given by sizes, ghost edges, groups."""
+    """Canonical class of a morphism given by sizes, ghost edges, groups.
+
+    Equal classes come back as the same interned object.
+    """
     if mode not in ("c", "n"):
         raise InputError(f"graph mode must be 'c' or 'n', got {mode!r}")
+    return _class_key(
+        tuple(sizes), tuple(map(tuple, edges)), tuple(map(tuple, blocks)), mode
+    )
+
+
+# Canonical payload -> the one BasisKey handed out for that class.
+_INTERNED: dict = {}
+
+
+@lru_cache(maxsize=None)
+def _class_key(sizes, edges, blocks, mode: str) -> BasisKey:
+    """Check and canonicalise one labelled input (``lru_cache`` keeps no
+    exception).  ``setdefault`` is atomic, so threads that race on one class
+    still share one key."""
     n = len(sizes)
     used = [0] * n
     for a, b in edges:
@@ -134,8 +157,8 @@ def graph_class_key(sizes, edges, blocks, mode: str) -> BasisKey:
         comps = sorted(_components(n, edges))
         if comps != sorted(tuple(sorted(blk)) for blk in blocks):
             raise InputError("connected mode: target groups must be edge components")
-    c_sizes, c_edges, c_blocks = _canonical(tuple(sizes), tuple(edges), tuple(blocks))
-    return BasisKey("graph", (mode, c_sizes, c_edges, c_blocks))
+    payload = (mode,) + _canonical(sizes, edges, blocks)
+    return _INTERNED.setdefault(payload, BasisKey("graph", payload))
 
 
 def identity_class(sizes, mode: str) -> BasisKey:
@@ -213,6 +236,32 @@ def _set_partitions(items):
 
 
 @lru_cache(maxsize=None)
+def _index_partitions(k: int) -> tuple:
+    """Set partitions of ``range(k)``, in ``_set_partitions`` order."""
+    return tuple(
+        tuple(tuple(cell) for cell in part) for part in _set_partitions(range(k))
+    )
+
+
+def _mergers(comps, block_id) -> list:
+    """Every coarsening of the components inside the morphism's groups."""
+    by_block: dict = {}
+    for comp in comps:
+        by_block.setdefault(block_id[comp[0]], []).append(comp)
+    per_block = []
+    for bi in sorted(by_block):
+        cs = by_block[bi]
+        per_block.append([
+            [tuple(sorted(c for i in cell for c in cs[i])) for cell in part]
+            for part in _index_partitions(len(cs))
+        ])
+    return [
+        [grp for part in combo for grp in part]
+        for combo in itertools.product(*per_block)
+    ]
+
+
+@lru_cache(maxsize=None)
 def graph_coproduct(key: BasisKey) -> TensorSum:
     """Sum over ghost-edge subsets (and group refinements) of subgraph (x) residue.
 
@@ -224,7 +273,7 @@ def graph_coproduct(key: BasisKey) -> TensorSum:
     """
     mode, sizes, edges, blocks = key.payload
     n = len(sizes)
-    block_id = {}
+    block_id = [0] * n
     for bi, blk in enumerate(blocks):
         for c in blk:
             block_id[c] = bi
@@ -233,42 +282,26 @@ def graph_coproduct(key: BasisKey) -> TensorSum:
         chosen = [edges[i] for i in range(len(edges)) if bits & (1 << i)]
         rest = [edges[i] for i in range(len(edges)) if not bits & (1 << i)]
         comps = _components(n, chosen)
-        if mode == "c":
-            refinements = [comps]
-        else:
-            by_block: dict = {}
-            for comp in comps:
-                by_block.setdefault(block_id[comp[0]], []).append(comp)
-            per_block = []
-            for bi in sorted(by_block):
-                per_block.append(list(_set_partitions(by_block[bi])))
-            refinements = []
-            for combo in itertools.product(*per_block):
-                groups = []
-                for part in combo:
-                    for cell in part:
-                        groups.append(
-                            tuple(sorted(c for comp in cell for c in comp))
-                        )
-                refinements.append(groups)
+        refinements = [comps] if mode == "c" else _mergers(comps, block_id)
         for groups in refinements:
             groups = sorted(groups)
             left = graph_class_key(sizes, chosen, groups, mode)
-            tgt_index = {}
+            # Target corolla gi has the flags of its group less the two
+            # each chosen edge inside it contracts.
+            tgt_index = [0] * n
             tgt_sizes = []
-            for gi, grp in enumerate(groups):
-                for c in grp:
-                    tgt_index[c] = gi
-                inside = sum(1 for a, b in chosen if a in grp and b in grp)
-                tgt_sizes.append(sum(sizes[c] for c in grp) - 2 * inside)
-            res_edges = [(tgt_index[a], tgt_index[b]) for a, b in rest]
             res_groups: dict = {}
             for gi, grp in enumerate(groups):
+                total = 0
+                for c in grp:
+                    tgt_index[c] = gi
+                    total += sizes[c]
+                tgt_sizes.append(total)
                 res_groups.setdefault(block_id[grp[0]], []).append(gi)
-            right = graph_class_key(
-                tgt_sizes, res_edges, [tuple(sorted(v)) for v in res_groups.values()],
-                mode,
-            )
+            for a, _ in chosen:
+                tgt_sizes[tgt_index[a]] -= 2
+            res_edges = [(tgt_index[a], tgt_index[b]) for a, b in rest]
+            right = graph_class_key(tgt_sizes, res_edges, res_groups.values(), mode)
             terms.append((left, right))
     return TensorSum.of(terms)
 
@@ -314,7 +347,8 @@ def all_graph_classes(max_corollas: int, max_edges: int, max_flags: int, mode: s
             range(max_flags + 1), n
         ):
             pairs = [(i, j) for i in range(n) for j in range(i, n)]
-            for count in range(max_edges + 1):
+            # Each ghost edge takes two flags, so larger multisets all fail.
+            for count in range(min(max_edges, sum(sizes) // 2) + 1):
                 for edges in itertools.combinations_with_replacement(pairs, count):
                     used = [0] * n
                     ok = True

@@ -18,7 +18,6 @@ only when it is complete.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .scalars import render_scalar
@@ -67,17 +66,27 @@ class BasisKey:
 
 
 def _encode_atom(x) -> bytes:
-    if isinstance(x, bool):  # bool is an int subtype; keep distinct
-        return b"b1" if x else b"b0"
-    if isinstance(x, int):
-        s = str(x).encode()
-        return b"i" + str(len(s)).encode() + b":" + s
-    if isinstance(x, str):
-        s = x.encode()
-        return b"s" + str(len(s)).encode() + b":" + s
+    parts: list = []
+    _encode_into(x, parts)
+    # Every piece but a string's text is ASCII, and each string carries its
+    # UTF-8 byte length, so encoding the joined text once gives the bytes.
+    return "".join(parts).encode()
+
+
+def _encode_into(x, parts: list) -> None:
     if isinstance(x, tuple):
-        return b"t" + str(len(x)).encode() + b":" + b"".join(_encode_atom(v) for v in x)
-    raise TypeError(f"unencodable payload atom {x!r}")
+        parts.append(f"t{len(x)}:")
+        for v in x:
+            _encode_into(v, parts)
+    elif isinstance(x, str):
+        parts.append(f"s{len(x.encode())}:{x}")
+    elif isinstance(x, bool):  # bool is an int subtype; keep distinct
+        parts.append("b1" if x else "b0")
+    elif isinstance(x, int):
+        s = str(x)
+        parts.append(f"i{len(s)}:{s}")
+    else:
+        raise TypeError(f"unencodable payload atom {x!r}")
 
 
 def _decode_atom(buf: bytes, pos: int):
@@ -123,11 +132,6 @@ def key_literal(key: BasisKey) -> str:
     if fn is not None:
         return fn(key)
     return f"{key.tag}:{key.payload!r}"
-
-
-@lru_cache(maxsize=None)
-def _sort_key(key: BasisKey) -> bytes:
-    return key.encoded()
 
 
 class FormalSum:
@@ -203,7 +207,7 @@ class FormalSum:
         return FormalSum(out, _clean=True)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: kv[0].encoded())
 
     def render(self) -> str:
         if not self.terms:
@@ -336,7 +340,7 @@ class TensorSum:
     def sorted_terms(self):
         return sorted(
             self.terms.items(),
-            key=lambda kv: (_sort_key(kv[0][0]), _sort_key(kv[0][1])),
+            key=lambda kv: (kv[0][0].encoded(), kv[0][1].encoded()),
         )
 
     def render(self) -> str:

@@ -202,43 +202,162 @@ def test_relations_hold():
     assert report.ok, report.render()
 
 
-def test_coproduct_representative_independence():
-    # enumerate edge subsets of a permuted labeled representative, push to
-    # classes, and compare with the coproduct of the canonical class key
-    import itertools as it
+def _permuted(perm, sizes, edges, blocks):
+    p_sizes = [0] * len(sizes)
+    for old, new in enumerate(perm):
+        p_sizes[new] = sizes[old]
+    p_edges = [(min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in edges]
+    p_blocks = [tuple(sorted(perm[c] for c in blk)) for blk in blocks]
+    return p_sizes, p_edges, p_blocks
 
-    from sweedler.graphs import _components
 
-    rng = random.Random(21)
-    for _ in range(12):
-        sizes, edges, blocks = _random_structure(rng, rng.randint(2, 4))
-        n = len(sizes)
-        key = graph_class_key(sizes, edges, blocks, "c")
-        perm = list(range(n))
-        rng.shuffle(perm)
-        p_sizes = [0] * n
-        for old, new in enumerate(perm):
-            p_sizes[new] = sizes[old]
-        p_edges = [(min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in edges]
-        terms = []
-        for bits in range(1 << len(p_edges)):
-            chosen = [p_edges[i] for i in range(len(p_edges)) if bits & (1 << i)]
-            rest = [p_edges[i] for i in range(len(p_edges)) if not bits & (1 << i)]
-            comps = _components(n, chosen)
-            left = graph_class_key(p_sizes, chosen, comps, "c")
+def _coproduct_oracle(sizes, edges, blocks, mode):
+    # edge subsets of a labeled representative, with the merger refinements
+    # taken straight from _set_partitions, pushed to classes
+    from sweedler.graphs import _components, _set_partitions
+
+    n = len(sizes)
+    block_id = {c: bi for bi, blk in enumerate(blocks) for c in blk}
+    terms = []
+    for bits in range(1 << len(edges)):
+        chosen = [edges[i] for i in range(len(edges)) if bits & (1 << i)]
+        rest = [edges[i] for i in range(len(edges)) if not bits & (1 << i)]
+        comps = _components(n, chosen)
+        if mode == "c":
+            refinements = [comps]
+        else:
+            by_block = {}
+            for comp in comps:
+                by_block.setdefault(block_id[comp[0]], []).append(comp)
+            refinements = [
+                [tuple(sorted(c for cell_comp in cell for c in cell_comp))
+                 for part in combo for cell in part]
+                for combo in itertools.product(
+                    *(list(_set_partitions(by_block[bi])) for bi in sorted(by_block))
+                )
+            ]
+        for groups in refinements:
+            left = graph_class_key(sizes, chosen, groups, mode)
             tgt_index = {}
             tgt_sizes = []
-            for gi, grp in enumerate(sorted(comps)):
+            for gi, grp in enumerate(sorted(groups)):
                 for c in grp:
                     tgt_index[c] = gi
                 inside = sum(1 for a, b in chosen if a in grp and b in grp)
-                tgt_sizes.append(sum(p_sizes[c] for c in grp) - 2 * inside)
+                tgt_sizes.append(sum(sizes[c] for c in grp) - 2 * inside)
             r_edges = [(tgt_index[a], tgt_index[b]) for a, b in rest]
-            right = graph_class_key(
-                tgt_sizes, r_edges, _components(len(tgt_sizes), r_edges), "c"
-            )
+            if mode == "c":
+                r_blocks = _components(len(tgt_sizes), r_edges)
+            else:
+                residual = {}
+                for grp in groups:
+                    residual.setdefault(block_id[grp[0]], set()).add(tgt_index[grp[0]])
+                r_blocks = [tuple(sorted(v)) for v in residual.values()]
+            right = graph_class_key(tgt_sizes, r_edges, r_blocks, mode)
             terms.append((left, right))
-        assert TensorSum.of(terms) == graph_coproduct(key)
+    return TensorSum.of(terms)
+
+
+def test_coproduct_representative_independence():
+    # enumerate edge subsets of a permuted labeled representative, push to
+    # classes, and compare with the coproduct of the canonical class key;
+    # non-connected inputs merge a random coarsening of the edge components
+    from sweedler.graphs import _set_partitions
+
+    for mode, seed in (("c", 21), ("n", 22)):
+        rng = random.Random(seed)
+        for _ in range(12):
+            sizes, edges, blocks = _random_structure(rng, rng.randint(2, 4))
+            if mode == "n":
+                part = rng.choice(list(_set_partitions(blocks)))
+                blocks = [tuple(sorted(c for blk in cell for c in blk)) for cell in part]
+            key = graph_class_key(sizes, edges, blocks, mode)
+            perm = list(range(len(sizes)))
+            rng.shuffle(perm)
+            oracle = _coproduct_oracle(*_permuted(perm, sizes, edges, blocks), mode)
+            assert oracle == graph_coproduct(key), (mode, sizes, edges, blocks)
+
+
+def test_equal_classes_are_one_object():
+    # two labelings of one class give the same interned key, not just an
+    # equal one
+    rng = random.Random(17)
+    for mode in ("c", "n"):
+        for _ in range(20):
+            sizes, edges, blocks = _random_structure(rng, rng.randint(2, 6))
+            perm = list(range(len(sizes)))
+            rng.shuffle(perm)
+            key = graph_class_key(sizes, edges, blocks, mode)
+            assert graph_class_key(*_permuted(perm, sizes, edges, blocks), mode) is key
+
+
+def test_bad_input_raises_on_every_call():
+    # a failed check is never memoised
+    for _ in range(2):
+        with pytest.raises(InputError, match="crosses target groups"):
+            graph_class_key((2, 2), ((0, 1),), ((0,), (1,)), "n")
+        with pytest.raises(InputError, match="edge components"):
+            graph_class_key((2, 2), (), ((0, 1),), "c")
+
+
+def test_class_keys_interned_across_threads():
+    # four threads canonicalise the same shuffled, never-seen inputs at once
+    # (sizes 10-13 occur nowhere else); every thread must get the one
+    # interned key of each class
+    import sys
+    import threading
+
+    rng = random.Random(29)
+    inputs = []
+    classes = []
+    for cls in range(12):
+        sizes, edges, blocks = _random_structure(rng, rng.randint(3, 6))
+        sizes = tuple(s + 10 for s in sizes)
+        for _ in range(3):
+            perm = list(range(len(sizes)))
+            rng.shuffle(perm)
+            inputs.append(_permuted(perm, sizes, edges, blocks))
+            classes.append(cls)
+    order = list(range(len(inputs)))
+    rng.shuffle(order)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        barrier = threading.Barrier(4, timeout=30)
+        errors = []
+        results = [{} for _ in range(4)]
+
+        def work(t):
+            try:
+                barrier.wait()
+                for i in order:
+                    results[t][i] = graph_class_key(*inputs[i], "c")
+            except Exception as exc:  # any error fails the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+    finally:
+        sys.setswitchinterval(old_interval)
+    first = {}
+    for seen in results:
+        assert len(seen) == len(inputs)
+        for i, key in seen.items():
+            assert first.setdefault(classes[i], key) is key
+
+
+def test_edge_enumeration_bounded_by_flag_capacity():
+    # three 3-flag corollas hold at most four ghost edges, so a larger edge
+    # budget adds nothing; the sizes are those of the unbounded enumeration
+    for mode, size in (("c", 253), ("n", 698)):
+        keys = all_graph_classes(3, 9, 3, mode)
+        assert keys == all_graph_classes(3, 4, 3, mode)
+        assert len(keys) == size
 
 
 def test_graph_morphism_document():

@@ -36,6 +36,14 @@ def test_encoding_injective(k1, k2):
     assert (k1 == k2) == (k1.encoded() == k2.encoded())
 
 
+def test_encoding_bytes_pinned():
+    # the byte format orders every sum and golden file: non-ASCII text is
+    # sized in UTF-8 bytes, and bool stays distinct from int
+    key = BasisKey("a", ("\u00e9", -5, True, 1, ()))
+    assert key.encoded() == b"ks1:at5:s2:\xc3\xa9i2:-5b1i1:1t0:"
+    assert decode_key(key.encoded()) == key
+
+
 def test_encoding_injective_bulk():
     # canonicality at scale: >= 10^4 generated keys, all encodings distinct
     universe = [
