@@ -18,7 +18,7 @@ from .errors import (
     UnsupportedError,
 )
 from .linear import BasisKey, FormalSum, TensorSum, decode_key, key_literal
-from .scalars import QQ, Fp, PrimeField, Rationals, render_scalar
+from .scalars import Fp, PrimeField, render_scalar
 from .specs import (
     AlgebraSpec,
     BialgebraSpec,
@@ -62,7 +62,6 @@ from .structure import (
     StructureReport,
     analyze_structure,
     bivariate_filtration,
-    bivariate_quillen_degree,
     color_decompose,
     filtration_from_grading,
     find_grouplikes,
@@ -108,7 +107,6 @@ from .renorm import (
     atkinson_split,
     birkhoff,
     check_rota_baxter,
-    eval_character,
     parse_laurent,
     pole_part,
     pole_part_operator,

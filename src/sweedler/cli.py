@@ -57,6 +57,8 @@ def _load_doc(text: str) -> dict:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad JSON document: {exc}") from exc
+    except RecursionError:
+        raise InputError("JSON document nested too deeply") from None
 
 
 def _build_bialgebra(args):

@@ -161,7 +161,7 @@ class Poset:
         seen: dict = {}
         order = []
 
-        def visit(e, stack):
+        def visit(e):
             state = seen.get(e)
             if state == 2:
                 return
@@ -169,12 +169,12 @@ class Poset:
                 raise InputError(f"cover relations contain a cycle through {e}")
             seen[e] = 1
             for s in succ[e]:
-                visit(s, stack)
+                visit(s)
             seen[e] = 2
             order.append(e)
 
         for e in self.elements:
-            visit(e, [])
+            visit(e)
         return list(reversed(order))
 
     @classmethod

@@ -19,15 +19,19 @@ Three routes to the inverse of a map out of a coalgebra:
   default route falls back to it when the filtration is not exhaustive and
   the instance is finite with values in the bialgebra itself.
 
-``method="recursion"|"series"|"solve"`` picks a route explicitly; the
-series and the solve also serve as independent oracles for the recursion.
-All routes are gated the same way, once per call: the map must send every
+Each route is also public on its own (:func:`recursive_inverse`,
+:func:`takeuchi_inverse`, :func:`finite_convolution_inverse`), so the
+series and the solve serve as independent oracles for the recursion.  All
+routes are gated the same way, once per call: the map must send every
 (semi)grouplike basis key to an invertible target value, and that is the
-only obstruction for the instances in scope.
+only obstruction for the instances in scope.  Targets need ``zero``,
+``one``, ``scale``, ``mul``, ``accumulate``, ``try_inverse`` and ``==``
+on their values (see :mod:`sweedler.specs`).
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 import threading
 from fractions import Fraction
@@ -39,7 +43,7 @@ from .errors import (
     MathError,
 )
 from .linalg import solve_sparse
-from .linear import BasisKey, FormalSum, TensorSum
+from .linear import BasisKey, FormalSum
 from .specs import (
     BialgebraSpec,
     ConvMap,
@@ -55,6 +59,8 @@ from .structure import (
     color_decompose,
     filtration_from_grading,
     find_grouplikes,
+    flanks,
+    is_grouplike,
 )
 
 
@@ -70,20 +76,6 @@ def _gate_grouplikes(f: ConvMap) -> None:
         value = f(g)
         if f.target.try_inverse(value) is None:
             raise GrouplikeNotInvertible(g, value)
-
-
-def _is_grouplike_key(C, key: BasisKey) -> bool:
-    # intrinsic test: keys outside the enumerated window still qualify
-    return C.counit(key) == 1 and C.delta(key) == TensorSum.pure(key, key)
-
-
-def _read_flanks(C, key: BasisKey):
-    delta = C.delta(key)
-    lefts = [a for (a, b), c in delta if b == key and c == 1 and _is_grouplike_key(C, a)]
-    rights = [b for (a, b), c in delta if a == key and c == 1 and _is_grouplike_key(C, b)]
-    if len(lefts) == 1 and len(rights) == 1:
-        return lefts[0], rights[0]
-    return None
 
 
 def _grouplike_inverse(f: ConvMap, key: BasisKey):
@@ -103,7 +95,7 @@ def _base_inverse(f: ConvMap) -> ConvMap:
     C, T = f.source, f.target
 
     def fn(key):
-        if _is_grouplike_key(C, key):
+        if is_grouplike(C, key):
             return _grouplike_inverse(f, key)
         return T.zero()
 
@@ -123,7 +115,8 @@ def _series_inverse(f: ConvMap, filt: FiltrationTable) -> ConvMap:
     eta_eps = convolution_unit(C, T)
 
     def u_fn(key):
-        return T.add(T.scale(C.counit(key), T.one()), T.scale(Fraction(-1), fp(key)))
+        acc = T.accumulate(T.zero(), C.counit(key), T.one())
+        return T.accumulate(acc, -1, fp(key))
 
     u = ConvMap(C, T, u_fn, name="unit-minus-f")
     powers = [eta_eps]
@@ -151,18 +144,14 @@ def _series_inverse(f: ConvMap, filt: FiltrationTable) -> ConvMap:
 def recursive_inverse(f: ConvMap) -> ConvMap:
     """Convolution inverse by the flank-peeling recursion on a colored source."""
     _gate_grouplikes(f)
-    return _colored_inverse(f, _color_blocks(f.source))
-
-
-def _color_blocks(C) -> dict:
-    blocks, uncolorable = color_decompose(C)
+    _, uncolorable = color_decompose(f.source)
     if uncolorable:
         key, reason = uncolorable[0]
         raise ConfigurationError(f"source is not colored: {key} ({reason})")
-    return blocks
+    return _colored_inverse(f)
 
 
-def _colored_inverse(f: ConvMap, blocks: dict) -> ConvMap:
+def _colored_inverse(f: ConvMap) -> ConvMap:
     """The colored recursion, evaluated bottom-up from an explicit stack.
 
     For a key x with left flank g the two-sided inverse h satisfies
@@ -177,39 +166,28 @@ def _colored_inverse(f: ConvMap, blocks: dict) -> ConvMap:
     equal values, so threads sharing the map race harmlessly.
     """
     C, T = f.source, f.target
-    gpl, _ = find_grouplikes(C)
-    # left flank of every non-grouplike key; keys outside the enumerated
-    # universe are read off their coproduct on first use
+    # left flank of every non-grouplike key, read off its coproduct on first use
     flank_of: dict = {}
-    for (g, _h), keys in blocks.items():
-        for k in keys:
-            if k not in gpl:
-                flank_of[k] = g
     memo: dict = {}
     flank_inverse: dict = {}
-
-    def is_grouplike(key):
-        if key in gpl:
-            return True
-        return key not in flank_of and _is_grouplike_key(C, key)
 
     def left_flank(key):
         g = flank_of.get(key)
         if g is None:
-            pair = _read_flanks(C, key)
+            pair = flanks(C, key)
             if pair is None:
                 raise ConfigurationError(f"key {key} has no well-defined flanks")
             g = flank_of[key] = pair[0]
         return g
 
     def right_factors(key):
-        if is_grouplike(key):
+        if is_grouplike(C, key):
             return ()
         g = left_flank(key)
         return [b for (a, b), _ in C.delta(key) if not (a == g and b == key)]
 
     def evaluate(key):
-        if is_grouplike(key):
+        if is_grouplike(C, key):
             return _grouplike_inverse(f, key)
         g = left_flank(key)
         inv_g = flank_inverse.get(g)
@@ -222,7 +200,7 @@ def _colored_inverse(f: ConvMap, blocks: dict) -> ConvMap:
             if a == g and b == key:
                 continue
             acc = T.accumulate(acc, -c, f(a), memo[b])
-        return acc if T.eq(inv_g, T.one()) else T.mul(inv_g, acc)
+        return acc if inv_g == T.one() else T.mul(inv_g, acc)
 
     def h_fn(key: BasisKey):
         value = memo.get(key)
@@ -309,7 +287,7 @@ def finite_convolution_inverse(f: ConvMap, B: BialgebraSpec) -> ConvMap:
     eta_eps = convolution_unit(C, T)
     for side in (convolve(inv, f), convolve(f, inv)):
         for k in keys:
-            if not T.eq(side(k), eta_eps(k)):
+            if side(k) != eta_eps(k):
                 raise MathError(
                     f"{f.name} is left- but not two-sided invertible at {k}"
                 )
@@ -319,31 +297,22 @@ def finite_convolution_inverse(f: ConvMap, B: BialgebraSpec) -> ConvMap:
 def convolution_inverse(
     f: ConvMap,
     filt: FiltrationTable | None = None,
-    method: str = "auto",
     bialgebra: BialgebraSpec | None = None,
 ) -> ConvMap:
-    """Dispatch to a suitable inversion route; grouplike gate applies first.
+    """Invert f by the route its source admits; grouplike gate applies first.
 
-    ``auto`` takes the colored recursion when the filtration is exhaustive
-    and every key is colorable, the series when it is exhaustive but some
-    key is not, and the finite solve on finite instances the filtration
-    does not exhaust.
+    Takes the colored recursion when the filtration is exhaustive and every
+    key is colorable, the series when it is exhaustive but some key is not,
+    and the finite solve on finite instances the filtration does not
+    exhaust.
     """
     _gate_grouplikes(f)
-    if method == "recursion":
-        return _colored_inverse(f, _color_blocks(f.source))
-    if method == "solve":
-        if bialgebra is None:
-            raise ConfigurationError("finite solve needs the ambient bialgebra")
-        return finite_convolution_inverse(f, bialgebra)
     if filt is None:
         filt = bivariate_filtration(f.source)
-    if method == "series":
-        return _series_inverse(f, filt)
     if filt.exhaustive:
-        blocks, uncolorable = color_decompose(f.source)
+        _, uncolorable = color_decompose(f.source)
         if not uncolorable:
-            return _colored_inverse(f, blocks)
+            return _colored_inverse(f)
         return _series_inverse(f, filt)
     if (
         bialgebra is not None
@@ -355,7 +324,7 @@ def convolution_inverse(
 
 
 def antipode(B: BialgebraSpec, filt: FiltrationTable | None = None,
-             method: str = "auto", validate: bool = True) -> ConvMap:
+             validate: bool = True) -> ConvMap:
     """The convolution inverse of the identity map of a bialgebra.
 
     Raises GrouplikeNotInvertible when a grouplike basis key has no product
@@ -364,7 +333,7 @@ def antipode(B: BialgebraSpec, filt: FiltrationTable | None = None,
     if filt is None and B.hooks.get("graded_filtration"):
         filt = filtration_from_grading(B.coalgebra)
     ident = identity_map(B)
-    S = convolution_inverse(ident, filt=filt, method=method, bialgebra=B)
+    S = convolution_inverse(ident, filt=filt, bialgebra=B)
     S.name = "S"
     if validate:
         report = validate_antipode(B, S)
@@ -394,15 +363,22 @@ def validate_antipode(B: BialgebraSpec, S: ConvMap,
             report.fail(k, "id*S != unit.counit")
     rng = random.Random(seed)
     keys = list(C.keys)
-    key_set = set(keys)
+    # b is drawn among the keys whose grading leaves room for a's
+    by_grading = sorted(keys, key=C.grading)
+    gradings = [C.grading(k) for k in by_grading]
+    top = C.max_degree()
     tried = 0
     done = 0
     while done < sample_budget and tried < 20 * sample_budget:
         tried += 1
-        a, b = rng.choice(keys), rng.choice(keys)
+        a = rng.choice(keys)
+        fits = bisect.bisect_right(gradings, top - C.grading(a))
+        if not fits:
+            continue
+        b = by_grading[rng.randrange(fits)]
         ab = B.algebra.mul(FormalSum.basis(a), FormalSum.basis(b))
         # products leaving the truncated universe have no antipode table entry
-        if any(k not in key_set for k, _ in ab):
+        if any(k not in C._key_set for k, _ in ab):
             continue
         done += 1
         report.checked += 1
@@ -425,10 +401,10 @@ def invert_character(phi: ConvMap, B: BialgebraSpec,
         a, b = rng.choice(keys), rng.choice(keys)
         lhs = phi.evaluate(B.product(a, b))
         rhs = T.mul(phi(a), phi(b))
-        if not T.eq(lhs, rhs):
+        if lhs != rhs:
             raise ConfigurationError(
                 f"rules are not multiplicative at ({a}, {b})"
             )
-    if not T.eq(phi.evaluate(B.unit), T.one()):
+    if phi.evaluate(B.unit) != T.one():
         raise ConfigurationError("character does not preserve the unit")
     return convolution_inverse(phi, filt=filt, bialgebra=None if filt else B)

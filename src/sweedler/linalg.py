@@ -12,11 +12,10 @@ from fractions import Fraction
 
 
 def _eliminate(rows: list[dict], rhs: list | None):
-    """Forward elimination; returns (pivot list of (row, col), row order)."""
+    """Gauss-Jordan elimination in place; returns the (row, col) pivots."""
     nrows = len(rows)
     active = list(range(nrows))
     pivots: list[tuple[int, int]] = []
-    used_cols: set = set()
     while True:
         best = None
         for i in active:
@@ -48,7 +47,6 @@ def _eliminate(rows: list[dict], rhs: list | None):
             if rhs is not None:
                 rhs[i] = rhs[i] - factor * rhs[best]
         pivots.append((best, piv_col))
-        used_cols.add(piv_col)
         active.remove(best)
     return pivots
 

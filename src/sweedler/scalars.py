@@ -1,10 +1,12 @@
 """Exact ground-field scalars.
 
-The default field is the rationals, represented by :class:`fractions.Fraction`
-(always in lowest terms with positive denominator).  A prime field GF(p) is
-available as an alternative coefficient domain; its elements implement the
-same arithmetic operators so the rest of the library is agnostic about which
-field is in use.  Floating point is deliberately unsupported.
+The engine works over the rationals, represented by :class:`fractions.Fraction`
+(always in lowest terms with positive denominator).  GF(p) elements
+(:class:`Fp`, :class:`PrimeField`) implement the same arithmetic operators,
+so they work as coefficients of formal sums and in dual-algebra products
+(:func:`sweedler.specs.dual_algebra_product`).  The engine is not
+field-agnostic: structure maps, :mod:`sweedler.linalg` and inversion are
+rational.  Floating point is deliberately unsupported.
 """
 
 from __future__ import annotations
@@ -73,24 +75,6 @@ class Fp:
         return f"{self.value}"
 
 
-class Rationals:
-    """The field of rational numbers with Fraction elements."""
-
-    name = "QQ"
-
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def invert(self, c: Fraction):
-        return None if c == 0 else Fraction(1) / c
-
-
 class PrimeField:
     """GF(p) for a prime p; rejects composite moduli at configuration time."""
 
@@ -111,9 +95,6 @@ class PrimeField:
 
     def invert(self, c: Fp):
         return None if not c else c.inverse()
-
-
-QQ = Rationals()
 
 
 def render_scalar(c) -> str:

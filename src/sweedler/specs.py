@@ -9,13 +9,13 @@ controls stay observable.
 Convolution maps can land in the bialgebra itself (formal sums), in the
 rationals, or in an external exact algebra such as Laurent polynomials; the
 small target-algebra wrappers below give all three a uniform surface:
-``zero``, ``one``, ``add``, ``scale``, ``mul``, ``eq``, ``try_inverse``,
-``render`` and ``accumulate``.  ``accumulate(acc, c, a, b=None)`` adds
-``c*a`` (or ``c*a*b``) into an accumulator that the caller obtained from
-``zero()`` and has not yet shared; it returns the accumulator, which is the
-same object for the mutable sum types and a new value for plain rationals.
-The convolution, inversion and validation loops sum through it, so none
-of them copies its accumulator once per term.
+``zero``, ``one``, ``scale``, ``mul``, ``accumulate``, ``try_inverse`` and
+``render``; values compare with ``==``.  ``accumulate(acc, c, a, b=None)``
+adds ``c*a`` (or ``c*a*b``) into an accumulator that the caller obtained
+from ``zero()`` and has not yet shared; it returns the accumulator, which is
+the same object for the mutable sum types and a new value for plain
+rationals.  The convolution, inversion and validation loops sum through it,
+so none of them copies its accumulator once per term.
 Values are immutable and memo caches are pure, so concurrent reads of the
 same :class:`ConvMap` always return identical results.
 """
@@ -195,9 +195,6 @@ class FormalSumTarget:
     def one(self):
         return self.algebra.unit
 
-    def add(self, a, b):
-        return a + b
-
     def scale(self, c, a):
         return a.scale(c)
 
@@ -210,12 +207,6 @@ class FormalSumTarget:
         else:
             self.algebra.mul_into(acc.terms, c, a, b)
         return acc
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def eq(self, a, b):
-        return a == b
 
     def try_inverse(self, v: FormalSum):
         """Invert a scalar multiple of the unit or of an invertible basis key."""
@@ -247,9 +238,6 @@ class RationalTarget:
     def one(self):
         return Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
     def scale(self, c, a):
         return c * a
 
@@ -258,12 +246,6 @@ class RationalTarget:
 
     def accumulate(self, acc, c, a, b=None):
         return acc + (c * a if b is None else c * a * b)
-
-    def is_zero(self, a):
-        return a == 0
-
-    def eq(self, a, b):
-        return a == b
 
     def try_inverse(self, v):
         return None if v == 0 else 1 / v
@@ -346,7 +328,7 @@ def identity_map(B: BialgebraSpec) -> ConvMap:
 
 def conv_maps_equal(f: ConvMap, g: ConvMap, keys=None) -> bool:
     keys = f.source.keys if keys is None else keys
-    return all(f.target.eq(f(k), g(k)) for k in keys)
+    return all(f(k) == g(k) for k in keys)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ of the reduced coproduct) is available separately for finite truncations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .linalg import nullspace_sparse
@@ -44,6 +44,31 @@ def find_grouplikes(C: CoalgebraSpec):
                 grouplikes.add(k)
     C._grouplike_cache = (grouplikes, semigrouplikes)
     return grouplikes, semigrouplikes
+
+
+def is_grouplike(C: CoalgebraSpec, key: BasisKey) -> bool:
+    """Whether delta(key) = key (x) key and counit(key) = 1.
+
+    Keys of the enumerated universe are answered from the cached scan; keys
+    outside it (products may leave a truncation) are tested intrinsically.
+    """
+    if key in C._key_set:
+        return key in find_grouplikes(C)[0]
+    return C.counit(key) == 1 and C.delta(key) == TensorSum.pure(key, key)
+
+
+def flanks(C: CoalgebraSpec, key: BasisKey):
+    """The grouplike flank pair (g, h) of a key, or None when not unique.
+
+    The flanks are the terms g (x) key and key (x) h of delta(key) with
+    grouplike g, h and coefficient 1; a grouplike key is its own pair.
+    """
+    delta = C.delta(key)
+    lefts = [a for (a, b), c in delta if b == key and c == 1 and is_grouplike(C, a)]
+    rights = [b for (a, b), c in delta if a == key and c == 1 and is_grouplike(C, b)]
+    if len(lefts) == 1 and len(rights) == 1:
+        return lefts[0], rights[0]
+    return None
 
 
 def reduced_coproduct(C: CoalgebraSpec, key: BasisKey, g: BasisKey, h: BasisKey) -> TensorSum:
@@ -98,7 +123,6 @@ class FiltrationTable:
     degrees: dict
     bound: int
     unreached: frozenset
-    stratum_exhausted: dict = field(default_factory=dict)
     fallback: object = None
 
     def degree(self, key: BasisKey):
@@ -168,7 +192,6 @@ def bivariate_filtration(C: CoalgebraSpec, max_n: int | None = None) -> Filtrati
                 cand.append(tuple(reduced.terms))
         candidates[k] = cand
 
-    stratum_exhausted = {0: True}
     for n in range(1, max_n + 1):
         new = []
         for k in pending:
@@ -189,16 +212,9 @@ def bivariate_filtration(C: CoalgebraSpec, max_n: int | None = None) -> Filtrati
         for k in new:
             degrees[k] = n
         pending = [k for k in pending if k not in degrees]
-        stratum_exhausted[n] = not pending
         if not pending:
             break
-    return FiltrationTable(degrees, max_n, frozenset(pending), stratum_exhausted)
-
-
-def bivariate_quillen_degree(C: CoalgebraSpec, key: BasisKey, max_n: int) -> int | None:
-    """Smallest filtration degree of a key, or None when max_n is exceeded."""
-    table = bivariate_filtration(C, max_n)
-    return table.degree(key)
+    return FiltrationTable(degrees, max_n, frozenset(pending))
 
 
 @dataclass
@@ -265,41 +281,24 @@ class StructureReport:
 def color_decompose(C: CoalgebraSpec):
     """Assign each key its (left, right) grouplike flank pair.
 
-    The flanks are read off from the coproduct: the unique terms g (x) k and
-    k (x) h with grouplike g, h and coefficient 1.  The remainder of the
-    coproduct must have both tensor factors outside the grouplike span; keys
-    violating this are reported as uncolorable.
+    The flanks are read off by :func:`flanks`.  The reduced coproduct at
+    the flank pair must have both tensor factors outside the grouplike span;
+    keys violating this, or without a unique flank pair, are reported as
+    uncolorable.
     """
-    grouplikes, _ = find_grouplikes(C)
-    memo: dict = {k: k in grouplikes for k in C.keys}
-
-    def gpl(k: BasisKey) -> bool:
-        v = memo.get(k)
-        if v is None:
-            v = C.counit(k) == 1 and C.delta(k) == TensorSum.pure(k, k)
-            memo[k] = v
-        return v
-
     blocks: dict = {}
     uncolorable = []
     for k in C.keys:
-        if gpl(k):
+        if is_grouplike(C, k):
             blocks.setdefault((k, k), set()).add(k)
             continue
-        delta = C.delta(k)
-        lefts = [a for (a, b), c in delta if b == k and gpl(a) and c == 1]
-        rights = [b for (a, b), c in delta if a == k and gpl(b) and c == 1]
-        if len(lefts) != 1 or len(rights) != 1:
+        pair = flanks(C, k)
+        if pair is None:
             uncolorable.append((k, "flanking grouplikes not unique"))
             continue
-        g, h = lefts[0], rights[0]
-        rest = delta - TensorSum.pure(g, k) - TensorSum.pure(k, h)
-        bad = False
-        for (a, b), _ in rest:
-            if gpl(a) or gpl(b):
-                bad = True
-                break
-        if bad:
+        g, h = pair
+        if any(is_grouplike(C, a) or is_grouplike(C, b)
+               for (a, b), _ in reduced_coproduct(C, k, g, h)):
             uncolorable.append((k, "reduced part touches the grouplike span"))
             continue
         blocks.setdefault((g, h), set()).add(k)

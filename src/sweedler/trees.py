@@ -32,6 +32,9 @@ from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec
 
 LINE = ("|",)
 LEAF = (".",)
+# deepest vertex nesting a literal may have; deeper trees would exhaust the
+# Python stack in the recursive parser, canonical form and rendering
+MAX_TREE_DEPTH = 200
 
 
 def is_node(tree) -> bool:
@@ -140,6 +143,11 @@ def parse_forest(text: str, mode: str = "s") -> BasisKey:
     text = text.replace(" ", "")
     if text in ("", "1"):
         return unit_key(mode)
+    depth = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        if depth > MAX_TREE_DEPTH:
+            raise InputError(f"tree literal nested deeper than {MAX_TREE_DEPTH}")
     trees = []
     for part in text.split(","):
         tree, end = parse_tree(part)

@@ -67,6 +67,17 @@ def test_poset_non_interval_is_input_error(interval):
     assert "not an interval" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["coproduct", "--tree", "v(" * 400 + "." + ")" * 400],
+    ["coproduct", "--quiver", '{"a":' * 100_000 + "1" + "}" * 100_000],
+], ids=["tree-400-deep", "json-100000-deep"])
+def test_deep_inputs_are_input_errors(argv):
+    code, out, err = _run_cli_stderr(argv)
+    assert code == 2
+    assert out == b""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_grouplike_gate_exit_code():
     bad = json.dumps({"rules": {"vertex": "z^-1", "grouplike": "1+z"}})
     code, _ = run_cli(["inverse", "--bialgebra", "trees", "--character", bad,

@@ -26,18 +26,25 @@ from sweedler.inversion import (
     takeuchi_inverse,
     validate_antipode,
 )
-from sweedler.linear import BasisKey, FormalSum
+from sweedler.linear import BasisKey, FormalSum, TensorSum
 from sweedler.renorm import LAURENT, CharacterSpec, LaurentPoly, parse_laurent
 from sweedler.specs import (
     AlgebraSpec,
+    CoalgebraSpec,
     ConvMap,
     FormalSumTarget,
+    RationalTarget,
     conv_maps_equal,
     convolution_unit,
     convolve,
     identity_map,
+    validate_coalgebra,
 )
-from sweedler.structure import bivariate_filtration, filtration_from_grading
+from sweedler.structure import (
+    bivariate_filtration,
+    color_decompose,
+    filtration_from_grading,
+)
 from sweedler.trees import build_tree_bialgebra, ladder, line_forest, parse_forest, tau
 
 
@@ -130,6 +137,16 @@ def test_tree_identity_inverse_on_quotient(trees_sym4_normalized):
     assert S(l2) == FormalSum.basis(l2).scale(Fraction(-1)) + B.product(
         tau(1), tau(1)
     )
+
+
+def test_antihomomorphism_check_spends_its_budget(trees_sym4_normalized):
+    # pairs are drawn so that their product can fit the truncation, so the
+    # spot check reaches its full sample budget instead of its draw cap
+    B = trees_sym4_normalized.bialgebra
+    S = antipode(B, validate=False)
+    report = validate_antipode(B, S, sample_budget=50)
+    assert report.ok
+    assert report.checked == len(B.keys) + 50
 
 
 def test_antipode_involutive_on_commutative_quotient():
@@ -316,6 +333,41 @@ def test_polynomial_deformation_not_invertible(trees_sym4):
     D = q_deform(trees_sym4, laurent=False)
     with pytest.raises(GrouplikeNotInvertible):
         antipode(D.bialgebra, validate=False)
+
+
+# ---------------------------------------------------------------------------
+# the series fallback of the default route
+
+
+def test_uncolorable_source_falls_back_to_the_series():
+    # x is a (g,h)-skew primitive shifted by y: its flanks are unique, but
+    # its reduced coproduct touches the grouplikes h and h2
+    g, h, h2, y, x = (BasisKey("k", (name,)) for name in ("g", "h", "h2", "y", "x"))
+    coproducts = {
+        g: TensorSum.of([(g, g)]),
+        h: TensorSum.of([(h, h)]),
+        h2: TensorSum.of([(h2, h2)]),
+        y: TensorSum.of([(g, y), (y, h2)]),
+        x: TensorSum.of([(g, x), (x, h), (y, h, Fraction(-1)), (y, h2)]),
+    }
+    grading = {g: 0, h: 0, h2: 0, y: 1, x: 2}
+    C = CoalgebraSpec("shifted", coproducts, coproducts.__getitem__,
+                      lambda k: Fraction(1 if grading[k] == 0 else 0),
+                      grading.__getitem__)
+    assert validate_coalgebra(C).ok
+    _, uncolorable = color_decompose(C)
+    assert [k for k, _ in uncolorable] == [x]
+    filt = bivariate_filtration(C)
+    assert filt.exhaustive
+    values = {g: 2, h: 3, h2: 5, y: 7, x: 11}
+    f = ConvMap(C, RationalTarget(), lambda k: Fraction(values[k]), "f")
+    with pytest.raises(ConfigurationError):
+        recursive_inverse(f)
+    inv = convolution_inverse(f)
+    eta = convolution_unit(C, f.target)
+    assert conv_maps_equal(convolve(f, inv), eta)
+    assert conv_maps_equal(convolve(inv, f), eta)
+    assert conv_maps_equal(inv, takeuchi_inverse(f, filt))
 
 
 # ---------------------------------------------------------------------------

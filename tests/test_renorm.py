@@ -22,7 +22,6 @@ from sweedler.renorm import (
     atkinson_split,
     birkhoff,
     check_rota_baxter,
-    eval_character,
     parse_laurent,
     pole_part,
     pole_part_operator,
@@ -156,7 +155,7 @@ def test_corrupted_projector_reported():
 
 def test_character_eval_on_trees():
     phi = CharacterSpec(LAURENT, {"vertex": parse_laurent("z^-1")})
-    assert eval_character(phi, parse_forest("v(v(.)v(.))", "s")) == parse_laurent("z^-3")
+    assert phi(parse_forest("v(v(.)v(.))", "s")) == parse_laurent("z^-3")
     assert phi(unit_key("s")) == LaurentPoly.one()
     # grouplike rule defaults to one
     assert phi(line_forest(2, "s")) == LaurentPoly.one()

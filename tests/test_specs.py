@@ -92,9 +92,9 @@ def test_convolution_bilinear(single_edge_paths):
     z = LaurentPoly.monomial(1)
     f = ConvMap(C, T, lambda k: z if C.grading(k) else T.one(), "f")
     g = ConvMap(C, T, lambda k: LaurentPoly.monomial(-1), "g")
-    h = ConvMap(C, T, lambda k: T.add(f(k), g(k)), "f+g")
+    h = ConvMap(C, T, lambda k: f(k) + g(k), "f+g")
     for k in C.keys:
-        assert convolve(h, f)(k) == T.add(convolve(f, f)(k), convolve(g, f)(k))
+        assert convolve(h, f)(k) == convolve(f, f)(k) + convolve(g, f)(k)
 
 
 def _accumulate_cases():
@@ -113,20 +113,20 @@ def _accumulate_cases():
 @pytest.mark.parametrize("T,a,b", _accumulate_cases(),
                          ids=["formal-sum", "laurent", "rational"])
 def test_accumulate_matches_add_and_leaves_inputs_alone(T, a, b):
-    before = (T.add(a, T.zero()), T.add(b, T.zero()))
+    before = (a + T.zero(), b + T.zero())
     acc = T.zero()
     for c in (Fraction(2), Fraction(0), Fraction(-1, 3)):
         acc = T.accumulate(acc, c, a)
         acc = T.accumulate(acc, c, a, b)
     expected = T.zero()
     for c in (Fraction(2), Fraction(0), Fraction(-1, 3)):
-        expected = T.add(expected, T.scale(c, a))
-        expected = T.add(expected, T.scale(c, T.mul(a, b)))
-    assert T.eq(acc, expected)
+        expected = expected + T.scale(c, a)
+        expected = expected + T.scale(c, T.mul(a, b))
+    assert acc == expected
     # a sum and its negation cancel to an empty accumulator, not to zeros
     acc = T.accumulate(acc, -1, expected)
-    assert T.is_zero(acc)
-    assert T.eq(a, before[0]) and T.eq(b, before[1])
+    assert acc == T.zero()
+    assert a == before[0] and b == before[1]
 
 
 def test_convolution_source_mismatch(single_edge_paths, two_vertex_complete_paths):

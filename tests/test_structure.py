@@ -21,11 +21,12 @@ from sweedler.specs import CoalgebraSpec
 from sweedler.structure import (
     analyze_structure,
     bivariate_filtration,
-    bivariate_quillen_degree,
     color_decompose,
     filtration_from_grading,
     find_grouplikes,
     find_skew_primitives,
+    flanks,
+    is_grouplike,
     skew_primitive_space,
     verify_pathlike,
 )
@@ -94,8 +95,9 @@ def test_bivariate_degrees_on_paths(two_vertex_complete_paths):
 
 
 def test_bivariate_degree_single_key(single_edge_paths):
-    assert bivariate_quillen_degree(single_edge_paths, vertex_key("v"), 3) == 0
-    assert bivariate_quillen_degree(single_edge_paths, path_key(("e",)), 3) == 1
+    table = bivariate_filtration(single_edge_paths, 3)
+    assert table.degree(vertex_key("v")) == 0
+    assert table.degree(path_key(("e",))) == 1
 
 
 def test_degree_not_reached_on_corrupted():
@@ -165,6 +167,20 @@ def test_color_blocks_on_paths():
     assert not uncolorable
     assert path_key(("e1",)) in blocks[(vertex_key("a"), vertex_key("b"))]
     assert path_key(("e1", "e2")) in blocks[(vertex_key("a"), vertex_key("c"))]
+
+
+def test_flanks_read_off_the_universe():
+    # keys beyond the truncation are tested intrinsically, not looked up
+    quiver = Quiver(("a", "b", "c"), (("e1", "a", "b"), ("e2", "b", "c")))
+    C = build_path_coalgebra(quiver, 1)
+    a, b, c = vertex_key("a"), vertex_key("b"), vertex_key("c")
+    long = path_key(("e1", "e2"))
+    assert long not in C.keys
+    assert is_grouplike(C, a) and not is_grouplike(C, path_key(("e1",)))
+    assert not is_grouplike(C, long)
+    assert flanks(C, a) == (a, a)
+    assert flanks(C, path_key(("e1",))) == (a, b)
+    assert flanks(C, long) == (a, c)
 
 
 def test_color_blocks_on_intervals():
