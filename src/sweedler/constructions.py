@@ -41,8 +41,7 @@ class QuotientSpec:
         return s.map_keys(lambda k: FormalSum.basis(self.normal_form(k)))
 
 
-def _quotient_bialgebra(B: BialgebraSpec, nf, name: str,
-                        hooks: dict | None = None) -> BialgebraSpec:
+def _quotient_bialgebra(B: BialgebraSpec, nf, name: str) -> BialgebraSpec:
     keys = sorted({nf(k) for k in B.keys})
 
     def delta(key: BasisKey) -> TensorSum:
@@ -58,9 +57,7 @@ def _quotient_bialgebra(B: BialgebraSpec, nf, name: str,
 
     unit = B.unit.map_keys(lambda k: FormalSum.basis(nf(k)))
     alg = AlgebraSpec(name, product, unit, key_inverse=B.algebra.key_inverse)
-    merged = dict(B.hooks)
-    merged.update(hooks or {})
-    return BialgebraSpec(coalg, alg, merged)
+    return BialgebraSpec(coalg, alg, dict(B.hooks))
 
 
 def normalized_quotient(B: BialgebraSpec) -> QuotientSpec:
@@ -210,6 +207,7 @@ def q_deform(B: BialgebraSpec, laurent: bool = False,
     strip = B.hooks.get("strip_grouplikes")
     if strip is None:
         raise UnsupportedError(f"{B.name} has no grouplike factorization hook")
+    unit_key, = B.unit.terms
     gpl, sgpl = find_grouplikes(B.coalgebra)
     if sgpl - gpl:
         raise UnsupportedError("deformation needs all semigrouplikes grouplike")
@@ -220,7 +218,7 @@ def q_deform(B: BialgebraSpec, laurent: bool = False,
         base, exps = strip(g)
         if base.tag == "q":
             raise ConfigurationError("cannot deform an already deformed instance")
-        if rebuild is None or rebuild(exps) != g or exps and base != B.hooks["unit_key"]:
+        if rebuild is None or rebuild(exps) != g or exps and base != unit_key:
             raise UnsupportedError(
                 f"grouplike monoid is not free on generators at {g}"
             )
@@ -271,7 +269,7 @@ def q_deform(B: BialgebraSpec, laurent: bool = False,
             _addto(out, q_key(rk, _merge_exps(exps, ek)), c)
         return FormalSum(out, _clean=True)
 
-    unit_base = strip(B.hooks["unit_key"])[0]
+    unit_base = strip(unit_key)[0]
     unit = FormalSum.basis(q_key(unit_base, {}))
 
     def key_inverse(key: BasisKey):

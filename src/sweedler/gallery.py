@@ -415,54 +415,30 @@ def word_product_key(word_keys) -> BasisKey:
 
 @lru_cache(maxsize=None)
 def _word_cuts(payload):
-    """Per-word cut table: (left payload, tuple of right factor payloads)."""
+    """Per-word cut table: (left word key, tuple of right factor word keys)."""
     a0, letters, a1 = payload
     n = len(letters)
     marks = (a0,) + tuple(letters) + (a1,)
     out = []
     for bits in range(1 << n):
         chosen = [0] + [i for i in range(1, n + 1) if bits & (1 << (i - 1))] + [n + 1]
-        left = (a0, tuple(marks[i] for i in chosen[1:-1]), a1)
+        left = word_key(a0, (marks[i] for i in chosen[1:-1]), a1)
         factors = tuple(
-            (marks[chosen[j]], marks[chosen[j] + 1 : chosen[j + 1]], marks[chosen[j + 1]])
-            for j in range(len(chosen) - 1)
+            word_key(marks[i], marks[i + 1 : j], marks[j])
+            for i, j in zip(chosen, chosen[1:])
         )
         out.append((left, factors))
     return tuple(out)
 
 
-def _pack_payloads(payloads) -> BasisKey:
-    if len(payloads) == 1:
-        return BasisKey("word", payloads[0])
-    return BasisKey("wprod", tuple(sorted(payloads)))
-
-
 def goncharov_coproduct(key: BasisKey) -> TensorSum:
     """Cut-point coproduct of a word: one summand per subset of letter slots."""
-    return _word_delta(key)
-
-
-@lru_cache(maxsize=None)
-def _word_delta(key: BasisKey) -> TensorSum:
     payloads = (key.payload,) if key.tag == "word" else key.payload
-    per = [_word_cuts(p) for p in payloads]
     terms = []
-    for combo in itertools.product(*per):
-        lefts = tuple(c[0] for c in combo)
-        rights = tuple(itertools.chain.from_iterable(c[1] for c in combo))
-        terms.append((_pack_payloads(lefts) if lefts else BasisKey("wprod", ()),
-                      _pack_payloads(rights) if rights else BasisKey("wprod", ())))
+    for combo in itertools.product(*(_word_cuts(p) for p in payloads)):
+        terms.append((word_product_key([c[0] for c in combo]),
+                      word_product_key([k for c in combo for k in c[1]])))
     return TensorSum.of(terms)
-
-
-def word_mul(k1: BasisKey, k2: BasisKey) -> FormalSum:
-    factors = []
-    for k in (k1, k2):
-        if k.tag == "word":
-            factors.append(k)
-        else:
-            factors.extend(BasisKey("word", p) for p in k.payload)
-    return FormalSum.basis(word_product_key(factors))
 
 
 def build_word_coalgebra(alphabet, max_length: int, closed: bool = False) -> CoalgebraSpec:
@@ -515,7 +491,7 @@ def build_word_coalgebra(alphabet, max_length: int, closed: bool = False) -> Coa
 
     return CoalgebraSpec(
         f"words({len(alphabet)})<= {max_length}{'+' if closed else ''}",
-        keys, _word_delta, counit, grading,
+        keys, goncharov_coproduct, counit, grading,
     )
 
 
@@ -663,7 +639,7 @@ def build_drinfeld_double(group: Group) -> BialgebraSpec:
         xi = G.inv[x]
         return FormalSum.basis(double_key(G.conj(xi, G.inv[g]), xi))
 
-    return BialgebraSpec(coalg, alg, hooks={"closed_antipode": closed_antipode, "group": G})
+    return BialgebraSpec(coalg, alg, hooks={"closed_antipode": closed_antipode})
 
 
 def build_drinfeld_double_dual(group: Group) -> BialgebraSpec:
@@ -703,7 +679,7 @@ def build_drinfeld_double_dual(group: Group) -> BialgebraSpec:
         xi = G.inv[x]
         return FormalSum.basis(dkey(G.conj(xi, G.inv[g]), xi))
 
-    return BialgebraSpec(coalg, alg, hooks={"closed_antipode": closed_antipode, "group": G})
+    return BialgebraSpec(coalg, alg, hooks={"closed_antipode": closed_antipode})
 
 
 # ---------------------------------------------------------------------------

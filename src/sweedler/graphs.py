@@ -593,10 +593,7 @@ def build_graph_bialgebra(max_corollas: int, max_edges: int,
         (s for k in keys for s in k.payload[1]), default=0
     )
     hooks = {
-        "family": "graph",
-        "mode": mode,
         "graded_filtration": True,
-        "unit_key": graph_unit_key(mode),
         "strip_grouplikes": strip_identity_corollas,
         "grouplike_key": lambda exps: grouplike_class(exps, mode),
         "commutator_sort": lambda k: k,

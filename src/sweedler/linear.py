@@ -7,12 +7,18 @@ basis elements always carry byte-identical encodings, and the byte encoding
 induces the deterministic total order used everywhere (term sorting, golden
 rendering, sweep order).
 
-:class:`FormalSum` and :class:`TensorSum` never store a zero coefficient, so
-equality of sums is plain map equality.  Both are immutable after
-construction and safe to share across threads.  The engine's accumulation
-loops grow a private sum from ``zero()`` in place (see the ``accumulate``
-method of the convolution targets in :mod:`sweedler.specs`) and publish it
-only when it is complete.
+One private core, ``_SparseSum``, underlies every sum type: a term dict that
+never stores a zero coefficient, so equality of sums is plain map equality
+within one type.  It owns construction, ``zero``, ``is_zero``, iteration,
+``len``, ``==``, ``hash``, ``+``, ``-``, negation, ``scale``, ``render`` and
+``repr``.  :class:`FormalSum` adds ``basis``, ``coeff``, ``map_keys`` and
+the key order; :class:`TensorSum` adds ``pure``, ``of``, ``coeff``,
+``flip``, ``tensor_mul`` and the pair order; ``renorm.LaurentPoly`` adds
+the Laurent product and units.  Sums are immutable after construction and
+safe to share across threads.  The engine's accumulation loops grow a
+private sum from ``zero()`` in place (see the ``accumulate`` method of the
+convolution targets in :mod:`sweedler.specs`) and publish it only when it
+is complete.
 """
 
 from __future__ import annotations
@@ -134,8 +140,13 @@ def key_literal(key: BasisKey) -> str:
     return f"{key.tag}:{key.payload!r}"
 
 
-class FormalSum:
-    """A finite linear combination of basis keys with nonzero coefficients."""
+class _SparseSum:
+    """The shared core: a finite map from keys to nonzero exact coefficients.
+
+    It owns construction, the linear operations, equality and rendering.  A
+    subclass names its key order (``sorted_terms``) and the text of one
+    term (``_term_text``).  Sums of different types never compare equal.
+    """
 
     __slots__ = ("terms",)
 
@@ -148,20 +159,11 @@ class FormalSum:
             self.terms = {k: c for k, c in terms.items() if c}
 
     @classmethod
-    def zero(cls) -> "FormalSum":
+    def zero(cls):
         return cls({}, _clean=True)
-
-    @classmethod
-    def basis(cls, key: BasisKey, coeff=Fraction(1)) -> "FormalSum":
-        if not coeff:
-            return cls.zero()
-        return cls({key: coeff}, _clean=True)
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff(self, key: BasisKey):
-        return self.terms.get(key, Fraction(0))
 
     def __iter__(self) -> Iterator:
         return iter(self.terms.items())
@@ -170,33 +172,52 @@ class FormalSum:
         return len(self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FormalSum) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "FormalSum") -> "FormalSum":
+    def __add__(self, other):
         out = dict(self.terms)
         _iadd(out, other.terms)
-        return FormalSum(out, _clean=True)
+        return type(self)(out, _clean=True)
 
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
+    def __sub__(self, other):
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            nc = out.get(k, 0) - c
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
-        return FormalSum(out, _clean=True)
+        _iadd(out, (-other).terms)
+        return type(self)(out, _clean=True)
 
-    def __neg__(self) -> "FormalSum":
-        return FormalSum({k: -c for k, c in self.terms.items()}, _clean=True)
+    def __neg__(self):
+        # unary minus, not ``-1 * c``: an int times ``Fp`` is undefined
+        return type(self)({k: -c for k, c in self.terms.items()}, _clean=True)
 
-    def scale(self, c) -> "FormalSum":
+    def scale(self, c):
         if not c:
-            return FormalSum.zero()
-        return FormalSum({k: c * v for k, v in self.terms.items()}, _clean=True)
+            return self.zero()
+        return type(self)({k: c * v for k, v in self.terms.items()}, _clean=True)
+
+    def render(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(self._term_text(k, c) for k, c in self.sorted_terms())
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self.render()}>"
+
+
+class FormalSum(_SparseSum):
+    """A finite linear combination of basis keys with nonzero coefficients."""
+
+    __slots__ = ()
+
+    @classmethod
+    def basis(cls, key: BasisKey, coeff=Fraction(1)) -> "FormalSum":
+        if not coeff:
+            return cls.zero()
+        return cls({key: coeff}, _clean=True)
+
+    def coeff(self, key: BasisKey):
+        return self.terms.get(key, Fraction(0))
 
     def map_keys(self, fn: Callable[[BasisKey], "FormalSum"]) -> "FormalSum":
         """Linear extension of a key-to-sum map."""
@@ -209,14 +230,9 @@ class FormalSum:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].encoded())
 
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = [f"{render_scalar(c)}*{key_literal(k)}" for k, c in self.sorted_terms()]
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"<FormalSum {self.render()}>"
+    @staticmethod
+    def _term_text(key: BasisKey, c) -> str:
+        return f"{render_scalar(c)}*{key_literal(key)}"
 
 
 def _addto(d: dict, k, c) -> None:
@@ -252,22 +268,10 @@ def _iadd(d: dict, other: dict, scale=1) -> None:
             del d[k]
 
 
-class TensorSum:
+class TensorSum(_SparseSum):
     """A finite sum of two-fold tensors, stored flat as pair keys."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None, _clean: bool = False):
-        if terms is None:
-            self.terms = {}
-        elif _clean:
-            self.terms = terms
-        else:
-            self.terms = {k: c for k, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls) -> "TensorSum":
-        return cls({}, _clean=True)
+    __slots__ = ()
 
     @classmethod
     def pure(cls, left: BasisKey, right: BasisKey, coeff=Fraction(1)) -> "TensorSum":
@@ -288,36 +292,8 @@ class TensorSum:
             _addto(out, (a, b), c)
         return cls(out, _clean=True)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, left: BasisKey, right: BasisKey):
         return self.terms.get((left, right), Fraction(0))
-
-    def __iter__(self):
-        return iter(self.terms.items())
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TensorSum) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "TensorSum") -> "TensorSum":
-        out = dict(self.terms)
-        _iadd(out, other.terms)
-        return TensorSum(out, _clean=True)
-
-    def __sub__(self, other: "TensorSum") -> "TensorSum":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> "TensorSum":
-        if not c:
-            return TensorSum.zero()
-        return TensorSum({k: c * v for k, v in self.terms.items()}, _clean=True)
 
     def flip(self) -> "TensorSum":
         return TensorSum({(b, a): c for (a, b), c in self.terms.items()}, _clean=True)
@@ -343,14 +319,7 @@ class TensorSum:
             key=lambda kv: (kv[0][0].encoded(), kv[0][1].encoded()),
         )
 
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = [
-            f"{render_scalar(c)}*{key_literal(a)}(x){key_literal(b)}"
-            for (a, b), c in self.sorted_terms()
-        ]
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"<TensorSum {self.render()}>"
+    @staticmethod
+    def _term_text(pair, c) -> str:
+        a, b = pair
+        return f"{render_scalar(c)}*{key_literal(a)}(x){key_literal(b)}"

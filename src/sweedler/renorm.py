@@ -2,9 +2,15 @@
 
 The target algebra is Laurent polynomials with exact rational coefficients
 (finite support; every character in scope produces finitely many terms per
-basis key, so no series truncation policy is needed).  The pole-part
-projector keeps the strictly negative exponents and satisfies the weight -1
-Rota-Baxter identity, which is checked by fuzzing rather than assumed.
+basis key, so no series truncation policy is needed).  ``LaurentPoly`` is a
+sparse sum on the shared core of :mod:`sweedler.linear`, keyed by exponent;
+it adds only the ``Fraction`` coercion of its coefficients, ``one``,
+``monomial``, the product (one exponent-convolution loop, shared with
+``LaurentTarget.accumulate``), units and the exponent rendering.
+
+The pole-part projector keeps the strictly negative exponents and satisfies
+the weight -1 Rota-Baxter identity, which is checked by fuzzing rather than
+assumed.
 
 Characters are rule sets evaluated multiplicatively over the canonical
 factorization of a basis key (per vertex for forests, per edge/loop/merge
@@ -23,7 +29,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ConfigurationError, InputError, RuleNotFound, UnsupportedError
-from .linear import BasisKey, _addto, _iadd
+from .linear import BasisKey, _SparseSum, _addto, _iadd
 from .scalars import render_scalar
 from .specs import BialgebraSpec, ConvMap, ValidationReport, convolve
 from .structure import filtration_from_grading, find_grouplikes
@@ -32,22 +38,16 @@ from .constructions import split_q_key
 from .graphs import degree_of
 
 
-class LaurentPoly:
+class LaurentPoly(_SparseSum):
     """A finite rational combination of integer powers of one variable."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: dict | None = None, _clean: bool = False):
-        if terms is None:
-            self.terms = {}
-        elif _clean:
-            self.terms = terms
-        else:
-            self.terms = {e: Fraction(c) for e, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls({}, _clean=True)
+        # ``inverse`` computes ``1 / c``, so an int coefficient must not get in
+        if terms is not None and not _clean:
+            terms = {e: Fraction(c) for e, c in terms.items() if c}
+        super().__init__(terms, _clean=True)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -55,47 +55,12 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, exponent: int, coeff=Fraction(1)) -> "LaurentPoly":
-        coeff = Fraction(coeff)
-        return cls({exponent: coeff} if coeff else {}, _clean=True)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = out.get(e, 0) + c
-            if nc:
-                out[e] = nc
-            else:
-                out.pop(e, None)
-        return LaurentPoly(out, _clean=True)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + other.scale(Fraction(-1))
+        return cls({exponent: coeff})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                nc = out.get(e, 0) + c1 * c2
-                if nc:
-                    out[e] = nc
-                else:
-                    out.pop(e, None)
+        _mul_into(out, 1, self.terms, other.terms)
         return LaurentPoly(out, _clean=True)
-
-    def scale(self, c) -> "LaurentPoly":
-        if not c:
-            return LaurentPoly.zero()
-        return LaurentPoly({e: c * v for e, v in self.terms.items()}, _clean=True)
 
     def is_unit(self) -> bool:
         return len(self.terms) == 1
@@ -106,21 +71,23 @@ class LaurentPoly:
         (e, c), = self.terms.items()
         return LaurentPoly({-e: 1 / c}, _clean=True)
 
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            if e == 0:
-                parts.append(render_scalar(c))
-            else:
-                mono = "z" if e == 1 else f"z^{e}"
-                parts.append(f"{render_scalar(c)}*{mono}")
-        return " + ".join(parts)
+    def sorted_terms(self):
+        return sorted(self.terms.items())
 
-    def __repr__(self) -> str:
-        return f"<LaurentPoly {self.render()}>"
+    @staticmethod
+    def _term_text(e: int, c) -> str:
+        if e == 0:
+            return render_scalar(c)
+        mono = "z" if e == 1 else f"z^{e}"
+        return f"{render_scalar(c)}*{mono}"
+
+
+def _mul_into(out: dict, c, a: dict, b: dict) -> None:
+    """``out += c * a * b`` on exponent dicts, in place, dropping zeros."""
+    left = a.items() if c == 1 else [(e, c * v) for e, v in a.items()]
+    for e1, c1 in left:
+        for e2, c2 in b.items():
+            _addto(out, e1 + e2, c1 * c2)
 
 
 _TERM_RE = re.compile(
@@ -168,10 +135,7 @@ class LaurentTarget:
             if b is None:
                 _iadd(acc.terms, a.terms, c)
             else:
-                for e1, c1 in a.terms.items():
-                    c1 = c * c1
-                    for e2, c2 in b.terms.items():
-                        _addto(acc.terms, e1 + e2, c1 * c2)
+                _mul_into(acc.terms, c, a.terms, b.terms)
         return acc
 
     def try_inverse(self, v: LaurentPoly):

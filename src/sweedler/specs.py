@@ -69,9 +69,6 @@ class CoalgebraSpec:
             _iadd(out, self.delta(k).terms, c)
         return TensorSum(out, _clean=True)
 
-    def keys_of_degree(self, d: int):
-        return [k for k in self.keys if self.grading(k) == d]
-
     def max_degree(self) -> int:
         return max((self.grading(k) for k in self.keys), default=0)
 

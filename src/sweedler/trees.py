@@ -37,10 +37,6 @@ LEAF = (".",)
 MAX_TREE_DEPTH = 200
 
 
-def is_node(tree) -> bool:
-    return tree[0] == "v"
-
-
 def vertices(tree) -> int:
     if tree == LINE:
         return 0
@@ -65,9 +61,12 @@ def canonical_tree(tree, mode: str):
 def forest_key(trees, mode: str) -> BasisKey:
     if mode not in ("s", "p"):
         raise InputError(f"mode must be 's' or 'p', got {mode!r}")
-    trees = tuple(canonical_tree(t, mode) for t in trees)
-    if mode == "s":
-        trees = tuple(sorted(trees))
+    try:
+        trees = tuple(canonical_tree(t, mode) for t in trees)
+        if mode == "s":
+            trees = tuple(sorted(trees))
+    except RecursionError:
+        raise InputError("tree nested too deep to canonicalise") from None
     return BasisKey("forest", (mode,) + trees)
 
 
@@ -327,10 +326,7 @@ def build_tree_bialgebra(max_vertices: int, max_leaves: int | None = None,
         return forest_key(kept + (LINE,) * n, mode)
 
     hooks = {
-        "family": "tree",
-        "mode": mode,
         "graded_filtration": True,
-        "unit_key": unit_key(mode),
         "strip_grouplikes": strip_lines,
         "grouplike_key": lambda exps: line_forest(exps.get("q", 0), mode),
         "commutator_sort": commutator_sort,

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sweedler.linear import BasisKey, FormalSum, TensorSum, decode_key
+from sweedler.renorm import LaurentPoly
 from sweedler.scalars import Fp, PrimeField, render_scalar
 
 
@@ -135,3 +136,25 @@ def test_prime_field_sums():
     s = FormalSum({k: gf5.from_int(2)})
     assert (s + s + s + s + s).is_zero()
     assert (s + s).coeff(k) == Fp(4, 5)
+    # subtraction negates with unary minus: 0 - Fp and -1 * Fp are undefined
+    assert (FormalSum.zero() - s).coeff(k) == Fp(3, 5)
+    assert (s - s).is_zero()
+    assert (-s).coeff(k) == Fp(3, 5)
+
+
+_a, _b = BasisKey("a", (1,)), BasisKey("a", (2,))
+
+
+@pytest.mark.parametrize("value", [
+    FormalSum({_a: Fraction(3), _b: Fraction(-1, 2)}),
+    TensorSum({(_a, _b): Fraction(2), (_b, _b): Fraction(-5)}),
+    LaurentPoly({-1: 3, 2: Fraction(1, 4)}),
+], ids=lambda v: type(v).__name__)
+def test_sparse_sum_core(value):
+    assert (value - value).is_zero()
+    assert value - value == type(value).zero()
+    assert -(-value) == value
+    twin = type(value)(dict(reversed(list(value.terms.items()))))
+    assert twin == value and hash(twin) == hash(value)
+    assert FormalSum.zero() != TensorSum.zero() != LaurentPoly.zero()
+    assert FormalSum.zero() != LaurentPoly.zero()

@@ -232,3 +232,12 @@ def test_class_pair_deduplication_breaks_compatibility():
     ))
     assert collapsed != product_side
     assert tree_coproduct(k) == product_side
+
+
+def test_too_deep_tree_is_an_input_error():
+    # library callers that build a tree directly bypass the parser's depth
+    # guard; the canonical form must still fail with an InputError
+    assert forest_grading(ladder(400)) == 400
+    for n in (500, 5000):
+        with pytest.raises(InputError, match="too deep"):
+            ladder(n)
