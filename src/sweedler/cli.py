@@ -25,6 +25,7 @@ from .errors import InputError, MathError, SweedlerError
 from .gallery import (
     Poset,
     Quiver,
+    _check_name,
     build_drinfeld_double,
     build_incidence_coalgebra,
     build_path_coalgebra,
@@ -117,9 +118,12 @@ def _cmd_coproduct(args) -> int:
     elif args.word is not None:
         doc = _load_doc(args.word)
         try:
-            key = word_key(doc["left"], tuple(doc["letters"]), doc["right"])
+            left, letters, right = doc["left"], tuple(doc["letters"]), doc["right"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad word document: {exc}") from exc
+        for name in (left, *letters, right):
+            _check_name(name, "letter")
+        key = word_key(left, letters, right)
         from .gallery import goncharov_coproduct
 
         lines.append(f"delta({key}) = {goncharov_coproduct(key).render()}")

@@ -23,7 +23,7 @@ _NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 
 
 def _check_name(name: str, what: str) -> str:
-    if not name or not set(name) <= _NAME_OK:
+    if not isinstance(name, str) or not name or not set(name) <= _NAME_OK:
         raise InputError(f"{what} name {name!r} must be a nonempty identifier")
     return name
 
@@ -180,7 +180,11 @@ class Poset:
     @classmethod
     def from_doc(cls, doc: dict) -> "Poset":
         try:
-            return cls(doc["elements"], [tuple(c) for c in doc["covers"]])
+            covers = [tuple(c) for c in doc["covers"]]
+            for c in covers:
+                if len(c) != 2:
+                    raise InputError(f"bad poset document: cover {list(c)!r} is not a pair")
+            return cls(doc["elements"], covers)
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad poset document: {exc}") from exc
 

@@ -80,19 +80,27 @@ def _encode_atom(x) -> bytes:
 
 
 def _encode_into(x, parts: list) -> None:
-    if isinstance(x, tuple):
-        parts.append(f"t{len(x)}:")
-        for v in x:
-            _encode_into(v, parts)
-    elif isinstance(x, str):
-        parts.append(f"s{len(x.encode())}:{x}")
-    elif isinstance(x, bool):  # bool is an int subtype; keep distinct
-        parts.append("b1" if x else "b0")
-    elif isinstance(x, int):
-        s = str(x)
-        parts.append(f"i{len(s)}:{s}")
-    else:
-        raise TypeError(f"unencodable payload atom {x!r}")
+    """Append the text pieces of ``x``.  Nested tuples are walked with a
+    stack of iterators instead of recursion, so a payload of any depth
+    encodes."""
+    stack = [iter((x,))]
+    while stack:
+        for v in stack[-1]:
+            if isinstance(v, tuple):
+                parts.append(f"t{len(v)}:")
+                stack.append(iter(v))
+                break
+            if isinstance(v, str):
+                parts.append(f"s{len(v.encode())}:{v}")
+            elif isinstance(v, bool):  # bool is an int subtype; keep distinct
+                parts.append("b1" if v else "b0")
+            elif isinstance(v, int):
+                s = str(v)
+                parts.append(f"i{len(s)}:{s}")
+            else:
+                raise TypeError(f"unencodable payload atom {v!r}")
+        else:
+            stack.pop()
 
 
 def _decode_atom(buf: bytes, pos: int):

@@ -97,6 +97,8 @@ _TERM_RE = re.compile(
 
 def parse_laurent(text: str) -> LaurentPoly:
     """Parse '3z^-2+5+7z' style literals with rational coefficients."""
+    if not isinstance(text, str):
+        raise InputError(f"Laurent literal must be a string, got {text!r}")
     compact = text.replace(" ", "")
     if not compact:
         raise InputError("empty Laurent literal")
@@ -282,14 +284,12 @@ class CharacterSpec:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CharacterSpec":
-        try:
-            target_name = doc.get("target", "laurent")
-            rules_doc = doc["rules"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad character document: {exc}") from exc
+        if not isinstance(doc, dict) or not isinstance(doc.get("rules"), dict):
+            raise InputError('bad character document: needs a "rules" object')
+        target_name = doc.get("target", "laurent")
         if target_name != "laurent":
             raise InputError(f"unsupported character target {target_name!r}")
-        rules = {name: parse_laurent(text) for name, text in rules_doc.items()}
+        rules = {name: parse_laurent(text) for name, text in doc["rules"].items()}
         return cls(LAURENT, rules)
 
     def _rule(self, name: str, default=None):

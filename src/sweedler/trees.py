@@ -15,6 +15,22 @@ subsets of a canonical representative pushed to class keys, so summands
 carry integer multiplicities; plain class-pair deduplication breaks the
 product compatibility and is deliberately not offered.
 
+Shapes are hash-consed (Filliatre and Conchon, "Type-safe modular
+hash-consing", 2006).  Each mode keeps one table of canonical vertex trees,
+keyed by the identities of their children, so a tree is interned bottom-up
+from interned children and equal trees are the same tuple.  A raw tree is
+canonicalised once, from an explicit stack, with no Python recursion; an
+interned tree is never canonicalised again.  Each table entry holds the
+tree's vertex and leaf counts and, once asked for, its cut table (stumps
+interned, branches in canonical order) and, for a top-level tree, its
+literal.  Forest keys are interned by the identities of their trees, so
+equal forests are one :class:`BasisKey` and dict lookups keyed by them hit
+on identity.  Products merge, ``strip_lines`` filters and the coproduct
+reads cut tables: none of them canonicalises.  Tables only grow and every
+insertion is a ``dict.setdefault``, so threads that race on one shape or
+forest still share one object.  The payload of a key is the same nested
+tuple either way, so encodings, term order and rendering do not change.
+
 Grammar (also the golden rendering): ``|`` bare line, ``v(...)`` vertex,
 ``.`` leaf slot, forest entries joined by commas, ``1`` for the empty
 forest.  Example: the cherry is ``v(v(.)v(.))``.
@@ -24,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InputError
 from .linear import BasisKey, FormalSum, TensorSum, register_literal
@@ -32,24 +47,43 @@ from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec
 
 LINE = ("|",)
 LEAF = (".",)
-# deepest vertex nesting a literal may have; deeper trees would exhaust the
-# Python stack in the recursive parser, canonical form and rendering
+# deepest vertex nesting a literal may have; the literal parser is recursive
 MAX_TREE_DEPTH = 200
+_MODES = ("s", "p")
 
 
-def vertices(tree) -> int:
-    if tree == LINE:
-        return 0
-    return 1 + sum(vertices(c) for c in tree[1:] if c != LEAF)
+class _Shape:
+    """One interned tree and what is read off it once."""
+
+    __slots__ = ("tree", "mode", "vertices", "leaves", "cuts", "literal")
+
+    def __init__(self, tree, mode, vertices: int, leaves: int):
+        self.tree = tree
+        self.mode = mode  # None for the line and the leaf slot: both modes
+        self.vertices = vertices
+        self.leaves = leaves
+        self.cuts = None
+        self.literal = None
 
 
-def leaves(tree) -> int:
-    if tree == LINE:
-        return 1
-    return sum(1 if c == LEAF else leaves(c) for c in tree[1:])
+# id(interned tree) -> its _Shape.  The tables keep every interned tree
+# alive, so an id here never comes to name another object.
+_SHAPES: dict = {}
+# mode -> {(id of each child, ...): _Shape}: the hash-consing tables
+_NODES: dict = {mode: {} for mode in _MODES}
+# (mode, id of each tree, ...) -> the one BasisKey of that forest
+_FORESTS: dict = {}
+# ids of the keys held in _FORESTS
+_OWN: set = set()
+
+for _tree, _literal_text in ((LINE, "|"), (LEAF, ".")):
+    _SHAPES[id(_tree)] = _Shape(_tree, None, 0, 1)
+    _SHAPES[id(_tree)].literal = _literal_text
+_SHAPES[id(LINE)].cuts = ((LINE, (LINE,)),)
 
 
 def canonical_tree(tree, mode: str):
+    """Recursive reference form of a tree; the test oracle of the tables."""
     if tree == LINE or tree == LEAF:
         return tree
     children = tuple(canonical_tree(c, mode) for c in tree[1:])
@@ -58,16 +92,109 @@ def canonical_tree(tree, mode: str):
     return ("v",) + children
 
 
-def forest_key(trees, mode: str) -> BasisKey:
-    if mode not in ("s", "p"):
-        raise InputError(f"mode must be 's' or 'p', got {mode!r}")
+def _sorted(trees) -> tuple:
+    """Trees in tuple order, which is also the order of their literals."""
     try:
-        trees = tuple(canonical_tree(t, mode) for t in trees)
-        if mode == "s":
-            trees = tuple(sorted(trees))
+        return tuple(sorted(trees))
     except RecursionError:
-        raise InputError("tree nested too deep to canonicalise") from None
-    return BasisKey("forest", (mode,) + trees)
+        # two deep trees that agree for long: compare literals instead
+        return tuple(sorted(trees, key=tree_literal))
+
+
+def _node(children, mode: str):
+    """The interned vertex tree over interned children (sorted in mode s)."""
+    if mode == "s" and len(children) > 1:
+        children = _sorted(children)
+    sig = tuple(map(id, children))
+    shape = _NODES[mode].get(sig)
+    if shape is None:
+        parts = [_SHAPES[i] for i in sig]
+        new = _Shape(("v",) + tuple(children), mode,
+                     1 + sum(p.vertices for p in parts),
+                     sum(p.leaves for p in parts))
+        # registered before it is published, withdrawn if another thread won
+        _SHAPES[id(new.tree)] = new
+        shape = _NODES[mode].setdefault(sig, new)
+        if shape is not new:
+            del _SHAPES[id(new.tree)]
+    return shape.tree
+
+
+def _interned(tree, mode: str):
+    """The interned form of ``tree`` if it needs no walk, else None."""
+    shape = _SHAPES.get(id(tree))
+    if shape is not None and (shape.mode is None or shape.mode == mode):
+        return tree
+    if tree == LINE:
+        return LINE
+    if tree == LEAF:
+        return LEAF
+    return None
+
+
+def _canonical(tree, mode: str):
+    """The interned canonical form of a raw tree, built bottom-up."""
+    got = _interned(tree, mode)
+    if got is not None:
+        return got
+    done: dict = {}  # id(raw subtree) -> its interned form
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        children = []
+        waiting = False
+        for c in node[1:]:
+            got = done.get(id(c)) or _interned(c, mode)
+            if got is None:
+                stack.append(c)
+                waiting = True
+            children.append(got)
+        if not waiting:
+            stack.pop()
+            done[id(node)] = _node(children, mode)
+    return done[id(tree)]
+
+
+def _forest(mode: str, trees) -> BasisKey:
+    """The interned key of interned trees already in canonical order."""
+    sig = (mode, *map(id, trees))
+    key = _FORESTS.get(sig)
+    if key is None:
+        new = BasisKey("forest", (mode,) + tuple(trees))
+        _OWN.add(id(new))
+        key = _FORESTS.setdefault(sig, new)
+        if key is not new:
+            _OWN.discard(id(new))
+    return key
+
+
+def _own(key: BasisKey) -> BasisKey:
+    """The interned key equal to ``key``; a key built elsewhere is interned."""
+    if id(key) in _OWN:
+        return key
+    return forest_key(key.payload[1:], key.payload[0])
+
+
+def _shape(tree) -> _Shape:
+    shape = _SHAPES.get(id(tree))
+    return shape if shape is not None else _SHAPES[id(_canonical(tree, "p"))]
+
+
+def vertices(tree) -> int:
+    return _shape(tree).vertices
+
+
+def leaves(tree) -> int:
+    return _shape(tree).leaves
+
+
+def forest_key(trees, mode: str) -> BasisKey:
+    if mode not in _MODES:
+        raise InputError(f"mode must be 's' or 'p', got {mode!r}")
+    trees = tuple(_canonical(t, mode) for t in trees)
+    if mode == "s" and len(trees) > 1:
+        trees = _sorted(trees)
+    return _forest(mode, trees)
 
 
 def unit_key(mode: str) -> BasisKey:
@@ -97,18 +224,34 @@ def line_forest(n: int, mode: str = "s") -> BasisKey:
 # Literal grammar
 
 def tree_literal(tree) -> str:
-    if tree == LINE:
-        return "|"
-    if tree == LEAF:
-        return "."
-    return "v(" + "".join(tree_literal(c) for c in tree[1:]) + ")"
+    parts = []
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        if len(t) == 1:  # the line, a leaf slot, or the ")" closing a vertex
+            parts.append(t[0])
+        else:
+            parts.append("v(")
+            stack.append(")")
+            stack.extend(reversed(t[1:]))
+    return "".join(parts)
+
+
+def _top_literal(tree) -> str:
+    """A forest entry's literal, kept on its shape once rendered."""
+    shape = _SHAPES.get(id(tree))
+    if shape is None:
+        return tree_literal(tree)
+    if shape.literal is None:
+        shape.literal = tree_literal(tree)
+    return shape.literal
 
 
 def _forest_literal(key: BasisKey) -> str:
     trees = key.payload[1:]
     if not trees:
         return "1"
-    return ",".join(tree_literal(t) for t in trees)
+    return ",".join(map(_top_literal, trees))
 
 
 register_literal("forest", _forest_literal)
@@ -161,54 +304,99 @@ def parse_forest(text: str, mode: str = "s") -> BasisKey:
 # ---------------------------------------------------------------------------
 # Coproduct
 
-@lru_cache(maxsize=None)
-def _tree_cuts(tree):
-    """All labeled parent-closed cuts of a single tree.
+def _chain(tree):
+    """Follow single vertex children down: (the chain below the root, its end)."""
+    chain = []
+    while len(tree) == 2 and tree[1] is not LEAF:
+        tree = tree[1]
+        chain.append(tree)
+    return chain, tree
 
-    Returns a tuple of (stump, branches) pairs, branches in stump leaf
-    order; the empty selection contributes (LINE, (tree,)).
+
+def _cut_table(tree):
+    """All labeled parent-closed cuts of an interned tree, computed once.
+
+    A tuple of (stump, branches) pairs: the stump interned, the branches in
+    stump leaf order (sorted in mode s); the empty selection comes first as
+    (LINE, (tree,)).  Tables are filled children first from a stack.  A
+    chain of single-child vertices is cut in one pass, so a ladder costs
+    time linear in its depth.
     """
-    out = [(LINE, (tree,))]
-    if tree != LINE:
-        out.extend(_cuts_with_root(tree))
+    shape = _SHAPES[id(tree)]
+    stack = [shape]
+    while stack:
+        s = stack[-1]
+        if s.cuts is not None:
+            stack.pop()
+            continue
+        chain, end = _chain(s.tree)
+        below = [end] if chain else [c for c in s.tree[1:] if c is not LEAF]
+        missing = [_SHAPES[id(c)] for c in below if _SHAPES[id(c)].cuts is None]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        cuts = _chain_cuts(chain, s.mode) if chain else _branch_cuts(s.tree, s.mode)
+        s.cuts = ((LINE, (s.tree,)),) + cuts
+    return shape.cuts
+
+
+def _branch_cuts(tree, mode: str) -> tuple:
+    """Cuts holding the root: one choice per child, children's tables ready."""
+    options = []
+    for c in tree[1:]:
+        if c is LEAF:
+            options.append(((LEAF, (LINE,)),))
+        else:
+            options.append(((LEAF, (c,)),) + _SHAPES[id(c)].cuts[1:])
+    out = []
+    for combo in itertools.product(*options):
+        branches = tuple(itertools.chain.from_iterable(o[1] for o in combo))
+        if mode == "s" and len(branches) > 1:
+            branches = _sorted(branches)
+        out.append((_node([o[0] for o in combo], mode), branches))
     return tuple(out)
 
 
-def _cuts_with_root(tree):
-    """Cuts whose selected set contains the root of ``tree`` (a vertex tree)."""
-    per_child = []
-    for child in tree[1:]:
-        options = []
-        if child == LEAF:
-            options.append((LEAF, (LINE,)))
-        else:
-            options.append((LEAF, (child,)))
-            options.extend(_cuts_with_root(child))
-        per_child.append(options)
+def _chain_cuts(chain, mode: str) -> tuple:
+    """Cuts holding the root of a chain: stop above some chain vertex, or
+    take the whole chain and extend by a root-holding cut of its end."""
     out = []
-    for combo in itertools.product(*per_child):
-        stump = ("v",) + tuple(c[0] for c in combo)
-        branches = tuple(itertools.chain.from_iterable(c[1] for c in combo))
-        out.append((stump, branches))
-    return out
+    stump = LEAF
+    for below in chain:
+        stump = _node((stump,), mode)
+        out.append((stump, (below,)))
+    for end_stump, branches in _SHAPES[id(chain[-1])].cuts[1:]:
+        for _ in chain:
+            end_stump = _node((end_stump,), mode)
+        out.append((end_stump, branches))
+    return tuple(out)
 
 
 def tree_coproduct(key: BasisKey) -> TensorSum:
     """Stump/branches coproduct of a forest key, multiplicities accumulated."""
+    key = _own(key)
     mode = key.payload[0]
-    trees = key.payload[1:]
-    per_tree = [_tree_cuts(t) for t in trees]
+    tables = [_cut_table(t) for t in key.payload[1:]]
     terms = []
-    for combo in itertools.product(*per_tree):
+    for combo in itertools.product(*tables):
         stumps = tuple(c[0] for c in combo)
         branches = tuple(itertools.chain.from_iterable(c[1] for c in combo))
-        terms.append((forest_key(stumps, mode), forest_key(branches, mode)))
+        if mode == "s" and len(combo) > 1:  # one tree's branches come sorted
+            stumps, branches = _sorted(stumps), _sorted(branches)
+        terms.append((_forest(mode, stumps), _forest(mode, branches)))
     return TensorSum.of(terms)
 
 
 def forest_product(k1: BasisKey, k2: BasisKey) -> FormalSum:
+    k1, k2 = _own(k1), _own(k2)
     mode = k1.payload[0]
-    return FormalSum.basis(forest_key(k1.payload[1:] + k2.payload[1:], mode))
+    trees = k1.payload[1:] + k2.payload[1:]
+    if k2.payload[0] != mode:  # trees of the other mode are canonicalised
+        return FormalSum.basis(forest_key(trees, mode))
+    if mode == "s" and len(trees) > 1:  # merges two sorted runs
+        trees = _sorted(trees)
+    return FormalSum.basis(_forest(mode, trees))
 
 
 def forest_counit(key: BasisKey) -> Fraction:
@@ -216,71 +404,73 @@ def forest_counit(key: BasisKey) -> Fraction:
 
 
 def forest_grading(key: BasisKey) -> int:
-    return sum(vertices(t) for t in key.payload[1:])
+    return sum(_SHAPES[id(t)].vertices for t in _own(key).payload[1:])
 
 
 def forest_leaves(key: BasisKey) -> int:
-    return sum(leaves(t) for t in key.payload[1:])
+    return sum(_SHAPES[id(t)].leaves for t in _own(key).payload[1:])
 
 
 # ---------------------------------------------------------------------------
 # Enumeration
 
-@lru_cache(maxsize=None)
-def _node_trees_exact(v: int, l: int, mode: str):
-    """All canonical vertex trees with exactly v vertices and l leaves."""
-    if v < 1 or l < 1:
-        return ()
-    seen = set()
-    for children in _child_seqs(v - 1, l, mode):
-        if children:
-            seen.add(canonical_tree(("v",) + children, mode))
-    return tuple(sorted(seen))
+def _pool(trees):
+    """Shapes grouped by (vertices, leaves), fewest vertices first."""
+    groups: dict = {}
+    for t in trees:
+        s = _SHAPES[id(t)]
+        groups.setdefault((s.vertices, s.leaves), []).append(t)
+    return sorted(groups.items())
 
 
-@lru_cache(maxsize=None)
-def _child_seqs(v: int, l: int, mode: str):
-    """Ordered child tuples (leaf slots and vertex trees) with exact totals."""
-    if v == 0 and l == 0:
-        return ((),)
+def _bounded(pool, max_vertices: int, max_leaves: int, ordered: bool):
+    """Every multiset of pool shapes (every sequence if ``ordered``) whose
+    vertex and leaf totals fit the budgets.  Only groups are scanned, and
+    the scan stops at the first group with too many vertices."""
     out = []
-    if l >= 1:
-        for rest in _child_seqs(v, l - 1, mode):
-            out.append((LEAF,) + rest)
-    for v1 in range(1, v + 1):
-        for l1 in range(1, l + 1):
-            for t in _node_trees_exact(v1, l1, mode):
-                for rest in _child_seqs(v - v1, l - l1, mode):
-                    out.append((t,) + rest)
-    return tuple(out)
+    chosen = []
 
+    def go(first: int, start: int, v_left: int, l_left: int):
+        out.append(tuple(chosen))
+        for g in range(0 if ordered else first, len(pool)):
+            (v, l), shapes = pool[g]
+            if v > v_left:
+                break
+            if l > l_left:
+                continue
+            for i in range(start if g == first and not ordered else 0, len(shapes)):
+                chosen.append(shapes[i])
+                go(g, i, v_left - v, l_left - l)
+                chosen.pop()
 
-def all_trees(max_vertices: int, max_leaves: int, mode: str):
-    """All tree shapes (including the bare line) within the bounds."""
-    out = [LINE]
-    for v in range(1, max_vertices + 1):
-        for l in range(1, max_leaves + 1):
-            out.extend(_node_trees_exact(v, l, mode))
+    go(0, 0, max_vertices, max_leaves)
     return out
 
 
+def all_trees(max_vertices: int, max_leaves: int, mode: str):
+    """All interned tree shapes (including the bare line) within the bounds.
+
+    A vertex tree is a vertex over a nonempty multiset (sequence in planar
+    mode) of leaf slots and smaller trees, so each round builds every tree
+    of at most n vertices from the trees of the round before.
+    """
+    if mode not in _MODES:
+        raise InputError(f"mode must be 's' or 'p', got {mode!r}")
+    trees: list = []
+    for n in range(1, max_vertices + 1):
+        pool = _pool([LEAF] + trees)
+        trees = [_node(children, mode)
+                 for children in _bounded(pool, n - 1, max_leaves, mode == "p")
+                 if children]
+    return [LINE] + trees
+
+
 def all_forest_keys(max_vertices: int, max_leaves: int, mode: str):
-    trees = all_trees(max_vertices, max_leaves, mode)
-    weights = [(vertices(t), leaves(t)) for t in trees]
-    keys = set()
-
-    def go(start: int, chosen, v_left: int, l_left: int):
-        keys.add(forest_key(tuple(chosen), mode))
-        for j in range(start, len(trees)):
-            v, l = weights[j]
-            if v <= v_left and l <= l_left:
-                chosen.append(trees[j])
-                # multisets for classes, arbitrary order for planar forests
-                go(j if mode == "s" else 0, chosen, v_left - v, l_left - l)
-                chosen.pop()
-
-    go(0, [], max_vertices, max_leaves)
-    return sorted(keys)
+    pool = _pool(all_trees(max_vertices, max_leaves, mode))
+    forests = _bounded(pool, max_vertices, max_leaves, mode == "p")
+    if mode == "s":
+        forests = [_sorted(f) if len(f) > 1 else f for f in forests]
+    return sorted(_forest(mode, f) for f in forests)
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +478,16 @@ def all_forest_keys(max_vertices: int, max_leaves: int, mode: str):
 
 def strip_lines(key: BasisKey):
     """Remove bare-line factors; returns (reduced key, {'q': count})."""
-    mode = key.payload[0]
-    kept = tuple(t for t in key.payload[1:] if t != LINE)
-    count = len(key.payload) - 1 - len(kept)
-    return forest_key(kept, mode), ({"q": count} if count else {})
+    key = _own(key)
+    payload = key.payload
+    count = payload.count(LINE)
+    if not count:
+        return key, {}
+    if payload[0] == "s":  # the line sorts after every vertex tree
+        kept = payload[1:-count]
+    else:
+        kept = tuple(t for t in payload[1:] if t is not LINE)
+    return _forest(payload[0], kept), {"q": count}
 
 
 def build_tree_bialgebra(max_vertices: int, max_leaves: int | None = None,
@@ -315,15 +511,16 @@ def build_tree_bialgebra(max_vertices: int, max_leaves: int | None = None,
     alg = AlgebraSpec(coalg.name, forest_product, FormalSum.basis(unit_key(mode)))
 
     def commutator_sort(key: BasisKey) -> BasisKey:
-        return forest_key(sorted(key.payload[1:]), mode) if mode == "p" else key
+        key = _own(key)
+        return _forest(mode, _sorted(key.payload[1:])) if mode == "p" else key
 
     def central_sort(key: BasisKey) -> BasisKey:
+        key = _own(key)
         if mode == "s":
             return key
         trees = key.payload[1:]
-        kept = tuple(t for t in trees if t != LINE)
-        n = len(trees) - len(kept)
-        return forest_key(kept + (LINE,) * n, mode)
+        kept = tuple(t for t in trees if t is not LINE)
+        return _forest(mode, kept + (LINE,) * (len(trees) - len(kept)))
 
     hooks = {
         "graded_filtration": True,

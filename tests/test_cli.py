@@ -78,6 +78,23 @@ def test_deep_inputs_are_input_errors(argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["inverse", "--character", '{"rules":5}'],
+    ["inverse", "--character", '{"rules":{"vertex":5}}'],
+    ["structure", "--poset", '{"elements":["0"],"covers":[["0"]]}'],
+    ["coproduct", "--poset", '{"elements":["0","1"],"covers":[["0","1","2"]]}',
+     "--interval", "0,1"],
+    ["coproduct", "--word", '{"left":"a","letters":"bc","right":5}'],
+], ids=["rules-not-object", "rule-not-string", "cover-singleton",
+        "cover-triple", "word-name-not-string"])
+def test_bad_document_fields_are_input_errors(argv):
+    code, out, err = _run_cli_stderr(argv)
+    assert code == 2
+    assert out == b""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_grouplike_gate_exit_code():
     bad = json.dumps({"rules": {"vertex": "z^-1", "grouplike": "1+z"}})
     code, _ = run_cli(["inverse", "--bialgebra", "trees", "--character", bad,

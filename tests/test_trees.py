@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sweedler.constructions import normalized_quotient
 from sweedler.errors import InputError
 from sweedler.linear import FormalSum, TensorSum
 from sweedler.specs import validate_bialgebra, validate_coalgebra
@@ -14,10 +16,14 @@ from sweedler.trees import (
     LINE,
     all_forest_keys,
     all_trees,
+    build_tree_bialgebra,
+    canonical_tree,
     forest_grading,
     forest_key,
     forest_leaves,
+    forest_product,
     ladder,
+    leaves,
     line_forest,
     parse_forest,
     parse_tree,
@@ -164,10 +170,8 @@ def test_coproduct_homogeneous(trees_sym4):
 
 def test_representative_independence():
     # enumerate the labeled cuts of a scrambled (non-canonical) ordered
-    # representative, push to symmetric classes, and compare with the
-    # coproduct of the canonical class key
-    from sweedler.trees import _tree_cuts
-
+    # representative as a planar forest, push them to symmetric classes,
+    # and compare with the coproduct of the canonical class key
     rng = random.Random(7)
 
     def shuffled(tree):
@@ -183,8 +187,8 @@ def test_representative_independence():
         for _ in range(3):
             variant = shuffled(tree)
             pushed = TensorSum.of(
-                (forest_key((stump,), "s"), forest_key(branches, "s"))
-                for stump, branches in _tree_cuts(variant)
+                (forest_key(a.payload[1:], "s"), forest_key(b.payload[1:], "s"), c)
+                for (a, b), c in tree_coproduct(forest_key((variant,), "p"))
             )
             assert forest_key((variant,), "s") == base
             assert pushed == tree_coproduct(base)
@@ -234,10 +238,199 @@ def test_class_pair_deduplication_breaks_compatibility():
     assert tree_coproduct(k) == product_side
 
 
-def test_too_deep_tree_is_an_input_error():
-    # library callers that build a tree directly bypass the parser's depth
-    # guard; the canonical form must still fail with an InputError
-    assert forest_grading(ladder(400)) == 400
-    for n in (500, 5000):
-        with pytest.raises(InputError, match="too deep"):
-            ladder(n)
+def test_deep_trees_need_no_python_stack():
+    # canonical form, product, coproduct, rendering and encoding all walk
+    # explicit stacks; the default recursion limit is a tenth of the depth
+    n = 10_000
+    key = ladder(n)
+    tree = key.payload[1]
+    assert key is ladder(n)
+    assert forest_grading(key) == n and forest_leaves(key) == 1
+    (square, c), = forest_product(key, key).terms.items()
+    assert c == 1 and square.payload == ("s", tree, tree)
+    d = tree_coproduct(key)
+    assert len(d) == n + 1 and all(c == 1 for _, c in d)
+    for k in (1, 5000, n - 1):
+        assert d.coeff(ladder(k), ladder(n - k)) == 1
+    assert d.coeff(line_forest(1), key) == 1 and d.coeff(key, line_forest(1)) == 1
+    assert str(key) == "v(" * n + "." + ")" * n
+    assert len(key.encoded()) > 7 * n
+    # two deep trees that agree for 5,000 levels still sort, by literal
+    short, long = ladder(5000).payload[1], ladder(6000).payload[1]
+    pair = forest_key((long, short), "s")
+    assert pair.payload[1:] == (short, long)
+    assert pair is forest_key((short, long), "s")
+
+
+# ---------------------------------------------------------------------------
+# The shape table against its oracles
+
+
+@given(random_trees(), random_trees(), st.sampled_from(["s", "p"]))
+@settings(max_examples=200)
+def test_shape_table_matches_recursive_oracle(tree, other, mode):
+    key = forest_key((tree,), mode)
+    canon = key.payload[1]
+    assert canon == canonical_tree(tree, mode)
+    # interning is idempotent: the canonical tuple and key come back as is
+    assert forest_key((canon,), mode) is key
+    assert forest_key((canonical_tree(tree, mode),), mode) is key
+    assert vertices(tree) == tree_literal(tree).count("v")
+    assert leaves(tree) == tree_literal(tree).count(".")
+    # literals sort like tuples, which the deep-tree fallback relies on
+    assert (tree < other) == (tree_literal(tree) < tree_literal(other))
+
+
+def test_two_labellings_are_one_key_object():
+    assert parse_forest("v(v(.).)", "s") is parse_forest("v(.v(.))", "s")
+    assert parse_forest("v(.),|", "s") is parse_forest("|,v(.)", "s")
+    raw = ("v", ("v", LEAF, ("v", LEAF)), LEAF)
+    assert forest_key((raw,), "p") is parse_forest(tree_literal(raw), "p")
+    assert forest_key((raw,), "s") is parse_forest("v(.v(.v(.)))", "s")
+    # equal subtrees are one tuple, too
+    (tree,) = forest_key((("v", ("v", LEAF), ("v", LEAF)),), "s").payload[1:]
+    assert tree[1] is tree[2]
+
+
+def _oracle_trees(max_vertices, max_leaves, mode):
+    """The trees within the bounds, from ordered child sequences and the
+    recursive canonical form."""
+
+    @functools.lru_cache(maxsize=None)
+    def exact(v, l):
+        if v < 1 or l < 1:
+            return ()
+        return tuple(sorted({canonical_tree(("v",) + ch, mode)
+                             for ch in seqs(v - 1, l) if ch}))
+
+    @functools.lru_cache(maxsize=None)
+    def seqs(v, l):
+        if v == 0 and l == 0:
+            return ((),)
+        out = [(LEAF,) + rest for rest in seqs(v, l - 1)] if l >= 1 else []
+        for v1 in range(1, v + 1):
+            for l1 in range(1, l + 1):
+                for t in exact(v1, l1):
+                    out.extend((t,) + rest for rest in seqs(v - v1, l - l1))
+        return tuple(out)
+
+    out = [LINE]
+    for v in range(1, max_vertices + 1):
+        for l in range(1, max_leaves + 1):
+            out.extend(exact(v, l))
+    return out
+
+
+def _oracle_forest_keys(max_vertices, max_leaves, mode):
+    """The enumeration loop that scans every shape at every step."""
+    trees = _oracle_trees(max_vertices, max_leaves, mode)
+    weights = [(tree_literal(t).count("v"), tree_literal(t).count(".") + (t == LINE))
+               for t in trees]
+    keys = set()
+
+    def go(start, chosen, v_left, l_left):
+        keys.add(forest_key(tuple(chosen), mode))
+        for j in range(start, len(trees)):
+            v, l = weights[j]
+            if v <= v_left and l <= l_left:
+                chosen.append(trees[j])
+                go(j if mode == "s" else 0, chosen, v_left - v, l_left - l)
+                chosen.pop()
+
+    go(0, [], max_vertices, max_leaves)
+    return keys
+
+
+@pytest.mark.parametrize("bounds", [(4, 4, "s"), (4, 4, "p"), (5, 3, "s"),
+                                    (3, 5, "p"), (5, 5, "s")])
+def test_forest_enumeration_matches_scanning_loop(bounds):
+    keys = all_forest_keys(*bounds)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == _oracle_forest_keys(*bounds)
+    assert keys == sorted(keys)
+
+
+def test_quotient_coproduct_factors_are_universe_objects():
+    Q = normalized_quotient(build_tree_bialgebra(5, 5, "s")).bialgebra
+    held = {k: k for k in Q.keys}
+    factors = 0
+    for k in Q.keys:
+        for (a, b), _ in Q.delta(k):
+            assert held[a] is a and held[b] is b
+            factors += 2
+    assert factors > 7000
+
+
+def test_shapes_interned_across_threads():
+    # four threads canonicalise the same shuffled, never-seen trees at once
+    # (a five-vertex chain over a random tree: six or more levels with more
+    # than one leaf, which no other test builds) and cut them; every thread
+    # must get the one interned key and the same coproduct of each class
+    import sys
+    import threading
+
+    rng = random.Random(31)
+
+    def grow(budget):
+        children = []
+        while budget > 0 and len(children) < 3:
+            size = rng.randint(1, budget)
+            children.append(grow(size - 1) if rng.random() < 0.8 else LEAF)
+            budget -= size
+        return ("v",) + tuple(children or (LEAF,))
+
+    def shuffled(tree):
+        if tree == LEAF:
+            return tree
+        children = [shuffled(c) for c in tree[1:]]
+        rng.shuffle(children)
+        return ("v",) + tuple(children)
+
+    inputs, classes = [], []
+    for cls in range(10):
+        tree = grow(rng.randint(12, 16))
+        for _ in range(5):
+            tree = ("v", tree)
+        assert tree_literal(tree).count(".") > 1
+        for _ in range(3):
+            inputs.append(shuffled(tree))
+            classes.append(cls)
+    order = list(range(len(inputs)))
+    rng.shuffle(order)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        barrier = threading.Barrier(4, timeout=30)
+        errors = []
+        results = [{} for _ in range(4)]
+
+        def work(t):
+            try:
+                barrier.wait()
+                for i in order:
+                    key = forest_key((inputs[i],), "s")
+                    results[t][i] = (key, tree_coproduct(key))
+            except Exception as exc:  # any error fails the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not errors
+    first = {}
+    for i, cls in enumerate(classes):
+        for t in range(4):
+            key, d = results[t][i]
+            assert key.payload[1] == canonical_tree(inputs[i], "s")
+            assert first.setdefault(cls, (key, d))[0] is key
+            assert d == first[cls][1]
+    for t in range(4):
+        for i in range(len(inputs)):
+            for (a, b), _ in results[t][i][1]:
+                assert forest_key(a.payload[1:], "s") is a
+                assert forest_key(b.payload[1:], "s") is b
