@@ -24,7 +24,6 @@ from .specs import (
     BialgebraSpec,
     CoalgebraSpec,
     ConvMap,
-    FormalSumTarget,
     RationalTarget,
     ValidationReport,
     conv_maps_equal,

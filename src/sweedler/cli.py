@@ -10,6 +10,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -38,7 +39,7 @@ from .gallery import (
     word_key,
 )
 from .graphs import GraphMorphism, build_graph_bialgebra, check_graph_relations
-from .inversion import antipode, invert_character
+from .inversion import antipode, invert_character, validate_antipode
 from .renorm import CharacterSpec, birkhoff, check_rota_baxter, pole_part_operator
 from .specs import validate_bialgebra, validate_coalgebra
 from .structure import analyze_structure, bivariate_filtration, verify_pathlike
@@ -300,37 +301,37 @@ def _cmd_check(args) -> int:
     suites = args.suite.split(",") if args.suite != "all" else [
         "coassoc", "bialgebra", "antipode", "relations", "rb", "birkhoff",
     ]
-    if "coassoc" in suites:
-        trees = build_tree_bialgebra(t, t, "s")
-        run(validate_coalgebra(trees.coalgebra))
-        graphs = build_graph_bialgebra(min(t, 3), min(t, 3), 3, connected=True)
-        run(validate_coalgebra(graphs.coalgebra))
-        words = build_word_coalgebra(("a", "b"), min(t, 4))
-        run(validate_coalgebra(words))
-    if "bialgebra" in suites:
-        trees = build_tree_bialgebra(t, t, "s")
-        run(validate_bialgebra(trees, exhaustive_degree=min(t, 4)))
-        graphs = build_graph_bialgebra(min(t, 3), min(t, 3), 3, connected=True)
-        run(validate_bialgebra(graphs, sample_budget=150, seed=args.seed))
-    if "antipode" in suites:
-        from .inversion import validate_antipode
 
-        trees = build_tree_bialgebra(t, t, "s")
-        quotient = normalized_quotient(trees).bialgebra
-        run(validate_antipode(quotient, antipode(quotient, validate=False),
+    # each universe is built once, by the first suite that needs it
+    @functools.cache
+    def trees():
+        return build_tree_bialgebra(t, t, "s")
+
+    @functools.cache
+    def graphs():
+        return build_graph_bialgebra(min(t, 3), min(t, 3), 3, connected=True)
+
+    @functools.cache
+    def quotient():
+        return normalized_quotient(trees()).bialgebra
+
+    if "coassoc" in suites:
+        run(validate_coalgebra(trees().coalgebra))
+        run(validate_coalgebra(graphs().coalgebra))
+        run(validate_coalgebra(build_word_coalgebra(("a", "b"), min(t, 4))))
+    if "bialgebra" in suites:
+        run(validate_bialgebra(trees(), exhaustive_degree=min(t, 4)))
+        run(validate_bialgebra(graphs(), sample_budget=150, seed=args.seed))
+    if "antipode" in suites:
+        run(validate_antipode(quotient(), antipode(quotient(), validate=False),
                               sample_budget=20, seed=args.seed))
     if "relations" in suites:
         run(check_graph_relations(budget=20, seed=args.seed))
     if "rb" in suites:
         run(check_rota_baxter(pole_part_operator(), samples=200, seed=args.seed))
     if "birkhoff" in suites:
-        from .renorm import LAURENT, parse_laurent
-
-        trees = build_tree_bialgebra(t, t, "s")
-        quotient = normalized_quotient(trees).bialgebra
-        phi = CharacterSpec(LAURENT, {"vertex": parse_laurent("z^-1")})
-        pair = birkhoff(phi, quotient, pole_part_operator())
-        run(pair.report)
+        phi = CharacterSpec.from_doc({"rules": {"vertex": "z^-1"}})
+        run(birkhoff(phi, quotient(), pole_part_operator()).report)
     lines.append(f"suites failed: {failures}")
     _emit(lines, args.format)
     return 1 if failures else 0

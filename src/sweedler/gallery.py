@@ -18,6 +18,7 @@ from functools import lru_cache
 from .errors import InputError, UnsupportedError
 from .linear import BasisKey, FormalSum, TensorSum, register_literal
 from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec
+from .trees import _bounded
 
 _NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
@@ -145,37 +146,35 @@ class Poset:
             if a not in eset or b not in eset:
                 raise InputError(f"cover ({a},{b}) uses undeclared element")
             succ[a].add(b)
-        # reflexive-transitive closure, with cycle rejection
+        self._order = self._toposort(succ)
+        # reflexive-transitive closure, upper elements first
         self.leq: dict = {e: {e} for e in self.elements}
-        order = self._toposort(succ)
-        for e in reversed(order):
+        for e in reversed(self._order):
             for s in succ[e]:
                 self.leq[e] |= self.leq[s]
-        for a in self.elements:
-            for b in self.leq[a]:
-                if a != b and a in self.leq[b]:
-                    raise InputError(f"cover relations contain a cycle through {a}")
         self.covers = {e: frozenset(succ[e]) for e in self.elements}
 
     def _toposort(self, succ: dict):
-        seen: dict = {}
-        order = []
-
-        def visit(e):
-            state = seen.get(e)
-            if state == 2:
-                return
-            if state == 1:
-                raise InputError(f"cover relations contain a cycle through {e}")
-            seen[e] = 1
-            for s in succ[e]:
-                visit(s)
-            seen[e] = 2
-            order.append(e)
-
+        """Kahn's algorithm; the elements of a cycle are never released."""
+        blocked = {e: 0 for e in self.elements}
         for e in self.elements:
-            visit(e)
-        return list(reversed(order))
+            for s in succ[e]:
+                blocked[s] += 1
+        order = [e for e in self.elements if not blocked[e]]
+        for e in order:
+            for s in succ[e]:
+                blocked[s] -= 1
+                if not blocked[s]:
+                    order.append(s)
+        if len(order) < len(self.elements):
+            # every unreleased element covers an unreleased one, so walking
+            # down n steps from any of them ends on a cycle
+            below = {s: e for e in self.elements if blocked[e] for s in succ[e]}
+            e = next(e for e in self.elements if blocked[e])
+            for _ in self.elements:
+                e = below[e]
+            raise InputError(f"cover relations contain a cycle through {e}")
+        return order
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Poset":
@@ -196,24 +195,13 @@ class Poset:
 
     def chain_length(self, a, b) -> int:
         """Length of the longest chain from a to b (number of covers)."""
-        memo: dict = {}
-
-        def longest(x):
-            if x == b:
-                return 0
-            if x in memo:
-                return memo[x]
-            best = -1
-            for s in self.covers[x]:
-                if self.le(s, b):
-                    sub = longest(s)
-                    if sub >= 0:
-                        best = max(best, sub + 1)
-            memo[x] = best
-            return best
-
-        out = longest(a)
-        return max(out, 0)
+        # the elements of a chain from a to b sit between them in the order
+        length = {b: 0}
+        for x in reversed(self._order[self._order.index(a):self._order.index(b)]):
+            steps = [length[s] for s in self.covers[x] if s in length]
+            if steps:
+                length[x] = max(steps) + 1
+        return length.get(a, 0)
 
 
 def interval_key(x, y) -> BasisKey:
@@ -457,31 +445,19 @@ def build_word_coalgebra(alphabet, max_length: int, closed: bool = False) -> Coa
     alphabet = tuple(alphabet)
     for a in alphabet:
         _check_name(a, "letter")
-    singles = []
-    for n in range(max_length + 1):
-        for a0 in alphabet:
-            for a1 in alphabet:
-                for letters in itertools.product(alphabet, repeat=n):
-                    singles.append(word_key(a0, letters, a1))
+    by_length = [[word_key(a0, letters, a1)
+                  for a0 in alphabet for a1 in alphabet
+                  for letters in itertools.product(alphabet, repeat=n)]
+                 for n in range(max_length + 1)]
     if not closed:
-        keys = singles
+        keys = [k for words in by_length for k in words]
     else:
-        budget = max_length + 1  # letters + factors along any coproduct chain
-        pool = sorted(singles)
-        weights = [len(k.payload[1]) + 1 for k in pool]
-        keys = set()
-
-        def go(start: int, chosen, left: int):
-            if chosen:
-                keys.add(word_product_key(list(chosen)))
-            for j in range(start, len(pool)):
-                if weights[j] <= left:
-                    chosen.append(pool[j])
-                    go(j, chosen, left - weights[j])
-                    chosen.pop()
-
-        go(0, [], budget)
-        keys = sorted(keys)
+        # a word weighs its letters plus one, and letters plus factors never
+        # grow along a coproduct chain: the bounded multisets of the words
+        pool = [((n + 1, 0), words) for n, words in enumerate(by_length)]
+        keys = sorted({word_product_key(chosen)
+                       for chosen in _bounded(pool, max_length + 1, 0, False)
+                       if chosen})
 
     def counit(key: BasisKey) -> Fraction:
         if key.tag == "word":
@@ -556,20 +532,6 @@ class Group:
                 for c in self.names:
                     if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
                         raise InputError(f"group table not associative at ({a},{b},{c})")
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "Group":
-        try:
-            names = list(doc["elements"])
-            rows = doc["table"]
-            table = {
-                (names[i], names[j]): rows[i][j]
-                for i in range(len(names))
-                for j in range(len(names))
-            }
-        except (KeyError, TypeError, IndexError) as exc:
-            raise InputError(f"bad group document: {exc}") from exc
-        return cls(names, table)
 
     def mul(self, a, b):
         return self.table[(a, b)]

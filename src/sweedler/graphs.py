@@ -306,11 +306,6 @@ def graph_coproduct(key: BasisKey) -> TensorSum:
     return TensorSum.of(terms)
 
 
-def graph_coproduct_channels(key: BasisKey) -> TensorSum:
-    """Diagnostic variant: every distinct class pair with coefficient one."""
-    return TensorSum({pair: Fraction(1) for pair, _ in graph_coproduct(key)})
-
-
 def graph_product(k1: BasisKey, k2: BasisKey) -> FormalSum:
     mode, s1, e1, b1 = k1.payload
     _, s2, e2, b2 = k2.payload
@@ -500,8 +495,6 @@ def check_graph_relations(budget: int = 50, seed: int = 0) -> ValidationReport:
     rng = random.Random(seed)
     for trial in range(budget):
         agg = _random_aggregate(rng, 4, 4)
-        flags = [f for _, fl in agg.corollas for f in fl]
-        f = {i: flags[i] for i in range(len(flags))}
         # free flags per corolla: c0 has >= 2, etc.
         c0 = agg.corollas[0][1]
         c1 = agg.corollas[1][1]
@@ -569,14 +562,6 @@ def strip_identity_corollas(key: BasisKey):
     return graph_class_key(new_sizes, new_edges, new_blocks, mode), exps
 
 
-def grouplike_class(exps: dict, mode: str) -> BasisKey:
-    sizes = []
-    for label, count in sorted(exps.items()):
-        size = int(label[1:])
-        sizes.extend([size] * count)
-    return identity_class(tuple(sizes), mode)
-
-
 def build_graph_bialgebra(max_corollas: int, max_edges: int,
                           max_flags: int = 3, connected: bool = True) -> BialgebraSpec:
     mode = "c" if connected else "n"
@@ -595,7 +580,6 @@ def build_graph_bialgebra(max_corollas: int, max_edges: int,
     hooks = {
         "graded_filtration": True,
         "strip_grouplikes": strip_identity_corollas,
-        "grouplike_key": lambda exps: grouplike_class(exps, mode),
         "commutator_sort": lambda k: k,
         "central_sort": lambda k: k,
         "generator_weights": {f"q{s}": s for s in range(max_size + 1)},

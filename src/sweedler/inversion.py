@@ -19,14 +19,15 @@ Three routes to the inverse of a map out of a coalgebra:
   default route falls back to it when the filtration is not exhaustive and
   the instance is finite with values in the bialgebra itself.
 
-Each route is also public on its own (:func:`recursive_inverse`,
-:func:`takeuchi_inverse`, :func:`finite_convolution_inverse`), so the
-series and the solve serve as independent oracles for the recursion.  All
-routes are gated the same way, once per call: the map must send every
-(semi)grouplike basis key to an invertible target value, and that is the
-only obstruction for the instances in scope.  Targets need ``zero``,
-``one``, ``scale``, ``mul``, ``accumulate``, ``try_inverse`` and ``==``
-on their values (see :mod:`sweedler.specs`).
+:func:`convolution_inverse` is the one place that picks a filtration: the
+grading when the bialgebra has the ``graded_filtration`` hook, the bivariate
+sweep otherwise; antipodes, character inverses and the Birkhoff check all go
+through it.  Each route is also public (:func:`recursive_inverse`,
+:func:`takeuchi_inverse`, :func:`finite_convolution_inverse`), so the series
+and the solve are oracles for the recursion.  Every route first checks that
+the map sends each (semi)grouplike basis key to an invertible value, the
+only obstruction in scope.  Targets are those of :mod:`sweedler.specs`; for
+formal sums the :class:`~sweedler.specs.AlgebraSpec` itself.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ from .errors import (
 from .linalg import solve_sparse
 from .linear import BasisKey, FormalSum
 from .specs import (
+    AlgebraSpec,
     BialgebraSpec,
     ConvMap,
-    FormalSumTarget,
     ValidationReport,
     convolution_unit,
     convolve,
@@ -241,7 +242,7 @@ def finite_convolution_inverse(f: ConvMap, B: BialgebraSpec) -> ConvMap:
     if not C.finite_universe:
         raise ConfigurationError("finite solve needs a finite key universe")
     T = f.target
-    if not isinstance(T, FormalSumTarget):
+    if not isinstance(T, AlgebraSpec):
         raise ConfigurationError("finite solve targets the bialgebra itself")
     keys = list(C.keys)
     col_index = {}
@@ -294,20 +295,20 @@ def finite_convolution_inverse(f: ConvMap, B: BialgebraSpec) -> ConvMap:
     return inv
 
 
-def convolution_inverse(
-    f: ConvMap,
-    filt: FiltrationTable | None = None,
-    bialgebra: BialgebraSpec | None = None,
-) -> ConvMap:
+def convolution_inverse(f: ConvMap, bialgebra: BialgebraSpec | None = None) -> ConvMap:
     """Invert f by the route its source admits; grouplike gate applies first.
 
-    Takes the colored recursion when the filtration is exhaustive and every
-    key is colorable, the series when it is exhaustive but some key is not,
-    and the finite solve on finite instances the filtration does not
-    exhaust.
+    This is the one place that chooses a filtration: the grading when
+    ``bialgebra`` carries the ``graded_filtration`` hook, the bivariate
+    sweep otherwise.  Takes the colored recursion when the filtration is
+    exhaustive and every key is colorable, the series when it is exhaustive
+    but some key is not, and the finite solve on finite instances of
+    ``bialgebra`` the filtration does not exhaust.
     """
     _gate_grouplikes(f)
-    if filt is None:
+    if bialgebra is not None and bialgebra.hooks.get("graded_filtration"):
+        filt = filtration_from_grading(f.source)
+    else:
         filt = bivariate_filtration(f.source)
     if filt.exhaustive:
         _, uncolorable = color_decompose(f.source)
@@ -317,23 +318,19 @@ def convolution_inverse(
     if (
         bialgebra is not None
         and f.source.finite_universe
-        and isinstance(f.target, FormalSumTarget)
+        and isinstance(f.target, AlgebraSpec)
     ):
         return finite_convolution_inverse(f, bialgebra)
     raise FiltrationNotExhaustive(sorted(filt.unreached)[0])
 
 
-def antipode(B: BialgebraSpec, filt: FiltrationTable | None = None,
-             validate: bool = True) -> ConvMap:
+def antipode(B: BialgebraSpec, validate: bool = True) -> ConvMap:
     """The convolution inverse of the identity map of a bialgebra.
 
     Raises GrouplikeNotInvertible when a grouplike basis key has no product
     inverse; for pathlike instances that is exactly the Hopf obstruction.
     """
-    if filt is None and B.hooks.get("graded_filtration"):
-        filt = filtration_from_grading(B.coalgebra)
-    ident = identity_map(B)
-    S = convolution_inverse(ident, filt=filt, bialgebra=B)
+    S = convolution_inverse(identity_map(B), bialgebra=B)
     S.name = "S"
     if validate:
         report = validate_antipode(B, S)
@@ -347,7 +344,7 @@ def validate_antipode(B: BialgebraSpec, S: ConvMap,
     """Both antipode identities on every key, antihomomorphism on samples."""
     report = ValidationReport(f"antipode axioms for {B.name}")
     C = B.coalgebra
-    T = FormalSumTarget(B.algebra)
+    T = B.algebra
     ident = identity_map(B)
     for k in C.keys:
         report.checked += 1
@@ -387,17 +384,12 @@ def validate_antipode(B: BialgebraSpec, S: ConvMap,
     return report
 
 
-def invert_character(phi: ConvMap, B: BialgebraSpec,
-                     filt: FiltrationTable | None = None,
-                     sample_budget: int = 30, seed: int = 0) -> ConvMap:
+def invert_character(phi: ConvMap, B: BialgebraSpec) -> ConvMap:
     """Convolution inverse of a character, after a multiplicativity spot-check."""
-    C = B.coalgebra
-    if filt is None and B.hooks.get("graded_filtration"):
-        filt = filtration_from_grading(C)
-    rng = random.Random(seed)
-    keys = list(C.keys)
+    rng = random.Random(0)
+    keys = list(B.keys)
     T = phi.target
-    for _ in range(min(sample_budget, len(keys) ** 2)):
+    for _ in range(min(30, len(keys) ** 2)):  # 30 pairs, fixed seed
         a, b = rng.choice(keys), rng.choice(keys)
         lhs = phi.evaluate(B.product(a, b))
         rhs = T.mul(phi(a), phi(b))
@@ -407,4 +399,4 @@ def invert_character(phi: ConvMap, B: BialgebraSpec,
             )
     if phi.evaluate(B.unit) != T.one():
         raise ConfigurationError("character does not preserve the unit")
-    return convolution_inverse(phi, filt=filt, bialgebra=None if filt else B)
+    return convolution_inverse(phi, bialgebra=B)

@@ -104,23 +104,37 @@ def _encode_into(x, parts: list) -> None:
 
 
 def _decode_atom(buf: bytes, pos: int):
-    kind = buf[pos : pos + 1]
-    if kind == b"b":
-        return buf[pos + 1 : pos + 2] == b"1", pos + 2
-    colon = buf.index(b":", pos + 1)
-    n = int(buf[pos + 1 : colon])
-    if kind == b"i":
-        return int(buf[colon + 1 : colon + 1 + n]), colon + 1 + n
-    if kind == b"s":
-        return buf[colon + 1 : colon + 1 + n].decode(), colon + 1 + n
-    if kind == b"t":
-        items = []
-        p = colon + 1
-        for _ in range(n):
-            v, p = _decode_atom(buf, p)
-            items.append(v)
-        return tuple(items), p
-    raise ValueError(f"bad encoding at byte {pos}")
+    """Decode the atom at ``pos``; returns (value, end).  Open tuples wait
+    on an explicit stack of (items, length), so any depth decodes."""
+    stack: list = []
+    while True:
+        kind = buf[pos : pos + 1]
+        if kind == b"b":
+            value, pos = buf[pos + 1 : pos + 2] == b"1", pos + 2
+        else:
+            colon = buf.index(b":", pos + 1)
+            n = int(buf[pos + 1 : colon])
+            end = colon + 1 + n
+            if kind == b"i":
+                value, pos = int(buf[colon + 1 : end]), end
+            elif kind == b"s":
+                value, pos = buf[colon + 1 : end].decode(), end
+            elif kind != b"t":
+                raise ValueError(f"bad encoding at byte {pos}")
+            elif n > 0:
+                stack.append(([], n))
+                pos = colon + 1
+                continue
+            else:
+                value, pos = (), colon + 1
+        # close every tuple this value completes
+        while stack and len(stack[-1][0]) + 1 == stack[-1][1]:
+            items, _ = stack.pop()
+            items.append(value)
+            value = tuple(items)
+        if not stack:
+            return value, pos
+        stack[-1][0].append(value)
 
 
 def decode_key(buf: bytes) -> BasisKey:

@@ -16,8 +16,9 @@ Characters are rule sets evaluated multiplicatively over the canonical
 factorization of a basis key (per vertex for forests, per edge/loop/merge
 for aggregates, per grouplike generator).  The factorization recursion is
 the standard subtraction scheme: the counterterm is minus the projected
-preparation, and the identity phi = phi_minus^{-1} * phi_plus is verified
-key by key through the convolution engine rather than trusted.
+preparation, and the identity phi = phi_minus^{-1} * phi_plus is always
+verified key by key, inverting phi_minus with ``convolution_inverse`` (the
+one place that picks a filtration) rather than trusting it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import ConfigurationError, InputError, RuleNotFound, UnsupportedErr
 from .linear import BasisKey, _SparseSum, _addto, _iadd
 from .scalars import render_scalar
 from .specs import BialgebraSpec, ConvMap, ValidationReport, convolve
-from .structure import filtration_from_grading, find_grouplikes
+from .structure import find_grouplikes
 from .inversion import convolution_inverse
 from .constructions import split_q_key
 from .graphs import degree_of
@@ -196,12 +197,12 @@ def pole_part(p: LaurentPoly) -> LaurentPoly:
     return pole_part_operator()(p)
 
 
-def random_laurent(rng: random.Random, max_abs_exp: int = 6,
-                   max_num: int = 127, terms: int = 4) -> LaurentPoly:
+def random_laurent(rng: random.Random) -> LaurentPoly:
+    """Up to 4 terms, exponents in [-6, 6], integer coefficients in [-127, 127]."""
     out: dict = {}
-    for _ in range(rng.randint(0, terms)):
-        e = rng.randint(-max_abs_exp, max_abs_exp)
-        c = Fraction(rng.randint(-max_num, max_num))
+    for _ in range(rng.randint(0, 4)):
+        e = rng.randint(-6, 6)
+        c = Fraction(rng.randint(-127, 127))
         if c:
             out[e] = out.get(e, 0) + c
     return LaurentPoly(out)
@@ -366,13 +367,13 @@ class BirkhoffPair:
     report: ValidationReport
 
 
-def birkhoff(phi, B: BialgebraSpec, T: RBOperator, verify: bool = True) -> BirkhoffPair:
+def birkhoff(phi, B: BialgebraSpec, T: RBOperator) -> BirkhoffPair:
     """Split a character on a connected quotient along the Rota-Baxter operator.
 
     The recursion prepares phibar(x) = phi(x) + sum phi_minus(x') phi(x'')
     over the reduced coproduct, then projects: the counterterm is
     -T(phibar) and the renormalized part is (1-T)(phibar).  The factorization
-    identity is re-derived through the convolution engine when verify is on.
+    identity is always re-derived through the convolution engine.
     """
     if isinstance(phi, CharacterSpec):
         phi = phi.as_conv_map(B)
@@ -416,18 +417,16 @@ def birkhoff(phi, B: BialgebraSpec, T: RBOperator, verify: bool = True) -> Birkh
     minus_map = ConvMap(C, target, minus, "phi-")
     plus_map = ConvMap(C, target, plus, "phi+")
     report = ValidationReport(f"factorization of {phi.name} on {B.name}")
-    if verify:
-        filt = filtration_from_grading(C)
-        inv_minus = convolution_inverse(minus_map, filt=filt)
-        recomposed = convolve(inv_minus, plus_map, "phi-^-1*phi+")
-        for k in C.keys:
-            report.checked += 1
-            if recomposed(k) != phi(k):
-                report.fail(k, "phi != phi-^-1 * phi+")
-            if T(plus_map(k)) != target.zero():
-                report.fail(k, "renormalized part not in the plus subalgebra")
-        if not report.ok:
-            raise ConfigurationError(
-                f"factorization verification failed:\n{report.render()}"
-            )
+    inv_minus = convolution_inverse(minus_map, bialgebra=B)
+    recomposed = convolve(inv_minus, plus_map, "phi-^-1*phi+")
+    for k in C.keys:
+        report.checked += 1
+        if recomposed(k) != phi(k):
+            report.fail(k, "phi != phi-^-1 * phi+")
+        if T(plus_map(k)) != target.zero():
+            report.fail(k, "renormalized part not in the plus subalgebra")
+    if not report.ok:
+        raise ConfigurationError(
+            f"factorization verification failed:\n{report.render()}"
+        )
     return BirkhoffPair(minus_map, plus_map, report)

@@ -7,15 +7,17 @@ the validators return reports listing offending keys so that negative
 controls stay observable.
 
 Convolution maps can land in the bialgebra itself (formal sums), in the
-rationals, or in an external exact algebra such as Laurent polynomials; the
-small target-algebra wrappers below give all three a uniform surface:
-``zero``, ``one``, ``scale``, ``mul``, ``accumulate``, ``try_inverse`` and
-``render``; values compare with ``==``.  ``accumulate(acc, c, a, b=None)``
-adds ``c*a`` (or ``c*a*b``) into an accumulator that the caller obtained
-from ``zero()`` and has not yet shared; it returns the accumulator, which is
-the same object for the mutable sum types and a new value for plain
-rationals.  The convolution, inversion and validation loops sum through it,
-so none of them copies its accumulator once per term.
+rationals, or in Laurent polynomials.  An :class:`AlgebraSpec` is its own
+target; :class:`RationalTarget` and ``renorm.LaurentTarget`` share its
+surface: ``zero``, ``one``, ``scale``, ``mul``, ``accumulate``,
+``try_inverse`` and ``render``; values compare with ``==``.
+``accumulate(acc, c, a, b=None)`` adds ``c*a`` (or ``c*a*b``) into an
+accumulator that the caller obtained from ``zero()`` and has not yet
+shared; it returns the accumulator, which is the same object for the
+mutable sum types and a new value for plain rationals.  The convolution,
+inversion and validation loops sum through it, so none of them copies its
+accumulator once per term.  Inverses are taken by
+``inversion.convolution_inverse``, the one place that picks a filtration.
 Values are immutable and memo caches are pure, so concurrent reads of the
 same :class:`ConvMap` always return identical results.
 """
@@ -89,6 +91,41 @@ class AlgebraSpec:
         self.unit = unit
         self.key_inverse = key_inverse
         self._memo: dict = {}
+
+    def zero(self) -> FormalSum:
+        return FormalSum.zero()
+
+    def one(self) -> FormalSum:
+        return self.unit
+
+    def scale(self, c, a: FormalSum) -> FormalSum:
+        return a.scale(c)
+
+    def accumulate(self, acc: FormalSum, c, a: FormalSum, b: FormalSum | None = None):
+        if b is None:
+            _iadd(acc.terms, a.terms, c)
+        else:
+            self.mul_into(acc.terms, c, a, b)
+        return acc
+
+    def try_inverse(self, v: FormalSum):
+        """Invert a scalar multiple of the unit or of an invertible basis key."""
+        unit = self.unit
+        if len(v) == len(unit) and len(unit) > 0:
+            k0, c0 = next(iter(unit))
+            ratio = v.coeff(k0) / c0 if c0 else None
+            if ratio and v == unit.scale(ratio):
+                return unit.scale(1 / ratio)
+        if len(v) == 1:
+            (k, c), = v
+            inv = self.key_inverse(k) if self.key_inverse else None
+            if inv is not None and self.product(k, inv) == unit \
+                    and self.product(inv, k) == unit:
+                return FormalSum.basis(inv, 1 / c)
+        return None
+
+    def render(self, v: FormalSum) -> str:
+        return v.render()
 
     def product(self, a: BasisKey, b: BasisKey) -> FormalSum:
         out = self._memo.get((a, b))
@@ -176,54 +213,7 @@ class BialgebraSpec:
 
 
 # ---------------------------------------------------------------------------
-# Target algebras for convolution values
-
-
-class FormalSumTarget:
-    """Formal sums under an AlgebraSpec product."""
-
-    def __init__(self, algebra: AlgebraSpec):
-        self.algebra = algebra
-        self.name = algebra.name
-
-    def zero(self):
-        return FormalSum.zero()
-
-    def one(self):
-        return self.algebra.unit
-
-    def scale(self, c, a):
-        return a.scale(c)
-
-    def mul(self, a, b):
-        return self.algebra.mul(a, b)
-
-    def accumulate(self, acc, c, a, b=None):
-        if b is None:
-            _iadd(acc.terms, a.terms, c)
-        else:
-            self.algebra.mul_into(acc.terms, c, a, b)
-        return acc
-
-    def try_inverse(self, v: FormalSum):
-        """Invert a scalar multiple of the unit or of an invertible basis key."""
-        unit = self.algebra.unit
-        # scalar multiple of the unit sum
-        if len(v) == len(unit) and len(unit) > 0:
-            k0, c0 = next(iter(unit))
-            ratio = v.coeff(k0) / c0 if c0 else None
-            if ratio and v == unit.scale(ratio):
-                return unit.scale(1 / ratio)
-        if len(v) == 1:
-            (k, c), = v
-            inv = self.algebra.key_inverse(k) if self.algebra.key_inverse else None
-            if inv is not None and self.algebra.product(k, inv) == unit \
-                    and self.algebra.product(inv, k) == unit:
-                return FormalSum.basis(inv, 1 / c)
-        return None
-
-    def render(self, v):
-        return v.render()
+# The rationals as a convolution target
 
 
 class RationalTarget:
@@ -286,10 +276,9 @@ class ConvMap:
 
 
 def _same_target(a, b) -> bool:
-    if a is b:
-        return True
-    if isinstance(a, FormalSumTarget) and isinstance(b, FormalSumTarget):
-        return a.algebra is b.algebra
+    """One algebra is one target; the scalar targets are one per type."""
+    if isinstance(a, AlgebraSpec) or isinstance(b, AlgebraSpec):
+        return a is b
     return type(a) is type(b)
 
 
@@ -319,8 +308,7 @@ def convolution_unit(C: CoalgebraSpec, target, name: str = "eta.eps") -> ConvMap
 
 
 def identity_map(B: BialgebraSpec) -> ConvMap:
-    target = FormalSumTarget(B.algebra)
-    return ConvMap(B.coalgebra, target, FormalSum.basis, "id")
+    return ConvMap(B.coalgebra, B.algebra, FormalSum.basis, "id")
 
 
 def conv_maps_equal(f: ConvMap, g: ConvMap, keys=None) -> bool:

@@ -525,7 +525,6 @@ def build_tree_bialgebra(max_vertices: int, max_leaves: int | None = None,
     hooks = {
         "graded_filtration": True,
         "strip_grouplikes": strip_lines,
-        "grouplike_key": lambda exps: line_forest(exps.get("q", 0), mode),
         "commutator_sort": commutator_sort,
         "central_sort": central_sort,
         "generator_weights": {"q": 1},

@@ -88,6 +88,7 @@ CASES = [
     ("coproduct-json",
      ["coproduct", "--tree", "v(v(.))", "--format", "json"]),
     ("check-small", ["check", "--suite", "coassoc,rb", "--truncation", "3"]),
+    ("check-all", ["check", "--suite", "all", "--truncation", "3"]),
 ]
 
 

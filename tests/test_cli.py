@@ -95,6 +95,21 @@ def test_bad_document_fields_are_input_errors(argv):
     assert "Traceback" not in err
 
 
+def test_long_poset_cycle_is_an_input_error():
+    # a 1,200-element cover cycle, deeper than the Python stack
+    n = 1200
+    doc = json.dumps({"elements": [str(i) for i in range(n)],
+                      "covers": [[str(i), str((i + 1) % n)] for i in range(n)]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "sweedler.cli", "structure", "--poset", doc],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_grouplike_gate_exit_code():
     bad = json.dumps({"rules": {"vertex": "z^-1", "grouplike": "1+z"}})
     code, _ = run_cli(["inverse", "--bialgebra", "trees", "--character", bad,

@@ -18,12 +18,13 @@ from sweedler.graphs import build_graph_bialgebra, merger_class
 from sweedler.inversion import antipode, validate_antipode
 from sweedler.linear import FormalSum, TensorSum
 from sweedler.renorm import LAURENT, CharacterSpec, parse_laurent
-from sweedler.specs import validate_bialgebra, validate_coalgebra
+from sweedler.specs import BialgebraSpec, validate_bialgebra, validate_coalgebra
 from sweedler.structure import find_grouplikes
 from sweedler.trees import (
     forest_key,
     line_forest,
     parse_forest,
+    strip_lines,
     tau,
     unit_key,
 )
@@ -174,6 +175,19 @@ def test_qdeform_rejects_double():
     D = build_drinfeld_double(cyclic_group(2))
     with pytest.raises(UnsupportedError):
         q_deform(D)
+
+
+def test_qdeform_rejects_colliding_exponent_vectors(trees_sym4):
+    # a forged factorization that gives every line forest one exponent
+    def forged(key):
+        base, exps = strip_lines(key)
+        return base, {"q": 1} if exps else {}
+
+    B = trees_sym4
+    rogue = BialgebraSpec(B.coalgebra, B.algebra,
+                          dict(B.hooks, strip_grouplikes=forged))
+    with pytest.raises(UnsupportedError, match="not free on generators"):
+        q_deform(rogue)
 
 
 def test_brown_coaction_right_factor_parameter_free(trees_sym4):

@@ -1,4 +1,7 @@
 
+import itertools
+import random
+
 import pytest
 
 from sweedler.errors import InputError, UnsupportedError
@@ -120,6 +123,34 @@ def test_poset_rejects_cycles():
         Poset(["a", "b"], [("a", "b"), ("b", "a")])
 
 
+def test_long_chain_needs_no_python_stack():
+    # 1,200 elements: deeper than the default recursion limit
+    poset = chain_poset(1199)
+    assert poset.chain_length("0", "1199") == 1199
+    assert poset.chain_length("1199", "0") == 0
+
+
+def test_chain_length_matches_path_search():
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        els = [str(i) for i in range(n)]
+        covers = [(els[i], els[j]) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.4]
+        rng.shuffle(els)
+        poset = Poset(els, covers)
+
+        def longest(a, b):
+            if a == b:
+                return 0
+            steps = [longest(s, b) for x, s in covers if x == a]
+            return max([s + 1 for s in steps if s >= 0], default=-1)
+
+        for a in els:
+            for b in els:
+                assert poset.chain_length(a, b) == max(longest(a, b), 0)
+
+
 def test_validate_incidence_boolean3():
     assert validate_coalgebra(build_incidence_coalgebra(boolean_poset(3))).ok
 
@@ -218,6 +249,41 @@ def test_word_summand_count_powers_of_two():
 def test_word_coassociativity_exhaustive_small():
     C = build_word_coalgebra(("a", "b"), 3)
     assert validate_coalgebra(C).ok
+
+
+def _closed_words_by_scan(alphabet, max_length):
+    """The closed word universe as the scanning loop used to build it."""
+    singles = sorted(
+        word_key(a0, letters, a1)
+        for n in range(max_length + 1)
+        for a0 in alphabet
+        for a1 in alphabet
+        for letters in itertools.product(alphabet, repeat=n)
+    )
+    weights = [len(k.payload[1]) + 1 for k in singles]
+    keys = set()
+
+    def go(start, chosen, left):
+        if chosen:
+            keys.add(word_product_key(list(chosen)))
+        for j in range(start, len(singles)):
+            if weights[j] <= left:
+                chosen.append(singles[j])
+                go(j, chosen, left - weights[j])
+                chosen.pop()
+
+    go(0, [], max_length + 1)
+    return tuple(sorted(keys))
+
+
+@pytest.mark.parametrize("letters,max_length,size", [
+    (2, 3, 337), (3, 2, 570), (1, 4, 18), (2, 2, 90),
+])
+def test_closed_word_universe_matches_scanning_loop(letters, max_length, size):
+    alphabet = "abc"[:letters]
+    C = build_word_coalgebra(alphabet, max_length, closed=True)
+    assert len(C.keys) == size
+    assert C.keys == _closed_words_by_scan(alphabet, max_length)
 
 
 # ---------------------------------------------------------------------------

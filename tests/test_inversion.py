@@ -32,7 +32,6 @@ from sweedler.specs import (
     AlgebraSpec,
     CoalgebraSpec,
     ConvMap,
-    FormalSumTarget,
     RationalTarget,
     conv_maps_equal,
     convolution_unit,
@@ -43,7 +42,6 @@ from sweedler.specs import (
 from sweedler.structure import (
     bivariate_filtration,
     color_decompose,
-    filtration_from_grading,
 )
 from sweedler.trees import build_tree_bialgebra, ladder, line_forest, parse_forest, tau
 
@@ -77,7 +75,7 @@ def free_word_target():
         flipped = tuple(("v", name, -exp) for kind, name, exp in reversed(k.payload))
         return BasisKey("fw", flipped)
 
-    return FormalSumTarget(AlgebraSpec("freewords", product, unit, key_inverse))
+    return AlgebraSpec("freewords", product, unit, key_inverse)
 
 
 def path_letters(C):
@@ -185,7 +183,7 @@ def test_augmentation_preserved(trees_sym4_normalized):
     B = trees_sym4_normalized.bialgebra
     phi = CharacterSpec(LAURENT, {"vertex": parse_laurent("z^-1+2")})
     pm = phi.as_conv_map(B)
-    inv = convolution_inverse(pm, filt=filtration_from_grading(B.coalgebra))
+    inv = convolution_inverse(pm, bialgebra=B)
     unit_key, = B.unit.terms
     assert inv(unit_key) == LaurentPoly.one()
 
@@ -197,7 +195,7 @@ def test_restriction_consistency(trees_sym4):
         LAURENT, {"vertex": parse_laurent("z^-1"), "grouplike": parse_laurent("2z")}
     )
     pm = phi.as_conv_map(B)
-    inv = convolution_inverse(pm, filt=bivariate_filtration(B.coalgebra))
+    inv = convolution_inverse(pm)
     for n in range(3):
         g = line_forest(n, "s")
         assert inv(g) == phi(g).inverse()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sweedler.linear import BasisKey, FormalSum, TensorSum, decode_key
 from sweedler.renorm import LaurentPoly
 from sweedler.scalars import Fp, PrimeField, render_scalar
+from sweedler.trees import forest_key, ladder
 
 
 # strategies for structured payloads and sums
@@ -43,6 +44,24 @@ def test_encoding_bytes_pinned():
     key = BasisKey("a", ("\u00e9", -5, True, 1, ()))
     assert key.encoded() == b"ks1:at5:s2:\xc3\xa9i2:-5b1i1:1t0:"
     assert decode_key(key.encoded()) == key
+
+
+def test_decode_takes_any_depth():
+    key = ladder(10_000)
+    back = decode_key(key.encoded())
+    # payloads this deep cannot be compared with ==; re-interning the
+    # decoded payload must give back the very same key
+    assert back.encoded() == key.encoded()
+    assert forest_key(back.payload[1:], "s") is key
+
+
+@pytest.mark.parametrize("buf", [
+    b"x", b"k", b"ks1:a", b"ks1:at1:", b"ks1:at2:i1:1", b"ks1:aq1:",
+    b"ks1:ai1:5zz", b"ksx:a",
+])
+def test_decode_rejects_malformed_input(buf):
+    with pytest.raises(ValueError):
+        decode_key(buf)
 
 
 def test_encoding_injective_bulk():

@@ -25,7 +25,7 @@ from sweedler.specs import (
     validate_bialgebra,
     validate_coalgebra,
 )
-from sweedler.specs import AlgebraSpec, BialgebraSpec, FormalSumTarget, RationalTarget
+from sweedler.specs import AlgebraSpec, BialgebraSpec, RationalTarget
 
 
 def word_target():
@@ -34,7 +34,7 @@ def word_target():
     def product(k1, k2):
         return FormalSum.basis(BasisKey("w", k1.payload + k2.payload))
 
-    return FormalSumTarget(AlgebraSpec("words", product, FormalSum.basis(BasisKey("w", ()))))
+    return AlgebraSpec("words", product, FormalSum.basis(BasisKey("w", ())))
 
 
 def inclusion(C, target):
