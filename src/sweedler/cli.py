@@ -4,7 +4,7 @@ Subcommands parse structured-text inputs (JSON documents or the tree/path
 literals), dispatch to the engines, and print canonical renderings: terms
 sorted by key encoding, byte-identical across runs.  Exit codes: 0 success,
 1 mathematical obstruction (e.g. a grouplike without an inverse), 2 input or
-configuration error.
+configuration error, 3 internal error (a bug: one line, never a traceback).
 """
 
 from __future__ import annotations
@@ -442,6 +442,9 @@ def main(argv=None) -> int:
     except SweedlerError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

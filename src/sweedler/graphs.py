@@ -20,6 +20,13 @@ In connected mode every target group must be connected by its ghost edges
 (mergers are forbidden) and the partition is forced to the edge components;
 in non-connected mode target groups may merge disconnected pieces.
 
+The coproduct's edge subsets, refinements and residues do not depend on the
+flag sizes: they are computed once per skeleton (corolla count, edges,
+groups, mode) into a cut table shared by every class with that skeleton
+(hash-consing, Filliâtre & Conchon 2006).  A key's coproduct walks the rows,
+adds up its target sizes and looks up both factor classes.  ``_CUTS`` is
+filled with ``dict.setdefault``, so racing threads agree on one table.
+
 Class literal: ``g(sizes|edges|groups)``, e.g. a single edge contraction
 between two 2-flag corollas is ``g(2,2|0-1|0.1)``; the empty aggregate
 renders as ``1``.
@@ -235,14 +242,6 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
-@lru_cache(maxsize=None)
-def _index_partitions(k: int) -> tuple:
-    """Set partitions of ``range(k)``, in ``_set_partitions`` order."""
-    return tuple(
-        tuple(tuple(cell) for cell in part) for part in _set_partitions(range(k))
-    )
-
-
 def _mergers(comps, block_id) -> list:
     """Every coarsening of the components inside the morphism's groups."""
     by_block: dict = {}
@@ -253,12 +252,57 @@ def _mergers(comps, block_id) -> list:
         cs = by_block[bi]
         per_block.append([
             [tuple(sorted(c for i in cell for c in cs[i])) for cell in part]
-            for part in _index_partitions(len(cs))
+            for part in _set_partitions(range(len(cs)))
         ])
     return [
         [grp for part in combo for grp in part]
         for combo in itertools.product(*per_block)
     ]
+
+
+# (corolla count, edges, blocks, mode) -> that skeleton's cut table; each
+# row part is also a key here, mapped to its one shared copy (a skeleton
+# ends in the mode string and no part holds a string, so they never meet).
+_CUTS: dict = {}
+
+
+def _cut_table(n: int, edges, blocks, mode: str) -> tuple:
+    """The size-free part of the coproduct of every key with this skeleton.
+
+    One row per (edge subset, refinement): the chosen edges, the sorted left
+    groups, the flags each group's chosen edges contract, and the residue
+    edges and groups on the left factor's target corollas.
+    """
+    skeleton = (n, edges, blocks, mode)
+    table = _CUTS.get(skeleton)
+    if table is not None:
+        return table
+    block_id = [0] * n
+    for bi, blk in enumerate(blocks):
+        for c in blk:
+            block_id[c] = bi
+    rows = []
+    for bits in range(1 << len(edges)):
+        chosen = tuple(edges[i] for i in range(len(edges)) if bits & (1 << i))
+        rest = [edges[i] for i in range(len(edges)) if not bits & (1 << i)]
+        comps = _components(n, chosen)
+        refinements = [comps] if mode == "c" else _mergers(comps, block_id)
+        for groups in refinements:
+            groups = sorted(groups)
+            tgt_index = [0] * n
+            res_groups: dict = {}
+            for gi, grp in enumerate(groups):
+                for c in grp:
+                    tgt_index[c] = gi
+                res_groups.setdefault(block_id[grp[0]], []).append(gi)
+            drops = [0] * len(groups)
+            for a, _ in chosen:
+                drops[tgt_index[a]] += 2
+            row = (chosen, tuple(groups), tuple(drops),
+                   tuple((tgt_index[a], tgt_index[b]) for a, b in rest),
+                   tuple(map(tuple, res_groups.values())))
+            rows.append(tuple(_CUTS.setdefault(part, part) for part in row))
+    return _CUTS.setdefault(skeleton, tuple(rows))
 
 
 @lru_cache(maxsize=None)
@@ -269,40 +313,24 @@ def graph_coproduct(key: BasisKey) -> TensorSum:
     the edge components (connected mode) or any coarsening inside the
     morphism's groups (non-connected mode, which distributes mergers).  The
     right factor lives on the left factor's target corollas and carries the
-    remaining edges and the residual grouping.
+    remaining edges and the residual grouping.  A target corolla has the
+    flags of its group less the two each chosen edge inside it contracts.
     """
     mode, sizes, edges, blocks = key.payload
-    n = len(sizes)
-    block_id = [0] * n
-    for bi, blk in enumerate(blocks):
-        for c in blk:
-            block_id[c] = bi
     terms = []
-    for bits in range(1 << len(edges)):
-        chosen = [edges[i] for i in range(len(edges)) if bits & (1 << i)]
-        rest = [edges[i] for i in range(len(edges)) if not bits & (1 << i)]
-        comps = _components(n, chosen)
-        refinements = [comps] if mode == "c" else _mergers(comps, block_id)
-        for groups in refinements:
-            groups = sorted(groups)
-            left = graph_class_key(sizes, chosen, groups, mode)
-            # Target corolla gi has the flags of its group less the two
-            # each chosen edge inside it contracts.
-            tgt_index = [0] * n
-            tgt_sizes = []
-            res_groups: dict = {}
-            for gi, grp in enumerate(groups):
-                total = 0
-                for c in grp:
-                    tgt_index[c] = gi
-                    total += sizes[c]
-                tgt_sizes.append(total)
-                res_groups.setdefault(block_id[grp[0]], []).append(gi)
-            for a, _ in chosen:
-                tgt_sizes[tgt_index[a]] -= 2
-            res_edges = [(tgt_index[a], tgt_index[b]) for a, b in rest]
-            right = graph_class_key(tgt_sizes, res_edges, res_groups.values(), mode)
-            terms.append((left, right))
+    for chosen, groups, drops, res_edges, res_groups in _cut_table(
+        len(sizes), edges, blocks, mode
+    ):
+        tgt_sizes = []
+        for grp, drop in zip(groups, drops):
+            total = -drop
+            for c in grp:
+                total += sizes[c]
+            tgt_sizes.append(total)
+        terms.append((
+            _class_key(sizes, chosen, groups, mode),
+            _class_key(tuple(tgt_sizes), res_edges, res_groups, mode),
+        ))
     return TensorSum.of(terms)
 
 

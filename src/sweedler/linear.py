@@ -43,10 +43,13 @@ class BasisKey:
         self._hash = hash((tag, payload))
 
     def __eq__(self, other) -> bool:
-        return (
+        # The encoding is injective, and comparing bytes takes payloads of
+        # any depth, where tuple == recurses.
+        return self is other or (
             isinstance(other, BasisKey)
+            and self._hash == other._hash
             and self.tag == other.tag
-            and self.payload == other.payload
+            and self.encoded() == other.encoded()
         )
 
     def __hash__(self) -> int:

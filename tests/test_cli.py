@@ -110,6 +110,20 @@ def test_long_poset_cycle_is_an_input_error():
     assert "Traceback" not in proc.stderr
 
 
+def test_internal_error_exits_3_without_traceback(monkeypatch):
+    import sweedler.cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(sweedler.cli, "_cmd_coproduct", broken)
+    code, out, err = _run_cli_stderr(["coproduct", "--tree", "v(.)"])
+    assert code == 3
+    assert out == b""
+    assert err == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in err
+
+
 def test_grouplike_gate_exit_code():
     bad = json.dumps({"rules": {"vertex": "z^-1", "grouplike": "1+z"}})
     code, _ = run_cli(["inverse", "--bialgebra", "trees", "--character", bad,

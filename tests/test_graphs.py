@@ -274,6 +274,89 @@ def test_coproduct_representative_independence():
             assert oracle == graph_coproduct(key), (mode, sizes, edges, blocks)
 
 
+@pytest.mark.parametrize("universe", [(3, 3, 3, "c"), (3, 3, 3, "n"), (4, 4, 3, "c")])
+def test_coproduct_equals_oracle_on_whole_universe(universe):
+    # every key's coproduct against the subset enumeration; keys that differ
+    # only in sizes walk one shared table, each row giving one term
+    from sweedler.graphs import _cut_table
+
+    mode = universe[3]
+    keys = all_graph_classes(*universe)
+    tables = {}
+    for key in keys:
+        _, sizes, edges, blocks = key.payload
+        d = graph_coproduct(key)
+        assert d == _coproduct_oracle(sizes, edges, blocks, mode), key
+        table = _cut_table(len(sizes), edges, blocks, mode)
+        assert tables.setdefault((len(sizes), edges, blocks), table) is table
+        assert sum(c for _, c in d) == len(table)
+    assert len(tables) < len(keys) // 2
+
+
+def _unseen_skeletons(rng, count):
+    # nine corollas, more than any universe or product of two universe keys
+    # elsewhere in the suite; distinct sizes keep canonicalisation cheap
+    from sweedler.graphs import _set_partitions
+
+    keys = []
+    for i in range(count):
+        mode = "cn"[i % 2]
+        sizes, edges, blocks = _random_structure(rng, 4)
+        if mode == "n":
+            part = rng.choice(list(_set_partitions(blocks)))
+            blocks = [tuple(sorted(c for blk in cell for c in blk)) for cell in part]
+        sizes = tuple(10 + 4 * c + s for c, s in enumerate(sizes)) + tuple(range(30, 35))
+        blocks = list(blocks) + [(c,) for c in range(4, 9)]
+        keys.append(graph_class_key(sizes, edges, blocks, mode))
+    return keys
+
+
+def test_cut_tables_shared_across_threads():
+    # four threads build the tables of the same never-seen skeletons at once
+    # and take the coproducts; every thread must get the one stored table
+    # and the oracle's coproduct
+    import sys
+    import threading
+
+    from sweedler.graphs import _CUTS, _cut_table
+
+    rng = random.Random(37)
+    keys = _unseen_skeletons(rng, 12)
+    skeletons = [(len(k.payload[1]),) + k.payload[2:] + (k.payload[0],) for k in keys]
+    assert not any(s in _CUTS for s in skeletons)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        barrier = threading.Barrier(4, timeout=30)
+        errors = []
+        results = [[] for _ in range(4)]
+
+        def work(t):
+            try:
+                barrier.wait()
+                for key, skeleton in zip(keys, skeletons):
+                    results[t].append((_cut_table(*skeleton), graph_coproduct(key)))
+            except Exception as exc:  # any error fails the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not errors
+    for i, (key, skeleton) in enumerate(zip(keys, skeletons)):
+        _, sizes, edges, blocks = key.payload
+        oracle = _coproduct_oracle(sizes, edges, blocks, key.payload[0])
+        for t in range(4):
+            table, d = results[t][i]
+            assert table is _CUTS[skeleton]
+            assert d == oracle
+
+
 def test_equal_classes_are_one_object():
     # two labelings of one class give the same interned key, not just an
     # equal one

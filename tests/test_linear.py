@@ -49,10 +49,22 @@ def test_encoding_bytes_pinned():
 def test_decode_takes_any_depth():
     key = ladder(10_000)
     back = decode_key(key.encoded())
-    # payloads this deep cannot be compared with ==; re-interning the
-    # decoded payload must give back the very same key
+    # re-interning the decoded payload must give back the very same key
     assert back.encoded() == key.encoded()
     assert forest_key(back.payload[1:], "s") is key
+    assert back == key
+
+
+def test_deep_keys_compare_without_recursion():
+    # == on two distinct objects with deep payloads compares encodings, not
+    # nested tuples (which overflow the stack near depth 1000)
+    key = ladder(1000)
+    back = decode_key(key.encoded())
+    assert back is not key
+    assert back == key and not back != key
+    assert back != ladder(999) and back != decode_key(ladder(999).encoded())
+    assert BasisKey("a", (1,)) != BasisKey("b", (1,))
+    assert BasisKey("a", (1,)) != (1,)
 
 
 @pytest.mark.parametrize("buf", [
