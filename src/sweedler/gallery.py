@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, UnsupportedError
@@ -109,8 +108,8 @@ def build_path_coalgebra(quiver: Quiver, max_length: int) -> CoalgebraSpec:
             terms.append((path_key(edges[:i]), path_key(edges[i:])))
         return TensorSum.of(terms)
 
-    def counit(key: BasisKey) -> Fraction:
-        return Fraction(1) if key.tag == "vx" else Fraction(0)
+    def counit(key: BasisKey) -> int:
+        return 1 if key.tag == "vx" else 0
 
     def grading(key: BasisKey) -> int:
         return 0 if key.tag == "vx" else len(key.payload)
@@ -223,9 +222,9 @@ def build_incidence_coalgebra(poset: Poset) -> CoalgebraSpec:
             (interval_key(a, z), interval_key(z, b)) for z in poset.interval(a, b)
         )
 
-    def counit(key: BasisKey) -> Fraction:
+    def counit(key: BasisKey) -> int:
         x, y = key.payload
-        return Fraction(1) if x == y else Fraction(0)
+        return 1 if x == y else 0
 
     def grading(key: BasisKey) -> int:
         a, b = pairs[key]
@@ -339,8 +338,8 @@ def build_categorical_coalgebra(monoid: ColoredMonoid, max_degree: int) -> Coalg
             (monoid_key(a), monoid_key(b)) for a, b in monoid.decomp[name]
         )
 
-    def counit(key: BasisKey) -> Fraction:
-        return Fraction(1) if key.payload[0] in ids else Fraction(0)
+    def counit(key: BasisKey) -> int:
+        return 1 if key.payload[0] in ids else 0
 
     def grading(key: BasisKey) -> int:
         return monoid.elements[key.payload[0]][2]
@@ -394,15 +393,28 @@ register_literal(
 )
 
 
+# Interned word and product keys, so equal keys are one object.  A word
+# payload starts with a letter and a product payload with a word payload,
+# so one table keyed by payload holds both kinds.
+_WORDS: dict = {}
+
+
+def _word(tag: str, payload) -> BasisKey:
+    key = _WORDS.get(payload)
+    if key is None:
+        key = _WORDS.setdefault(payload, BasisKey(tag, payload))
+    return key
+
+
 def word_key(left: str, letters, right: str) -> BasisKey:
-    return BasisKey("word", (left, tuple(letters), right))
+    return _word("word", (left, tuple(letters), right))
 
 
 def word_product_key(word_keys) -> BasisKey:
     payloads = sorted(k.payload for k in word_keys)
     if len(payloads) == 1:
-        return BasisKey("word", payloads[0])
-    return BasisKey("wprod", tuple(payloads))
+        return _word("word", payloads[0])
+    return _word("wprod", tuple(payloads))
 
 
 @lru_cache(maxsize=None)
@@ -459,10 +471,10 @@ def build_word_coalgebra(alphabet, max_length: int, closed: bool = False) -> Coa
                        for chosen in _bounded(pool, max_length + 1, 0, False)
                        if chosen})
 
-    def counit(key: BasisKey) -> Fraction:
+    def counit(key: BasisKey) -> int:
         if key.tag == "word":
-            return Fraction(1) if not key.payload[1] else Fraction(0)
-        return Fraction(1) if all(not p[1] for p in key.payload) else Fraction(0)
+            return 1 if not key.payload[1] else 0
+        return 1 if all(not p[1] for p in key.payload) else 0
 
     def grading(key: BasisKey) -> int:
         if key.tag == "word":
@@ -491,7 +503,7 @@ def build_setlike_coalgebra(names) -> CoalgebraSpec:
         f"setlike({len(keys)})",
         keys,
         lambda k: TensorSum.pure(k, k),
-        lambda k: Fraction(1),
+        lambda k: 1,
         lambda k: 0,
     )
 
@@ -583,8 +595,8 @@ def build_drinfeld_double(group: Group) -> BialgebraSpec:
             (double_key(g1, x), double_key(G.mul(G.inv[g1], g), x)) for g1 in G.names
         )
 
-    def counit(key: BasisKey) -> Fraction:
-        return Fraction(1) if key.payload[0] == G.identity else Fraction(0)
+    def counit(key: BasisKey) -> int:
+        return 1 if key.payload[0] == G.identity else 0
 
     coalg = CoalgebraSpec(f"double({len(G.names)})", keys, delta, counit, lambda k: 0)
 
@@ -596,7 +608,7 @@ def build_drinfeld_double(group: Group) -> BialgebraSpec:
         return FormalSum.basis(double_key(g, G.mul(x, y)))
 
     unit = FormalSum(
-        {double_key(g, G.identity): Fraction(1) for g in G.names}, _clean=True
+        {double_key(g, G.identity): 1 for g in G.names}, _clean=True
     )
     alg = AlgebraSpec(f"double({len(G.names)})", product, unit)
 
@@ -624,8 +636,8 @@ def build_drinfeld_double_dual(group: Group) -> BialgebraSpec:
             for y in G.names
         )
 
-    def counit(key: BasisKey) -> Fraction:
-        return Fraction(1) if key.payload[1] == G.identity else Fraction(0)
+    def counit(key: BasisKey) -> int:
+        return 1 if key.payload[1] == G.identity else 0
 
     coalg = CoalgebraSpec(f"double*({len(G.names)})", keys, delta, counit, lambda k: 0)
 
@@ -636,7 +648,7 @@ def build_drinfeld_double_dual(group: Group) -> BialgebraSpec:
             return FormalSum.zero()
         return FormalSum.basis(dkey(G.mul(g, h), x))
 
-    unit = FormalSum({dkey(G.identity, x): Fraction(1) for x in G.names}, _clean=True)
+    unit = FormalSum({dkey(G.identity, x): 1 for x in G.names}, _clean=True)
     alg = AlgebraSpec(f"double*({len(G.names)})", product, unit)
 
     def closed_antipode(key: BasisKey) -> FormalSum:

@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError
@@ -344,10 +343,10 @@ def graph_product(k1: BasisKey, k2: BasisKey) -> FormalSum:
     return FormalSum.basis(graph_class_key(sizes, edges, blocks, mode))
 
 
-def graph_counit(key: BasisKey) -> Fraction:
+def graph_counit(key: BasisKey) -> int:
     _, sizes, edges, blocks = key.payload
     ok = not edges and all(len(b) == 1 for b in blocks)
-    return Fraction(1) if ok else Fraction(0)
+    return 1 if ok else 0
 
 
 def graph_grading(key: BasisKey) -> int:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import bisect
 import random
 import threading
-from fractions import Fraction
 
 from .errors import (
     ConfigurationError,
@@ -261,7 +260,7 @@ def finite_convolution_inverse(f: ConvMap, B: BialgebraSpec) -> ConvMap:
         eps = C.counit(k)
         for o, c in unit:
             if eps:
-                rhs[(k, o)] = rhs.get((k, o), Fraction(0)) + eps * c
+                rhs[(k, o)] = rhs.get((k, o), 0) + eps * c
         for (a, b), c in C.delta(k):
             fb = f(b)
             if fb.is_zero():
@@ -271,16 +270,16 @@ def finite_convolution_inverse(f: ConvMap, B: BialgebraSpec) -> ConvMap:
                 for o, co in prod:
                     row = rows.setdefault((k, o), {})
                     j = col(a, m)
-                    row[j] = row.get(j, Fraction(0)) + c * co
+                    row[j] = row.get(j, 0) + c * co
     row_keys = sorted(set(rows) | set(rhs), key=lambda ko: (ko[0], ko[1]))
     matrix = [rows.get(ko, {}) for ko in row_keys]
-    vector = [rhs.get(ko, Fraction(0)) for ko in row_keys]
+    vector = [rhs.get(ko, 0) for ko in row_keys]
     solution = solve_sparse(matrix, vector)
     if solution is None:
         raise MathError(f"{f.name} has no convolution inverse on {C.name}")
     values: dict = {k: {} for k in keys}
     for (a, m), idx in col_index.items():
-        v = solution.get(idx, Fraction(0))
+        v = solution.get(idx, 0)
         if v:
             values[a][m] = v
     table = {k: FormalSum(values[k]) for k in keys}

@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over the ground field.
 
-Rows are dicts column-index -> coefficient.  Used for the finite-dimensional
-convolution-inverse solve and for kernel computations (full skew-primitive
-subspaces on truncated coalgebras).  Elimination keeps rows sparse by always
-pivoting on the shortest available row.
+Rows are dicts column-index -> coefficient; the solvers copy them with every
+entry made a ``Fraction``, so pivot division stays exact.  Used for the
+finite-dimensional convolution-inverse solve and for kernel computations
+(full skew-primitive subspaces on truncated coalgebras).  Elimination keeps
+rows sparse by always pivoting on the shortest available row.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def solve_sparse(rows: list[dict], rhs: list):
 
     Free variables are set to zero.  Inconsistent systems return None.
     """
-    rows = [dict(r) for r in rows]
+    rows = [{c: Fraction(v) for c, v in r.items()} for r in rows]
     rhs = list(rhs)
     pivots = _eliminate(rows, rhs)
     pivot_rows = {i for i, _ in pivots}
@@ -78,7 +79,7 @@ def solve_sparse(rows: list[dict], rhs: list):
 
 def nullspace_sparse(rows: list[dict], columns: list) -> list[dict]:
     """Basis of the kernel of the sparse matrix, over the given column set."""
-    rows = [dict(r) for r in rows]
+    rows = [{c: Fraction(v) for c, v in r.items()} for r in rows]
     pivots = _eliminate(rows, None)
     pivot_cols = {c for _, c in pivots}
     col_of_pivot = {c: i for i, c in pivots}

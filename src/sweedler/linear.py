@@ -23,7 +23,6 @@ is complete.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .scalars import render_scalar
@@ -236,13 +235,13 @@ class FormalSum(_SparseSum):
     __slots__ = ()
 
     @classmethod
-    def basis(cls, key: BasisKey, coeff=Fraction(1)) -> "FormalSum":
+    def basis(cls, key: BasisKey, coeff=1) -> "FormalSum":
         if not coeff:
             return cls.zero()
         return cls({key: coeff}, _clean=True)
 
     def coeff(self, key: BasisKey):
-        return self.terms.get(key, Fraction(0))
+        return self.terms.get(key, 0)
 
     def map_keys(self, fn: Callable[[BasisKey], "FormalSum"]) -> "FormalSum":
         """Linear extension of a key-to-sum map."""
@@ -299,7 +298,7 @@ class TensorSum(_SparseSum):
     __slots__ = ()
 
     @classmethod
-    def pure(cls, left: BasisKey, right: BasisKey, coeff=Fraction(1)) -> "TensorSum":
+    def pure(cls, left: BasisKey, right: BasisKey, coeff=1) -> "TensorSum":
         if not coeff:
             return cls.zero()
         return cls({(left, right): coeff}, _clean=True)
@@ -311,14 +310,14 @@ class TensorSum(_SparseSum):
         for item in pairs:
             if len(item) == 2:
                 a, b = item
-                c = Fraction(1)
+                c = 1
             else:
                 a, b, c = item
             _addto(out, (a, b), c)
         return cls(out, _clean=True)
 
     def coeff(self, left: BasisKey, right: BasisKey):
-        return self.terms.get((left, right), Fraction(0))
+        return self.terms.get((left, right), 0)
 
     def flip(self) -> "TensorSum":
         return TensorSum({(b, a): c for (a, b), c in self.terms.items()}, _clean=True)

@@ -1,7 +1,10 @@
 """Exact ground-field scalars.
 
-The engine works over the rationals, represented by :class:`fractions.Fraction`
-(always in lowest terms with positive denominator).  GF(p) elements
+The engine works over the rationals.  Coefficients are ``int`` until a
+division needs a :class:`fractions.Fraction`: every division of coefficients
+goes through :func:`quotient`, which keeps an integral quotient an ``int``.
+Only ``renorm.LaurentPoly``, parsed user rationals and :mod:`sweedler.linalg`
+hold ``Fraction`` throughout.  GF(p) elements
 (:class:`Fp`, :class:`PrimeField`) implement the same arithmetic operators,
 so they work as coefficients of formal sums and in dual-algebra products
 (:func:`sweedler.specs.dual_algebra_product`).  The engine is not
@@ -97,8 +100,17 @@ class PrimeField:
         return None if not c else c.inverse()
 
 
+def quotient(a, b):
+    """Exact ``a / b``: an ``int`` when the quotient is integral (``int / int``
+    would give a float), a ``Fraction`` otherwise."""
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
 def render_scalar(c) -> str:
     """Canonical text for a coefficient: ``p/q`` with ``/q`` omitted when q=1."""
+    if isinstance(c, float):
+        raise TypeError(f"floating-point coefficient {c!r}")
     if isinstance(c, Fraction):
         if c.denominator == 1:
             return str(c.numerator)

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from .errors import ConfigurationError, UnsupportedError
 from .linear import BasisKey, FormalSum, TensorSum, _addto, _iadd
+from .scalars import quotient, render_scalar
 
 
 class CoalgebraSpec:
@@ -39,7 +39,7 @@ class CoalgebraSpec:
         name: str,
         keys,
         delta: Callable[[BasisKey], TensorSum],
-        counit: Callable[[BasisKey], Fraction],
+        counit: Callable[[BasisKey], int],
         grading: Callable[[BasisKey], int],
         finite_universe: bool = True,
     ):
@@ -59,11 +59,11 @@ class CoalgebraSpec:
             self._delta_memo[key] = out
         return out
 
-    def counit(self, key: BasisKey) -> Fraction:
+    def counit(self, key: BasisKey) -> int:
         return self._counit(key)
 
-    def counit_sum(self, s: FormalSum) -> Fraction:
-        return sum((c * self._counit(k) for k, c in s), Fraction(0))
+    def counit_sum(self, s: FormalSum):
+        return sum((c * self._counit(k) for k, c in s), 0)
 
     def delta_sum(self, s: FormalSum) -> TensorSum:
         out: dict = {}
@@ -113,15 +113,15 @@ class AlgebraSpec:
         unit = self.unit
         if len(v) == len(unit) and len(unit) > 0:
             k0, c0 = next(iter(unit))
-            ratio = v.coeff(k0) / c0 if c0 else None
+            ratio = quotient(v.coeff(k0), c0) if c0 else None
             if ratio and v == unit.scale(ratio):
-                return unit.scale(1 / ratio)
+                return unit.scale(quotient(1, ratio))
         if len(v) == 1:
             (k, c), = v
             inv = self.key_inverse(k) if self.key_inverse else None
             if inv is not None and self.product(k, inv) == unit \
                     and self.product(inv, k) == unit:
-                return FormalSum.basis(inv, 1 / c)
+                return FormalSum.basis(inv, quotient(1, c))
         return None
 
     def render(self, v: FormalSum) -> str:
@@ -220,10 +220,10 @@ class RationalTarget:
     name = "QQ"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def scale(self, c, a):
         return c * a
@@ -235,11 +235,9 @@ class RationalTarget:
         return acc + (c * a if b is None else c * a * b)
 
     def try_inverse(self, v):
-        return None if v == 0 else 1 / v
+        return None if v == 0 else quotient(1, v)
 
     def render(self, v):
-        from .scalars import render_scalar
-
         return render_scalar(v)
 
 
@@ -406,9 +404,9 @@ def validate_coalgebra(C: CoalgebraSpec, max_degree: int | None = None) -> Valid
             eb = C.counit(b)
             if eb:
                 _addto(right, a, c * eb)
-        if left != {k: Fraction(1)}:
+        if left != {k: 1}:
             report.fail(k, "left counit law fails")
-        if right != {k: Fraction(1)}:
+        if right != {k: 1}:
             report.fail(k, "right counit law fails")
         if C.grading(k) == 0:
             for (a, b), _ in C.delta(k):

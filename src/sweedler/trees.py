@@ -39,7 +39,6 @@ forest.  Example: the cherry is ``v(v(.)v(.))``.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .errors import InputError
 from .linear import BasisKey, FormalSum, TensorSum, register_literal
@@ -399,8 +398,8 @@ def forest_product(k1: BasisKey, k2: BasisKey) -> FormalSum:
     return FormalSum.basis(_forest(mode, trees))
 
 
-def forest_counit(key: BasisKey) -> Fraction:
-    return Fraction(1) if all(t == LINE for t in key.payload[1:]) else Fraction(0)
+def forest_counit(key: BasisKey) -> int:
+    return 1 if all(t == LINE for t in key.payload[1:]) else 0
 
 
 def forest_grading(key: BasisKey) -> int:

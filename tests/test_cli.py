@@ -124,6 +124,18 @@ def test_internal_error_exits_3_without_traceback(monkeypatch):
     assert "Traceback" not in err
 
 
+def test_float_coefficient_exits_3(monkeypatch):
+    import sweedler.trees
+    from sweedler.linear import TensorSum
+
+    monkeypatch.setattr(sweedler.trees, "tree_coproduct",
+                        lambda key: TensorSum.pure(key, key, 0.5))
+    code, out, err = _run_cli_stderr(["coproduct", "--tree", "v(.)"])
+    assert code == 3
+    assert out == b""
+    assert err == "internal error: TypeError: floating-point coefficient 0.5\n"
+
+
 def test_grouplike_gate_exit_code():
     bad = json.dumps({"rules": {"vertex": "z^-1", "grouplike": "1+z"}})
     code, _ = run_cli(["inverse", "--bialgebra", "trees", "--character", bad,

@@ -231,6 +231,18 @@ def test_word_coproduct_length_one():
     assert goncharov_coproduct(w) == expected
 
 
+def test_equal_word_keys_are_one_object():
+    w = word_key("a", ("b", "c"), "d")
+    assert word_key("a", iter("bc"), "d") is w
+    v = word_key("a", (), "b")
+    assert word_product_key([w, v]) is word_product_key([v, w])
+    assert word_product_key([w]) is w
+    # the coproduct emits the same objects
+    left, right = goncharov_coproduct(word_key("a", ("b",), "c")).sorted_terms()[0][0]
+    assert left is word_key("a", (), "c")
+    assert right is word_key("a", ("b",), "c")
+
+
 def test_empty_word_grouplike():
     w = word_key("a", (), "b")
     assert goncharov_coproduct(w) == TensorSum.pure(w, w)

@@ -133,6 +133,15 @@ def test_render_contract():
 def test_render_scalar():
     assert render_scalar(Fraction(3)) == "3"
     assert render_scalar(Fraction(-1, 2)) == "-1/2"
+    assert render_scalar(3) == "3"
+
+
+def test_render_scalar_refuses_float():
+    # a float coefficient is a leak out of exact arithmetic, never a value
+    with pytest.raises(TypeError):
+        render_scalar(0.5)
+    with pytest.raises(TypeError):
+        FormalSum({BasisKey("a", (1,)): 2.0}).render()
 
 
 def test_tensor_sum_basics():
