@@ -393,9 +393,9 @@ register_literal(
 )
 
 
-# Interned word and product keys, so equal keys are one object.  A word
-# payload starts with a letter and a product payload with a word payload,
-# so one table keyed by payload holds both kinds.
+# Word and product keys by payload, looked up before a key is built.  A
+# word payload starts with a letter and a product payload with a word
+# payload, so one table holds both kinds.
 _WORDS: dict = {}
 
 

@@ -11,10 +11,10 @@ only, which is sound because attributes are isomorphism-invariant (and the
 test suite cross-checks against the all-permutations brute force).
 
 ``graph_class_key`` canonicalises each distinct labelled input once (the
-memo is pure: a result depends on its input alone) and interns the result by
-canonical payload, so equal classes are the same ``BasisKey`` object and
-dict lookups keyed by them hit on identity.  Inputs that fail a check raise
-every time and are never memoised.
+memo is pure: a result depends on its input alone).  Equal classes are the
+same ``BasisKey`` object, as every key is; ``_INTERNED`` maps a canonical
+payload to its key, so a class met again skips the key encoding.  Inputs
+that fail a check raise every time and are never memoised.
 
 In connected mode every target group must be connected by its ghost edges
 (mergers are forbidden) and the partition is forced to the edge components;
@@ -125,7 +125,7 @@ def graph_class_key(sizes, edges, blocks, mode: str) -> BasisKey:
     )
 
 
-# Canonical payload -> the one BasisKey handed out for that class.
+# Canonical payload -> its BasisKey, looked up before a key is built.
 _INTERNED: dict = {}
 
 
@@ -164,7 +164,10 @@ def _class_key(sizes, edges, blocks, mode: str) -> BasisKey:
         if comps != sorted(tuple(sorted(blk)) for blk in blocks):
             raise InputError("connected mode: target groups must be edge components")
     payload = (mode,) + _canonical(sizes, edges, blocks)
-    return _INTERNED.setdefault(payload, BasisKey("graph", payload))
+    key = _INTERNED.get(payload)
+    if key is None:
+        key = _INTERNED.setdefault(payload, BasisKey("graph", payload))
+    return key
 
 
 def identity_class(sizes, mode: str) -> BasisKey:

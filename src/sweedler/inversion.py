@@ -280,8 +280,8 @@ def finite_convolution_inverse(f: ConvMap, B: BialgebraSpec) -> ConvMap:
     values: dict = {k: {} for k in keys}
     for (a, m), idx in col_index.items():
         v = solution.get(idx, 0)
-        if v:
-            values[a][m] = v
+        if v:  # a Fraction from linalg; integral values become int
+            values[a][m] = v.numerator if v.denominator == 1 else v
     table = {k: FormalSum(values[k]) for k in keys}
     inv = ConvMap(C, T, lambda k: table[k], name=f"{f.name}^-1")
     eta_eps = convolution_unit(C, T)

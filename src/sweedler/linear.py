@@ -7,6 +7,14 @@ basis elements always carry byte-identical encodings, and the byte encoding
 induces the deterministic total order used everywhere (term sorting, golden
 rendering, sweep order).
 
+Keys are hash-consed (Filliatre and Conchon, 2006): the constructor encodes
+its input once and looks the bytes up in ``_KEYS``, so there is one key
+object per encoding.  Equal keys are identical, and keys hash and compare
+with the C-level identity defaults.  ``_KEYS`` is filled with
+``dict.setdefault``, so threads that build the same key at once still share
+one object.  Family tables (``graphs._INTERNED``, ``trees._FORESTS``,
+``gallery._WORDS``) are caches in front of it that skip the encoding.
+
 One private core, ``_SparseSum``, underlies every sum type: a term dict that
 never stores a zero coefficient, so equality of sums is plain map equality
 within one type.  It owns construction, ``zero``, ``is_zero``, iteration,
@@ -29,42 +37,41 @@ from .scalars import render_scalar
 
 Payload = object  # nested tuples of int/str
 
+# encoding -> the one BasisKey with those bytes
+_KEYS: dict = {}
+
 
 class BasisKey:
-    """A canonical basis element: a family tag plus a structured payload."""
+    """A canonical basis element: a family tag plus a structured payload.
 
-    __slots__ = ("tag", "payload", "_enc", "_hash")
+    Keys are hash-consed by their encoding: ``BasisKey(tag, payload)``
+    hands back the one object stored for those bytes, so equal keys are
+    identical and compare and hash by identity.
+    """
 
-    def __init__(self, tag: str, payload=()):
-        self.tag = tag
-        self.payload = payload
-        self._enc = None
-        self._hash = hash((tag, payload))
+    __slots__ = ("tag", "payload", "_enc")
 
-    def __eq__(self, other) -> bool:
-        # The encoding is injective, and comparing bytes takes payloads of
-        # any depth, where tuple == recurses.
-        return self is other or (
-            isinstance(other, BasisKey)
-            and self._hash == other._hash
-            and self.tag == other.tag
-            and self.encoded() == other.encoded()
-        )
+    def __new__(cls, tag: str, payload=()):
+        enc = b"k" + _encode_atom(tag) + _encode_atom(payload)
+        key = _KEYS.get(enc)
+        if key is None:
+            key = object.__new__(cls)
+            key.tag, key.payload, key._enc = tag, payload, enc
+            key = _KEYS.setdefault(enc, key)
+        return key
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):  # a copy or an unpickled key is the stored one
+        return BasisKey, (self.tag, self.payload)
 
     def encoded(self) -> bytes:
         """Canonical byte encoding; injective and order-defining."""
-        if self._enc is None:
-            self._enc = b"k" + _encode_atom(self.tag) + _encode_atom(self.payload)
         return self._enc
 
     def __lt__(self, other: "BasisKey") -> bool:
-        return self.encoded() < other.encoded()
+        return self._enc < other._enc
 
     def __le__(self, other: "BasisKey") -> bool:
-        return self.encoded() <= other.encoded()
+        return self._enc <= other._enc
 
     def __repr__(self) -> str:
         return f"BasisKey({self.tag!r}, {self.payload!r})"
@@ -252,7 +259,7 @@ class FormalSum(_SparseSum):
         return FormalSum(out, _clean=True)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].encoded())
+        return sorted(self.terms.items(), key=lambda kv: kv[0]._enc)
 
     @staticmethod
     def _term_text(key: BasisKey, c) -> str:
@@ -340,7 +347,7 @@ class TensorSum(_SparseSum):
     def sorted_terms(self):
         return sorted(
             self.terms.items(),
-            key=lambda kv: (kv[0][0].encoded(), kv[0][1].encoded()),
+            key=lambda kv: (kv[0][0]._enc, kv[0][1]._enc),
         )
 
     @staticmethod

@@ -128,10 +128,14 @@ class AlgebraSpec:
         return v.render()
 
     def product(self, a: BasisKey, b: BasisKey) -> FormalSum:
-        out = self._memo.get((a, b))
+        # memo[a][b]: two identity-hashed lookups, no pair tuple to build
+        row = self._memo.get(a)
+        if row is None:
+            row = self._memo.setdefault(a, {})
+        out = row.get(b)
         if out is None:
             out = self._product(a, b)
-            self._memo[(a, b)] = out
+            row[b] = out
         return out
 
     def mul(self, s1: FormalSum, s2: FormalSum) -> FormalSum:
@@ -458,11 +462,12 @@ def validate_bialgebra(B: BialgebraSpec, sample_budget: int = 200, seed: int = 0
         report.fail("1", "eps(1) != 1")
 
     if exhaustive_degree is not None:
+        deg = {k: C.grading(k) for k in C.keys}
         pairs = [
             (a, b)
             for a in C.keys
             for b in C.keys
-            if C.grading(a) + C.grading(b) <= exhaustive_degree
+            if deg[a] + deg[b] <= exhaustive_degree
         ]
     else:
         keys = list(C.keys)

@@ -159,16 +159,19 @@ def _forest(mode: str, trees) -> BasisKey:
     sig = (mode, *map(id, trees))
     key = _FORESTS.get(sig)
     if key is None:
-        new = BasisKey("forest", (mode,) + tuple(trees))
-        _OWN.add(id(new))
-        key = _FORESTS.setdefault(sig, new)
-        if key is not new:
-            _OWN.discard(id(new))
+        payload = (mode,) + tuple(trees)
+        key = BasisKey("forest", payload)
+        # the one key of this encoding; if it was decoded first, its payload
+        # holds raw trees, so hand it the equal interned ones
+        key.payload = payload
+        _OWN.add(id(key))
+        key = _FORESTS.setdefault(sig, key)
     return key
 
 
 def _own(key: BasisKey) -> BasisKey:
-    """The interned key equal to ``key``; a key built elsewhere is interned."""
+    """``key`` with interned trees; a key decoded before the trees code
+    built it gets them here."""
     if id(key) in _OWN:
         return key
     return forest_key(key.payload[1:], key.payload[0])

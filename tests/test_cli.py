@@ -5,8 +5,22 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cli_cases import CASES, CHAR_VERTEX, GOLDEN_DIR, run_cli
+from cli_cases import (
+    CASES,
+    CHAR_EDGE,
+    CHAR_GROUPLIKE,
+    CHAR_VERTEX,
+    GOLDEN_DIR,
+    GRAPH_EDGE,
+    GRAPH_MERGER,
+    POSET,
+    QUIVER,
+    WORD1,
+    run_cli,
+)
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
@@ -150,3 +164,88 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN_DIR / "entry-point.txt").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The exit contract under fuzzing
+
+_FIELDS = ("vertices", "edges", "name", "src", "tgt", "elements", "covers",
+           "corollas", "flags", "merge", "left", "letters", "right", "rules",
+           "vertex", "edge", "grouplike")
+_atoms = (st.none() | st.booleans() | st.integers(-3, 3)
+          | st.floats(allow_nan=False, allow_infinity=False)
+          | st.text(alphabet="abuv.z^-1+", max_size=4))
+_docs = st.recursive(
+    _atoms,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=10,
+)
+# documents are valid ones, JSON objects, lists, scalars, or text that is
+# not JSON at all
+_doc_text = (st.sampled_from([QUIVER, POSET, GRAPH_EDGE, GRAPH_MERGER, WORD1,
+                              CHAR_VERTEX, CHAR_GROUPLIKE, CHAR_EDGE])
+             | st.dictionaries(st.sampled_from(_FIELDS), _docs, max_size=4).map(json.dumps)
+             | _docs.map(json.dumps) | st.text(alphabet="{}[]\":,ab1 ", max_size=8))
+_literal = st.text(alphabet="v().,|1ab ", max_size=10)
+_small = st.integers(-1, 2).map(str)
+_bialgebra = st.sampled_from(["trees", "graphs", "graphs-nc", "double-z2", "double-z3",
+                              "nonesuch"])
+_quotient = st.sampled_from(["normalized", "commutator", "central", "nonesuch"])
+_common = {"--truncation": _small, "--seed": _small,
+           "--format": st.sampled_from(["text", "json"]),
+           "--mode": st.sampled_from(["planar", "symmetric"])}
+_universe = {"--bialgebra": _bialgebra, "--quiver": _doc_text, "--poset": _doc_text,
+             "--words": _literal}
+_OPTIONS = {
+    "coproduct": {"--tree": _literal, "--graph": _doc_text, "--nonconnected": None,
+                  "--word": _doc_text, "--quiver": _doc_text, "--path": _literal,
+                  "--poset": _doc_text, "--interval": _literal},
+    "antipode": {"--bialgebra": _bialgebra, "--quotient": _quotient, "--qdeform": None,
+                 "--laurent": None, "--key": _literal},
+    "inverse": {"--bialgebra": _bialgebra, "--character": _doc_text, "--quotient": _quotient},
+    "birkhoff": {"--bialgebra": _bialgebra, "--character": _doc_text},
+    "quotient": {"--bialgebra": _bialgebra, "--kind": _quotient},
+    "qdeform": {"--bialgebra": _bialgebra, "--laurent": None},
+    "coaction": {"--bialgebra": _bialgebra},
+    "filtration": _universe,
+    "structure": _universe,
+    "check": {"--suite": st.sampled_from(["coassoc", "rb", "nonesuch", ""])},
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = {**_OPTIONS[command], **_common}
+    flags = draw(st.lists(st.sampled_from(sorted(options)), max_size=4, unique=True))
+    # a missing --character or --suite leaves only argparse to answer, and
+    # the default truncation of 4 makes some universes take seconds
+    for flag in ("--character", "--suite", "--truncation"):
+        if flag in options and flag not in flags:
+            flags.append(flag)
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if options[flag] is not None:
+            argv.append(draw(options[flag]))
+    if draw(st.integers(0, 3)) == 3:  # a stray token: an unknown option or a word
+        argv.insert(draw(st.integers(1, len(argv))), draw(_literal | st.just("--bogus")))
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_argvs())
+def test_exit_contract_under_fuzzing(argv):
+    # 0 success, 1 only with a MathError line, 2 bad input, 3 internal error;
+    # no traceback, whatever the arguments and documents
+    err = io.StringIO()
+    try:
+        code, _ = run_cli(argv, stderr=err)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    text = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert text.startswith("mathematical obstruction: ")
+    assert "Traceback" not in text

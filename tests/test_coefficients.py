@@ -84,6 +84,15 @@ def test_connected_antipodes_are_int(fixture, request):
     _assert_ints((c for k in Q.keys for _, c in S(k)), "antipode")
 
 
+@pytest.mark.parametrize("build", [build_drinfeld_double, build_drinfeld_double_dual])
+def test_finite_solve_antipodes_are_int(build):
+    # the doubles are not connected: their antipode comes from the exact
+    # sparse solve, whose integral solution values must come back as int
+    B = build(symmetric_group_3())
+    S = antipode(B)
+    _assert_ints((c for k in B.keys for _, c in S(k)), "antipode")
+
+
 def test_quotient_is_exact_and_int_when_integral():
     for a, b, q in [(1, 1, 1), (6, 3, 2), (-3, 3, -1), (3, -3, -1),
                     (Fraction(4), 2, 2), (Fraction(3, 2), Fraction(1, 2), 3)]:

@@ -56,15 +56,69 @@ def test_decode_takes_any_depth():
 
 
 def test_deep_keys_compare_without_recursion():
-    # == on two distinct objects with deep payloads compares encodings, not
+    # a decoded deep key is the very key it encodes, so == never walks the
     # nested tuples (which overflow the stack near depth 1000)
     key = ladder(1000)
     back = decode_key(key.encoded())
-    assert back is not key
+    assert back is key
     assert back == key and not back != key
     assert back != ladder(999) and back != decode_key(ladder(999).encoded())
     assert BasisKey("a", (1,)) != BasisKey("b", (1,))
     assert BasisKey("a", (1,)) != (1,)
+
+
+def test_bool_and_int_payloads_are_distinct_keys():
+    # the key table is keyed by encoding, where True and 1 differ
+    assert BasisKey("a", (True,)) is not BasisKey("a", (1,))
+    assert BasisKey("a", (True,)) is BasisKey("a", (True,))
+    assert BasisKey("a", (1,)) is BasisKey("a", (1,))
+
+
+def test_copied_keys_are_the_stored_key():
+    import copy
+    import pickle
+
+    key = BasisKey("a", ("x", (1, True)))
+    assert copy.copy(key) is key and copy.deepcopy(key) is key
+    assert pickle.loads(pickle.dumps(key)) is key
+
+
+def test_keys_interned_across_threads():
+    # four threads build the same never-seen keys of a family no module
+    # interns for itself, in rounds that start together; each encoding must
+    # give all of them one object
+    import sys
+    import threading
+
+    payloads = [(r, i, ("x",) * (i % 5)) for r in range(6) for i in range(500)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        barrier = threading.Barrier(4, timeout=30)
+        errors = []
+        results = [[] for _ in range(4)]
+
+        def work(t):
+            try:
+                for r in range(6):
+                    barrier.wait()
+                    batch = payloads[r * 500:(r + 1) * 500]
+                    results[t].extend(BasisKey("thr", p) for p in batch)
+            except Exception as exc:  # any error fails the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not errors
+    for i, p in enumerate(payloads):
+        key = BasisKey("thr", p)
+        assert all(r[i] is key for r in results)
 
 
 @pytest.mark.parametrize("buf", [

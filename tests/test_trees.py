@@ -262,6 +262,29 @@ def test_deep_trees_need_no_python_stack():
     assert pair is forest_key((short, long), "s")
 
 
+def test_forest_decoded_before_it_is_built():
+    # a never-seen forest met first as bytes is the key the trees code later
+    # hands out, so that key must carry interned trees for the shape table
+    from sweedler.linear import _encode_atom, decode_key
+
+    def decoded(tree):
+        tree = canonical_tree(tree, "s")  # raw tuples, nothing interned
+        return decode_key(b"k" + _encode_atom("forest") + _encode_atom(("s", tree)))
+
+    fan = ("v",) + (("v",) + (LEAF,) * 13,) * 2
+    first = decoded(fan)  # straight to the shape table
+    assert forest_grading(first) == 3 and forest_leaves(first) == 26
+    assert forest_key((fan,), "s") is first
+    chain = ("v", ("v", ("v",) + (LEAF,) * 17, LEAF), LEAF, LEAF)
+    key = decoded(chain)  # through forest_key first
+    assert forest_key((chain,), "s") is key
+    assert forest_grading(key) == 3 and forest_leaves(key) == 20
+    d = tree_coproduct(key)
+    assert d.coeff(line_forest(1), key) == 1
+    assert d.coeff(key, line_forest(20)) == 1
+    assert d == tree_coproduct(forest_key((chain,), "s"))
+
+
 # ---------------------------------------------------------------------------
 # The shape table against its oracles
 
