@@ -46,21 +46,34 @@ from .structure import analyze_structure, bivariate_filtration, verify_pathlike
 from .trees import build_tree_bialgebra, parse_forest
 
 
-def _load_doc(text: str) -> dict:
-    if text.lstrip().startswith("{"):
-        raw = text
-    else:
-        try:
-            with open(text, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {text}: {exc}") from exc
+_JSON_TYPES = {list: "an array", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _parse_doc(raw: str):
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad JSON document: {exc}") from exc
     except RecursionError:
         raise InputError("JSON document nested too deeply") from None
+
+
+def _load_doc(text: str) -> dict:
+    """An inline JSON object, or else the JSON object in the file ``text``."""
+    try:
+        doc = _parse_doc(text)
+    except InputError:
+        if text.lstrip().startswith(("{", "[")):
+            raise
+        try:
+            with open(text, "r", encoding="utf-8") as fh:
+                doc = _parse_doc(fh.read())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {text}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"the document is {_JSON_TYPES[type(doc)]}, not a JSON object")
+    return doc
 
 
 def _build_bialgebra(args):

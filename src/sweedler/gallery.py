@@ -600,12 +600,10 @@ def build_drinfeld_double(group: Group) -> BialgebraSpec:
 
     coalg = CoalgebraSpec(f"double({len(G.names)})", keys, delta, counit, lambda k: 0)
 
-    def product(k1: BasisKey, k2: BasisKey) -> FormalSum:
+    def product(k1: BasisKey, k2: BasisKey) -> BasisKey | None:
         g, x = k1.payload
         h, y = k2.payload
-        if g != G.conj(x, h):
-            return FormalSum.zero()
-        return FormalSum.basis(double_key(g, G.mul(x, y)))
+        return double_key(g, G.mul(x, y)) if g == G.conj(x, h) else None
 
     unit = FormalSum(
         {double_key(g, G.identity): 1 for g in G.names}, _clean=True
@@ -641,12 +639,10 @@ def build_drinfeld_double_dual(group: Group) -> BialgebraSpec:
 
     coalg = CoalgebraSpec(f"double*({len(G.names)})", keys, delta, counit, lambda k: 0)
 
-    def product(k1: BasisKey, k2: BasisKey) -> FormalSum:
+    def product(k1: BasisKey, k2: BasisKey) -> BasisKey | None:
         g, x = k1.payload
         h, y = k2.payload
-        if x != y:
-            return FormalSum.zero()
-        return FormalSum.basis(dkey(G.mul(g, h), x))
+        return dkey(G.mul(g, h), x) if x == y else None
 
     unit = FormalSum({dkey(G.identity, x): 1 for x in G.names}, _clean=True)
     alg = AlgebraSpec(f"double*({len(G.names)})", product, unit)

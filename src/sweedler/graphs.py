@@ -336,14 +336,15 @@ def graph_coproduct(key: BasisKey) -> TensorSum:
     return TensorSum.of(terms)
 
 
-def graph_product(k1: BasisKey, k2: BasisKey) -> FormalSum:
+def graph_product(k1: BasisKey, k2: BasisKey) -> BasisKey:
+    """The class of the disjoint union of both graphs: never zero."""
     mode, s1, e1, b1 = k1.payload
     _, s2, e2, b2 = k2.payload
     off = len(s1)
     sizes = s1 + s2
     edges = list(e1) + [(a + off, b + off) for a, b in e2]
     blocks = list(b1) + [tuple(c + off for c in blk) for blk in b2]
-    return FormalSum.basis(graph_class_key(sizes, edges, blocks, mode))
+    return graph_class_key(sizes, edges, blocks, mode)
 
 
 def graph_counit(key: BasisKey) -> int:

@@ -332,16 +332,16 @@ class TensorSum(_SparseSum):
     def tensor_mul(self, other: "TensorSum", product) -> "TensorSum":
         """Componentwise product ``(a (x) b)(c (x) d) = ac (x) bd``.
 
-        ``product(k1, k2)`` must return a FormalSum.
+        ``product(k1, k2)`` is the key ``k1*k2`` (coefficient 1) or ``None``.
         """
         out: dict = {}
         for (a, b), c1 in self.terms.items():
             for (x, y), c2 in other.terms.items():
                 left = product(a, x)
-                right = product(b, y)
-                for ka, ca in left.terms.items():
-                    for kb, cb in right.terms.items():
-                        _addto(out, (ka, kb), c1 * c2 * ca * cb)
+                if left is not None:
+                    right = product(b, y)
+                    if right is not None:
+                        _addto(out, (left, right), c1 * c2)
         return TensorSum(out, _clean=True)
 
     def sorted_terms(self):

@@ -390,15 +390,16 @@ def tree_coproduct(key: BasisKey) -> TensorSum:
     return TensorSum.of(terms)
 
 
-def forest_product(k1: BasisKey, k2: BasisKey) -> FormalSum:
+def forest_product(k1: BasisKey, k2: BasisKey) -> BasisKey:
+    """The forest of both keys' trees: disjoint union, never zero."""
     k1, k2 = _own(k1), _own(k2)
     mode = k1.payload[0]
     trees = k1.payload[1:] + k2.payload[1:]
     if k2.payload[0] != mode:  # trees of the other mode are canonicalised
-        return FormalSum.basis(forest_key(trees, mode))
+        return forest_key(trees, mode)
     if mode == "s" and len(trees) > 1:  # merges two sorted runs
         trees = _sorted(trees)
-    return FormalSum.basis(_forest(mode, trees))
+    return _forest(mode, trees)
 
 
 def forest_counit(key: BasisKey) -> int:

@@ -109,6 +109,31 @@ def test_bad_document_fields_are_input_errors(argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc,kind", [("[1]", "an array"), ('"x"', "a string"),
+                                      ("3", "a number")])
+@pytest.mark.parametrize("where", ["inline", "file"])
+@pytest.mark.parametrize("option", [["inverse", "--character"], ["structure", "--quiver"]])
+def test_document_that_is_not_an_object(doc, kind, where, option, tmp_path):
+    # the message names the JSON type, whether the text is inline or in a file
+    if where == "file":
+        path = tmp_path / "doc.json"
+        path.write_text(doc, encoding="utf-8")
+        doc = str(path)
+    code, out, err = _run_cli_stderr([*option, doc])
+    assert code == 2
+    assert out == b""
+    assert err == f"error: the document is {kind}, not a JSON object\n"
+
+
+def test_document_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = _run_cli_stderr(["structure", "--quiver", str(path)])
+    assert code == 2
+    assert out == b""
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
 def test_long_poset_cycle_is_an_input_error():
     # a 1,200-element cover cycle, deeper than the Python stack
     n = 1200

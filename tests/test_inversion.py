@@ -65,7 +65,7 @@ def _normalize(word):
 
 def free_word_target():
     def product(k1, k2):
-        return FormalSum.basis(BasisKey("fw", _normalize(k1.payload + k2.payload)))
+        return BasisKey("fw", _normalize(k1.payload + k2.payload))
 
     unit = FormalSum.basis(BasisKey("fw", ()))
 
@@ -280,7 +280,7 @@ def _group_algebra(group):
     )
     alg = AlgebraSpec(
         coalg.name,
-        lambda a, b: FormalSum.basis(setlike_key(group.mul(a.payload[0], b.payload[0]))),
+        lambda a, b: setlike_key(group.mul(a.payload[0], b.payload[0])),
         FormalSum.basis(setlike_key(group.identity)),
         key_inverse=lambda k: setlike_key(group.inv[k.payload[0]]),
     )

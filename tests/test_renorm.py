@@ -166,8 +166,7 @@ def test_character_eval_on_trees():
 
 def test_character_eval_on_graphs():
     phi = CharacterSpec(LAURENT, {"edge": parse_laurent("z^-1")})
-    two = graph_product(edge_contraction_class(2, 2), loop_contraction_class(2))
-    (key, _), = two
+    key = graph_product(edge_contraction_class(2, 2), loop_contraction_class(2))
     assert phi(key) == parse_laurent("z^-2")
     withloop = CharacterSpec(LAURENT, {"edge": parse_laurent("z^-1"),
                                        "loop": parse_laurent("2z^-1")})

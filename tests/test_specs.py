@@ -32,7 +32,7 @@ def word_target():
     """Free algebra on path/vertex symbols: words under concatenation."""
 
     def product(k1, k2):
-        return FormalSum.basis(BasisKey("w", k1.payload + k2.payload))
+        return BasisKey("w", k1.payload + k2.payload)
 
     return AlgebraSpec("words", product, FormalSum.basis(BasisKey("w", ())))
 
@@ -244,7 +244,7 @@ def test_validate_bialgebra_negative_control(trees_sym4):
     B = trees_sym4
 
     def projecting_product(a, b):
-        return FormalSum.basis(a)
+        return a
 
     broken = BialgebraSpec(
         B.coalgebra,
@@ -252,6 +252,59 @@ def test_validate_bialgebra_negative_control(trees_sym4):
     )
     report = validate_bialgebra(broken, sample_budget=80, seed=3)
     assert not report.ok
+
+
+def test_product_memo_shared_across_threads():
+    # four threads multiply the same never-seen pairs through one spec, in
+    # rounds that start together.  This product hands out a fresh key on
+    # every evaluation, so only the memo's first stored entry can give every
+    # thread the same key for a pair
+    import itertools
+    import sys
+    import threading
+
+    fresh = itertools.count()
+
+    def product(a, b):
+        for _ in range(30):  # a window between the memo miss and its insert
+            pass
+        return BasisKey("thr-ab", next(fresh))
+
+    A = AlgebraSpec("threads", product, FormalSum.basis(BasisKey("thr-a", -1)))
+    pairs = [(BasisKey("thr-a", (r, i % 7)), BasisKey("thr-a", i))
+             for r in range(6) for i in range(300)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        barrier = threading.Barrier(4, timeout=30)
+        errors = []
+        keys = [[] for _ in range(4)]
+        sums = [[] for _ in range(4)]
+
+        def work(t):
+            try:
+                for r in range(6):
+                    barrier.wait()
+                    batch = pairs[r * 300:(r + 1) * 300]
+                    keys[t].extend(A.key_product(a, b) for a, b in batch)
+                    sums[t].extend(A.mul(FormalSum.basis(a), FormalSum.basis(b))
+                                   for a, b in batch[::10])
+            except Exception as exc:  # any error fails the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not errors
+    for i, (a, b) in enumerate(pairs):
+        key = A.key_product(a, b)
+        assert all(k[i] is key for k in keys)
+    assert sums[0] == sums[1] == sums[2] == sums[3]
 
 
 def test_restriction_to_subcoalgebra(two_vertex_complete_paths):
