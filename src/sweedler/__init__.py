@@ -17,8 +17,8 @@ from .errors import (
     SweedlerError,
     UnsupportedError,
 )
-from .linear import BasisKey, FormalSum, TensorSum, decode_key, key_literal
-from .scalars import Fp, PrimeField, render_scalar
+from .linear import BasisKey, FormalSum, TensorSum, key_literal
+from .scalars import render_scalar
 from .specs import (
     AlgebraSpec,
     BialgebraSpec,
@@ -29,7 +29,6 @@ from .specs import (
     conv_maps_equal,
     convolution_unit,
     convolve,
-    dual_algebra_product,
     identity_map,
     validate_bialgebra,
     validate_coalgebra,

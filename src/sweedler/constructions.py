@@ -19,7 +19,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigurationError, UnsupportedError
-from .linear import BasisKey, FormalSum, TensorSum, _addto, key_literal, register_literal
+from .linear import (
+    BasisKey, FormalSum, TensorSum, _addto, _revive, key_literal, register_literal,
+    register_reviver,
+)
 from .specs import (
     AlgebraSpec,
     BialgebraSpec,
@@ -152,6 +155,7 @@ def _q_literal(key: BasisKey) -> str:
 
 
 register_literal("q", _q_literal)
+register_reviver("q", lambda payload: q_key(_revive(*payload[:2]), dict(payload[2])))
 
 
 def split_q_key(key: BasisKey):

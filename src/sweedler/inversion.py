@@ -85,13 +85,8 @@ def _grouplike_inverse(f: ConvMap, key: BasisKey):
     return inv
 
 
-def base_inverse_extension(f: ConvMap) -> ConvMap:
-    """Extend the degree-0 inverse of f by zero on all other basis keys."""
-    _gate_grouplikes(f)
-    return _base_inverse(f)
-
-
 def _base_inverse(f: ConvMap) -> ConvMap:
+    """Extend the degree-0 inverse of f by zero on all other basis keys."""
     C, T = f.source, f.target
 
     def fn(key):

@@ -61,7 +61,7 @@ class BasisKey:
         return key
 
     def __reduce__(self):  # a copy or an unpickled key is the stored one
-        return BasisKey, (self.tag, self.payload)
+        return _revive, (self.tag, self.payload)
 
     def encoded(self) -> bytes:
         """Canonical byte encoding; injective and order-defining."""
@@ -112,56 +112,26 @@ def _encode_into(x, parts: list) -> None:
             stack.pop()
 
 
-def _decode_atom(buf: bytes, pos: int):
-    """Decode the atom at ``pos``; returns (value, end).  Open tuples wait
-    on an explicit stack of (items, length), so any depth decodes."""
-    stack: list = []
-    while True:
-        kind = buf[pos : pos + 1]
-        if kind == b"b":
-            value, pos = buf[pos + 1 : pos + 2] == b"1", pos + 2
-        else:
-            colon = buf.index(b":", pos + 1)
-            n = int(buf[pos + 1 : colon])
-            end = colon + 1 + n
-            if kind == b"i":
-                value, pos = int(buf[colon + 1 : end]), end
-            elif kind == b"s":
-                value, pos = buf[colon + 1 : end].decode(), end
-            elif kind != b"t":
-                raise ValueError(f"bad encoding at byte {pos}")
-            elif n > 0:
-                stack.append(([], n))
-                pos = colon + 1
-                continue
-            else:
-                value, pos = (), colon + 1
-        # close every tuple this value completes
-        while stack and len(stack[-1][0]) + 1 == stack[-1][1]:
-            items, _ = stack.pop()
-            items.append(value)
-            value = tuple(items)
-        if not stack:
-            return value, pos
-        stack[-1][0].append(value)
-
-
-def decode_key(buf: bytes) -> BasisKey:
-    if not buf.startswith(b"k"):
-        raise ValueError("not a key encoding")
-    tag, pos = _decode_atom(buf, 1)
-    payload, pos = _decode_atom(buf, pos)
-    if pos != len(buf):
-        raise ValueError("trailing bytes in key encoding")
-    return BasisKey(tag, payload)
-
-
-# Per-family literal renderers, registered by the modules that own each tag.
+# Per-family literal renderers and constructors, registered by the modules
+# that own each tag.
 _LITERALS: dict[str, Callable[[BasisKey], str]] = {}
+_REVIVERS: dict[str, Callable[[Payload], BasisKey]] = {}
 
 
 def register_literal(tag: str, fn: Callable[[BasisKey], str]) -> None:
     _LITERALS[tag] = fn
+
+
+def register_reviver(tag: str, fn: Callable[[Payload], BasisKey]) -> None:
+    """Rebuild ``tag`` keys from a payload through the family's constructor,
+    so a key unpickled in another interpreter holds the family's interned
+    parts."""
+    _REVIVERS[tag] = fn
+
+
+def _revive(tag: str, payload) -> BasisKey:
+    fn = _REVIVERS.get(tag)
+    return BasisKey(tag, payload) if fn is None else fn(payload)
 
 
 def key_literal(key: BasisKey) -> str:
@@ -219,7 +189,6 @@ class _SparseSum:
         return type(self)(out, _clean=True)
 
     def __neg__(self):
-        # unary minus, not ``-1 * c``: an int times ``Fp`` is undefined
         return type(self)({k: -c for k, c in self.terms.items()}, _clean=True)
 
     def scale(self, c):

@@ -13,7 +13,8 @@ family's basis is a partial monoid.  The spec memoises keys;
 ``mul_into`` makes one dict update per pair of terms.
 
 Convolution maps can land in the bialgebra itself (formal sums), in the
-rationals, or in Laurent polynomials.  An :class:`AlgebraSpec` is its own
+rationals, or in Laurent polynomials; the dual algebra of a coalgebra is
+convolution into :class:`RationalTarget`.  An :class:`AlgebraSpec` is its own
 target; :class:`RationalTarget` and ``renorm.LaurentTarget`` share its
 surface: ``zero``, ``one``, ``scale``, ``mul``, ``accumulate``,
 ``try_inverse`` and ``render``; values compare with ``==``.
@@ -35,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import ConfigurationError, UnsupportedError
+from .errors import ConfigurationError
 from .linear import BasisKey, FormalSum, TensorSum, _addto, _iadd
 from .scalars import quotient, render_scalar
 
@@ -327,35 +328,6 @@ def identity_map(B: BialgebraSpec) -> ConvMap:
 def conv_maps_equal(f: ConvMap, g: ConvMap, keys=None) -> bool:
     keys = f.source.keys if keys is None else keys
     return all(f(k) == g(k) for k in keys)
-
-
-# ---------------------------------------------------------------------------
-# Dual algebra of a finite coalgebra
-
-
-def dual_algebra_product(f: dict, g: dict, C: CoalgebraSpec) -> dict:
-    """Product of functionals on a finite coalgebra: (fg)(c) = (f (x) g)(delta c).
-
-    Functionals are dicts key -> coefficient of the dual basis element.
-    """
-    if not C.finite_universe:
-        raise UnsupportedError("dual algebra needs a finite key universe")
-    out: dict = {}
-    for k in C.keys:
-        val = None  # typed by the coefficient field of the inputs
-        for (a, b), c in C.delta(k):
-            fa = f.get(a)
-            gb = g.get(b)
-            if fa and gb:
-                term = c * fa * gb
-                val = term if val is None else val + term
-        if val is not None and val:
-            out[k] = val
-    return out
-
-
-def counit_functional(C: CoalgebraSpec) -> dict:
-    return {k: C.counit(k) for k in C.keys if C.counit(k)}
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,13 @@ tree's vertex and leaf counts and, once asked for, its cut table (stumps
 interned, branches in canonical order) and, for a top-level tree, its
 literal.  Forest keys are interned by the identities of their trees, so
 equal forests are one :class:`BasisKey` and dict lookups keyed by them hit
-on identity.  Products merge, ``strip_lines`` filters and the coproduct
-reads cut tables: none of them canonicalises.  Tables only grow and every
-insertion is a ``dict.setdefault``, so threads that race on one shape or
-forest still share one object.  The payload of a key is the same nested
-tuple either way, so encodings, term order and rendering do not change.
+on identity; a forest key unpickled in another interpreter is rebuilt
+through :func:`forest_key`.  Products merge, ``strip_lines`` filters and
+the coproduct reads cut tables: none of them canonicalises.  Tables only
+grow and every insertion is a ``dict.setdefault``, so threads that race on
+one shape or forest still share one object.  The payload of a key is the
+same nested tuple either way, so encodings, term order and rendering do not
+change.
 
 Grammar (also the golden rendering): ``|`` bare line, ``v(...)`` vertex,
 ``.`` leaf slot, forest entries joined by commas, ``1`` for the empty
@@ -41,7 +43,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import InputError
-from .linear import BasisKey, FormalSum, TensorSum, register_literal
+from .linear import BasisKey, FormalSum, TensorSum, register_literal, register_reviver
 from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec
 
 LINE = ("|",)
@@ -72,8 +74,6 @@ _SHAPES: dict = {}
 _NODES: dict = {mode: {} for mode in _MODES}
 # (mode, id of each tree, ...) -> the one BasisKey of that forest
 _FORESTS: dict = {}
-# ids of the keys held in _FORESTS
-_OWN: set = set()
 
 for _tree, _literal_text in ((LINE, "|"), (LEAF, ".")):
     _SHAPES[id(_tree)] = _Shape(_tree, None, 0, 1)
@@ -159,22 +159,8 @@ def _forest(mode: str, trees) -> BasisKey:
     sig = (mode, *map(id, trees))
     key = _FORESTS.get(sig)
     if key is None:
-        payload = (mode,) + tuple(trees)
-        key = BasisKey("forest", payload)
-        # the one key of this encoding; if it was decoded first, its payload
-        # holds raw trees, so hand it the equal interned ones
-        key.payload = payload
-        _OWN.add(id(key))
-        key = _FORESTS.setdefault(sig, key)
+        key = _FORESTS.setdefault(sig, BasisKey("forest", (mode,) + tuple(trees)))
     return key
-
-
-def _own(key: BasisKey) -> BasisKey:
-    """``key`` with interned trees; a key decoded before the trees code
-    built it gets them here."""
-    if id(key) in _OWN:
-        return key
-    return forest_key(key.payload[1:], key.payload[0])
 
 
 def _shape(tree) -> _Shape:
@@ -257,6 +243,7 @@ def _forest_literal(key: BasisKey) -> str:
 
 
 register_literal("forest", _forest_literal)
+register_reviver("forest", lambda payload: forest_key(payload[1:], payload[0]))
 
 
 def parse_tree(text: str, pos: int = 0):
@@ -377,7 +364,6 @@ def _chain_cuts(chain, mode: str) -> tuple:
 
 def tree_coproduct(key: BasisKey) -> TensorSum:
     """Stump/branches coproduct of a forest key, multiplicities accumulated."""
-    key = _own(key)
     mode = key.payload[0]
     tables = [_cut_table(t) for t in key.payload[1:]]
     terms = []
@@ -392,7 +378,6 @@ def tree_coproduct(key: BasisKey) -> TensorSum:
 
 def forest_product(k1: BasisKey, k2: BasisKey) -> BasisKey:
     """The forest of both keys' trees: disjoint union, never zero."""
-    k1, k2 = _own(k1), _own(k2)
     mode = k1.payload[0]
     trees = k1.payload[1:] + k2.payload[1:]
     if k2.payload[0] != mode:  # trees of the other mode are canonicalised
@@ -407,11 +392,11 @@ def forest_counit(key: BasisKey) -> int:
 
 
 def forest_grading(key: BasisKey) -> int:
-    return sum(_SHAPES[id(t)].vertices for t in _own(key).payload[1:])
+    return sum(_SHAPES[id(t)].vertices for t in key.payload[1:])
 
 
 def forest_leaves(key: BasisKey) -> int:
-    return sum(_SHAPES[id(t)].leaves for t in _own(key).payload[1:])
+    return sum(_SHAPES[id(t)].leaves for t in key.payload[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +466,6 @@ def all_forest_keys(max_vertices: int, max_leaves: int, mode: str):
 
 def strip_lines(key: BasisKey):
     """Remove bare-line factors; returns (reduced key, {'q': count})."""
-    key = _own(key)
     payload = key.payload
     count = payload.count(LINE)
     if not count:
@@ -514,11 +498,9 @@ def build_tree_bialgebra(max_vertices: int, max_leaves: int | None = None,
     alg = AlgebraSpec(coalg.name, forest_product, FormalSum.basis(unit_key(mode)))
 
     def commutator_sort(key: BasisKey) -> BasisKey:
-        key = _own(key)
         return _forest(mode, _sorted(key.payload[1:])) if mode == "p" else key
 
     def central_sort(key: BasisKey) -> BasisKey:
-        key = _own(key)
         if mode == "s":
             return key
         trees = key.payload[1:]

@@ -17,8 +17,8 @@ from sweedler.gallery import (
 )
 from sweedler.constructions import normalized_quotient, q_deform
 from sweedler.inversion import (
+    _base_inverse,
     antipode,
-    base_inverse_extension,
     convolution_inverse,
     finite_convolution_inverse,
     invert_character,
@@ -172,7 +172,7 @@ def test_antipode_gate_on_raw_trees(trees_sym4):
 def test_grouplike_base_case(trees_sym4_normalized):
     B = trees_sym4_normalized.bialgebra
     ident = identity_map(B)
-    g0 = base_inverse_extension(ident)
+    g0 = _base_inverse(ident)
     unit_key, = B.unit.terms
     assert g0(unit_key) == B.unit
     assert g0(tau(1)).is_zero()

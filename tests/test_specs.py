@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from sweedler.errors import ConfigurationError, UnsupportedError
+from sweedler.errors import ConfigurationError
 from sweedler.gallery import (
     build_path_coalgebra,
     build_setlike_coalgebra,
@@ -20,8 +20,6 @@ from sweedler.specs import (
     ConvMap,
     convolution_unit,
     convolve,
-    counit_functional,
-    dual_algebra_product,
     validate_bialgebra,
     validate_coalgebra,
 )
@@ -159,53 +157,42 @@ def test_character_convolution_multiplicative(trees_sym4):
 # dual algebra
 
 
+def _functional(C, values):
+    """A linear functional on C, given on basis keys: an element of the dual."""
+    return ConvMap(C, RationalTarget(), lambda k: values.get(k, 0))
+
+
+def _values(f):
+    return {k: f(k) for k in f.source.keys if f(k)}
+
+
 def test_dual_setlike_orthogonal_idempotents():
     C = build_setlike_coalgebra(["x", "y", "z"])
-    dx = {setlike_key("x"): Fraction(1)}
-    dy = {setlike_key("y"): Fraction(1)}
-    assert dual_algebra_product(dx, dy, C) == {}
-    assert dual_algebra_product(dx, dx, C) == dx
+    dx = _functional(C, {setlike_key("x"): Fraction(1)})
+    dy = _functional(C, {setlike_key("y"): Fraction(1)})
+    assert _values(convolve(dx, dy)) == {}
+    assert _values(convolve(dx, dx)) == _values(dx)
+    # on a setlike coalgebra the dual product is pointwise
+    f = _functional(C, {setlike_key("x"): 3})
+    g = _functional(C, {setlike_key("x"): 4, setlike_key("y"): 2})
+    assert _values(convolve(f, g)) == {setlike_key("x"): 12}
 
 
 def test_dual_counit_is_unit():
     C = build_setlike_coalgebra(["x", "y", "z"])
-    eps = counit_functional(C)
-    f = {setlike_key("x"): Fraction(2), setlike_key("z"): Fraction(-5, 3)}
-    assert dual_algebra_product(eps, f, C) == f
-    assert dual_algebra_product(f, eps, C) == f
+    eps = convolution_unit(C, RationalTarget())
+    assert _values(eps) == {k: 1 for k in C.keys}
+    f = _functional(C, {setlike_key("x"): Fraction(2), setlike_key("z"): Fraction(-5, 3)})
+    assert _values(convolve(eps, f)) == _values(f)
+    assert _values(convolve(f, eps)) == _values(f)
 
 
 def test_dual_on_single_edge(single_edge_paths):
     C = single_edge_paths
-    dv = {vertex_key("v"): Fraction(1)}
-    de = {path_key(("e",)): Fraction(1)}
-    prod = dual_algebra_product(dv, de, C)
-    assert prod.get(path_key(("e",))) == 1
-
-
-def test_dual_algebra_over_prime_field():
-    # the engine is coefficient-agnostic: a setlike coalgebra over GF(5)
-    from sweedler.scalars import PrimeField
-    from sweedler.gallery import setlike_key
-
-    gf5 = PrimeField(5)
-    keys = [setlike_key(n) for n in "xyz"]
-    C = CoalgebraSpec(
-        "setlike/GF(5)", keys,
-        lambda k: TensorSum.pure(k, k, gf5.one()),
-        lambda k: gf5.one(), lambda k: 0,
-    )
-    f = {setlike_key("x"): gf5.from_int(3)}
-    g = {setlike_key("x"): gf5.from_int(4), setlike_key("y"): gf5.from_int(2)}
-    assert dual_algebra_product(f, g, C) == {setlike_key("x"): gf5.from_int(2)}
-
-
-def test_dual_rejects_infinite_universe(single_edge_paths):
-    C = single_edge_paths
-    lazy = CoalgebraSpec("lazy", C.keys, C.delta, C.counit, C.grading,
-                         finite_universe=False)
-    with pytest.raises(UnsupportedError):
-        dual_algebra_product({}, {}, lazy)
+    dv = _functional(C, {vertex_key("v"): Fraction(1)})
+    de = _functional(C, {path_key(("e",)): Fraction(1)})
+    prod = convolve(dv, de)
+    assert prod(path_key(("e",))) == 1
 
 
 # ---------------------------------------------------------------------------

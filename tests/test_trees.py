@@ -261,27 +261,48 @@ def test_deep_trees_need_no_python_stack():
     assert pair is forest_key((short, long), "s")
 
 
-def test_forest_decoded_before_it_is_built():
-    # a never-seen forest met first as bytes is the key the trees code later
-    # hands out, so that key must carry interned trees for the shape table
-    from sweedler.linear import _encode_atom, decode_key
+_FRESH_CHILD = """
+import json, pickle, sys
+forest, qkey = pickle.loads(sys.stdin.buffer.read())  # before any tree is built
+from sweedler.constructions import q_deform, q_key
+from sweedler.trees import build_tree_bialgebra, forest_grading, parse_forest, tree_coproduct
+literal, base_literal = sys.argv[1:]
+D = q_deform(build_tree_bialgebra(2)).bialgebra  # holds neither base tree
+print(json.dumps([
+    forest_grading(forest), tree_coproduct(forest).render(),
+    forest is parse_forest(literal),
+    D.grading(qkey), D.delta(qkey).render(),
+    qkey is q_key(parse_forest(base_literal), {"q": 2}),
+]))
+"""
 
-    def decoded(tree):
-        tree = canonical_tree(tree, "s")  # raw tuples, nothing interned
-        return decode_key(b"k" + _encode_atom("forest") + _encode_atom(("s", tree)))
 
-    fan = ("v",) + (("v",) + (LEAF,) * 13,) * 2
-    first = decoded(fan)  # straight to the shape table
-    assert forest_grading(first) == 3 and forest_leaves(first) == 26
-    assert forest_key((fan,), "s") is first
-    chain = ("v", ("v", ("v",) + (LEAF,) * 17, LEAF), LEAF, LEAF)
-    key = decoded(chain)  # through forest_key first
-    assert forest_key((chain,), "s") is key
-    assert forest_grading(key) == 3 and forest_leaves(key) == 20
-    d = tree_coproduct(key)
-    assert d.coeff(line_forest(1), key) == 1
-    assert d.coeff(key, line_forest(20)) == 1
-    assert d == tree_coproduct(forest_key((chain,), "s"))
+def test_keys_unpickled_in_a_fresh_interpreter():
+    # the trees code reads shapes by the identity of interned trees, so a
+    # forest key, bare or under a q-deformation, that another interpreter
+    # unpickles before it builds that forest must be rebuilt by its family
+    import json
+    import pickle
+    import subprocess
+    import sys
+
+    from sweedler.constructions import q_deform
+
+    literal, base_literal = "v(v(.)v(..)),v(.)", "v(v(v(.)).)"
+    forest = parse_forest(literal)
+    D = q_deform(build_tree_bialgebra(2))
+    qkey = D.reduce_key(parse_forest(base_literal + ",|,|"))
+    B = D.bialgebra
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_CHILD, literal, base_literal],
+        input=pickle.dumps((forest, qkey)), capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == [
+        4, tree_coproduct(forest).render(), True,
+        3, B.delta(qkey).render(), True,
+    ]
+    assert len(tree_coproduct(forest)) == 10 and len(B.delta(qkey)) == 4
 
 
 # ---------------------------------------------------------------------------
