@@ -20,8 +20,8 @@ from typing import Callable
 
 from .errors import ConfigurationError, UnsupportedError
 from .linear import (
-    BasisKey, FormalSum, TensorSum, _addto, _revive, key_literal, register_literal,
-    register_reviver,
+    BasisKey, FormalSum, TensorSum, _addto, intern_key, key_literal, register_constructor,
+    register_literal,
 )
 from .specs import (
     AlgebraSpec,
@@ -141,7 +141,8 @@ def validate_coideal(q: QuotientSpec, sample_budget: int = 40, seed: int = 0) ->
 
 def q_key(base: BasisKey, exps: dict) -> BasisKey:
     cleaned = tuple(sorted((g, e) for g, e in exps.items() if e))
-    return BasisKey("q", (base.tag, base.payload, cleaned))
+    # BasisKey("q", ...) would come back here through the constructor table
+    return intern_key("q", (base.tag, base.payload, cleaned))
 
 
 def _q_literal(key: BasisKey) -> str:
@@ -155,7 +156,7 @@ def _q_literal(key: BasisKey) -> str:
 
 
 register_literal("q", _q_literal)
-register_reviver("q", lambda payload: q_key(_revive(*payload[:2]), dict(payload[2])))
+register_constructor("q", lambda payload: q_key(BasisKey(*payload[:2]), dict(payload[2])))
 
 
 def split_q_key(key: BasisKey):

@@ -71,8 +71,18 @@ class Quiver:
 def vertex_key(v: str) -> BasisKey:
     return BasisKey("vx", (v,))
 
+
+# Path keys by payload, looked up before a key is built: the path coproduct
+# builds every prefix and suffix key again.
+_PATHS: dict = {}
+
+
 def path_key(edge_names) -> BasisKey:
-    return BasisKey("path", tuple(edge_names))
+    payload = tuple(edge_names)
+    key = _PATHS.get(payload)
+    if key is None:
+        key = _PATHS.setdefault(payload, BasisKey("path", payload))
+    return key
 
 
 def build_path_coalgebra(quiver: Quiver, max_length: int) -> CoalgebraSpec:

@@ -7,13 +7,17 @@ basis elements always carry byte-identical encodings, and the byte encoding
 induces the deterministic total order used everywhere (term sorting, golden
 rendering, sweep order).
 
-Keys are hash-consed (Filliatre and Conchon, 2006): the constructor encodes
-its input once and looks the bytes up in ``_KEYS``, so there is one key
+Keys are hash-consed (Filliatre and Conchon, 2006), so there is one key
 object per encoding.  Equal keys are identical, and keys hash and compare
-with the C-level identity defaults.  ``_KEYS`` is filled with
+with the C-level identity defaults.  A family whose keys must hold its own
+interned parts registers its constructor (``register_constructor``), and
+``BasisKey(tag, payload)`` hands that tag's payloads to it: forest keys are
+interned by their interned trees (``trees._FORESTS``) and carry no bytes
+until ``encoded()`` or the key order first asks for them.  Every other key
+is encoded once by ``intern_key`` and looked up in ``_KEYS``, filled with
 ``dict.setdefault``, so threads that build the same key at once still share
-one object.  Family tables (``graphs._INTERNED``, ``trees._FORESTS``,
-``gallery._WORDS``) are caches in front of it that skip the encoding.
+one object.  Family tables (``graphs._INTERNED``, ``gallery._WORDS``,
+``gallery._PATHS``) are caches in front of it that skip the encoding.
 
 One private core, ``_SparseSum``, underlies every sum type: a term dict that
 never stores a zero coefficient, so equality of sums is plain map equality
@@ -37,47 +41,67 @@ from .scalars import render_scalar
 
 Payload = object  # nested tuples of int/str
 
-# encoding -> the one BasisKey with those bytes
+# encoding -> the one BasisKey with those bytes, for keys built by intern_key
 _KEYS: dict = {}
+# tag -> the family constructor that builds every key of that tag
+_CONSTRUCTORS: dict[str, Callable[[Payload], BasisKey]] = {}
 
 
 class BasisKey:
     """A canonical basis element: a family tag plus a structured payload.
 
-    Keys are hash-consed by their encoding: ``BasisKey(tag, payload)``
-    hands back the one object stored for those bytes, so equal keys are
-    identical and compare and hash by identity.
+    Keys are hash-consed: ``BasisKey(tag, payload)`` hands back the one
+    object stored for that key, so equal keys are identical and compare and
+    hash by identity.  A tag with a registered family constructor is built
+    by it; any other tag is interned by its encoding (``intern_key``).
     """
 
     __slots__ = ("tag", "payload", "_enc")
 
     def __new__(cls, tag: str, payload=()):
-        enc = b"k" + _encode_atom(tag) + _encode_atom(payload)
-        key = _KEYS.get(enc)
-        if key is None:
-            key = object.__new__(cls)
-            key.tag, key.payload, key._enc = tag, payload, enc
-            key = _KEYS.setdefault(enc, key)
-        return key
+        make = _CONSTRUCTORS.get(tag)
+        return intern_key(tag, payload) if make is None else make(payload)
 
-    def __reduce__(self):  # a copy or an unpickled key is the stored one
-        return _revive, (self.tag, self.payload)
+    def __reduce__(self):  # an unpickled key is the stored one
+        return BasisKey, (self.tag, self.payload)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def encoded(self) -> bytes:
         """Canonical byte encoding; injective and order-defining."""
-        return self._enc
+        return self._enc or self._fill()
+
+    def _fill(self) -> bytes:
+        """The bytes of a key built without them, stored on first use.  A
+        family whose constructor defers them overrides this."""
+        raise NotImplementedError(self.tag)
 
     def __lt__(self, other: "BasisKey") -> bool:
-        return self._enc < other._enc
+        return (self._enc or self._fill()) < (other._enc or other._fill())
 
     def __le__(self, other: "BasisKey") -> bool:
-        return self._enc <= other._enc
+        return (self._enc or self._fill()) <= (other._enc or other._fill())
 
     def __repr__(self) -> str:
         return f"BasisKey({self.tag!r}, {self.payload!r})"
 
     def __str__(self) -> str:
         return key_literal(self)
+
+
+def intern_key(tag: str, payload) -> BasisKey:
+    """The one key with the encoding of ``(tag, payload)``, from ``_KEYS``."""
+    enc = b"k" + _encode_atom(tag) + _encode_atom(payload)
+    key = _KEYS.get(enc)
+    if key is None:
+        key = object.__new__(BasisKey)
+        key.tag, key.payload, key._enc = tag, payload, enc
+        key = _KEYS.setdefault(enc, key)
+    return key
 
 
 def _encode_atom(x) -> bytes:
@@ -112,26 +136,19 @@ def _encode_into(x, parts: list) -> None:
             stack.pop()
 
 
-# Per-family literal renderers and constructors, registered by the modules
-# that own each tag.
+# Per-family literal renderers, registered by the modules that own each tag.
 _LITERALS: dict[str, Callable[[BasisKey], str]] = {}
-_REVIVERS: dict[str, Callable[[Payload], BasisKey]] = {}
 
 
 def register_literal(tag: str, fn: Callable[[BasisKey], str]) -> None:
     _LITERALS[tag] = fn
 
 
-def register_reviver(tag: str, fn: Callable[[Payload], BasisKey]) -> None:
-    """Rebuild ``tag`` keys from a payload through the family's constructor,
-    so a key unpickled in another interpreter holds the family's interned
-    parts."""
-    _REVIVERS[tag] = fn
-
-
-def _revive(tag: str, payload) -> BasisKey:
-    fn = _REVIVERS.get(tag)
-    return BasisKey(tag, payload) if fn is None else fn(payload)
+def register_constructor(tag: str, fn: Callable[[Payload], BasisKey]) -> None:
+    """Build every ``tag`` key through the family's constructor, so a key
+    made from a raw payload, or unpickled in another interpreter, holds the
+    family's interned parts.  ``fn`` must not call ``BasisKey(tag, ...)``."""
+    _CONSTRUCTORS[tag] = fn
 
 
 def key_literal(key: BasisKey) -> str:
@@ -228,7 +245,7 @@ class FormalSum(_SparseSum):
         return FormalSum(out, _clean=True)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0]._enc)
+        return sorted(self.terms.items(), key=lambda kv: kv[0].encoded())
 
     @staticmethod
     def _term_text(key: BasisKey, c) -> str:
@@ -316,7 +333,7 @@ class TensorSum(_SparseSum):
     def sorted_terms(self):
         return sorted(
             self.terms.items(),
-            key=lambda kv: (kv[0][0]._enc, kv[0][1]._enc),
+            key=lambda kv: (kv[0][0].encoded(), kv[0][1].encoded()),
         )
 
     @staticmethod

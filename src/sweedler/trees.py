@@ -23,15 +23,21 @@ canonicalised once, from an explicit stack, with no Python recursion; an
 interned tree is never canonicalised again.  Each table entry holds the
 tree's vertex and leaf counts and, once asked for, its cut table (stumps
 interned, branches in canonical order) and, for a top-level tree, its
-literal.  Forest keys are interned by the identities of their trees, so
-equal forests are one :class:`BasisKey` and dict lookups keyed by them hit
-on identity; a forest key unpickled in another interpreter is rebuilt
-through :func:`forest_key`.  Products merge, ``strip_lines`` filters and
-the coproduct reads cut tables: none of them canonicalises.  Tables only
-grow and every insertion is a ``dict.setdefault``, so threads that race on
-one shape or forest still share one object.  The payload of a key is the
-same nested tuple either way, so encodings, term order and rendering do not
-change.
+literal and its encoding.  Forest keys are interned by the identities of
+their trees, so equal forests are one :class:`BasisKey` and dict lookups
+keyed by them hit on identity.  ``forest_key`` is the family constructor:
+``BasisKey("forest", payload)`` and unpickling go through it, so every
+forest key holds interned trees.  A forest key is built without bytes;
+``encoded()`` and the key order join a fixed prefix with the encodings of
+its top-level trees on first use, so a key that nothing orders (such as a
+coproduct factor of a deep ladder) costs only its new structure.  It
+pickles as its literal, parsed back without recursion.  Products merge,
+``strip_lines`` filters and the coproduct reads cut tables: none of them
+canonicalises.  Tables only grow and every insertion is a
+``dict.setdefault``, so threads that race on one shape or forest still
+share one object; racing threads that fill the same bytes store equal ones.
+The payload of a key is the same nested tuple either way, so encodings,
+term order and rendering do not change.
 
 Grammar (also the golden rendering): ``|`` bare line, ``v(...)`` vertex,
 ``.`` leaf slot, forest entries joined by commas, ``1`` for the empty
@@ -43,12 +49,14 @@ from __future__ import annotations
 import itertools
 
 from .errors import InputError
-from .linear import BasisKey, FormalSum, TensorSum, register_literal, register_reviver
+from .linear import (
+    BasisKey, FormalSum, TensorSum, _encode_atom, register_constructor, register_literal,
+)
 from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec
 
 LINE = ("|",)
 LEAF = (".",)
-# deepest vertex nesting a literal may have; the literal parser is recursive
+# deepest vertex nesting a user's literal may have
 MAX_TREE_DEPTH = 200
 _MODES = ("s", "p")
 
@@ -56,7 +64,7 @@ _MODES = ("s", "p")
 class _Shape:
     """One interned tree and what is read off it once."""
 
-    __slots__ = ("tree", "mode", "vertices", "leaves", "cuts", "literal")
+    __slots__ = ("tree", "mode", "vertices", "leaves", "cuts", "literal", "enc")
 
     def __init__(self, tree, mode, vertices: int, leaves: int):
         self.tree = tree
@@ -65,6 +73,7 @@ class _Shape:
         self.leaves = leaves
         self.cuts = None
         self.literal = None
+        self.enc = None
 
 
 # id(interned tree) -> its _Shape.  The tables keep every interned tree
@@ -154,12 +163,39 @@ def _canonical(tree, mode: str):
     return done[id(tree)]
 
 
+class _ForestKey(BasisKey):
+    """A forest key, interned by its trees and built without bytes."""
+
+    __slots__ = ()
+
+    def _fill(self) -> bytes:
+        payload = self.payload
+        self._enc = enc = b"".join((
+            b"ks6:forestt%d:s1:%s" % (len(payload), payload[0].encode()),
+            *map(_tree_bytes, payload[1:]),
+        ))
+        return enc
+
+    def __reduce__(self):  # the literal pickles at any depth
+        return _literal_forest, (_forest_literal(self), self.payload[0])
+
+
+def _tree_bytes(tree) -> bytes:
+    """A forest entry's encoding, kept on its shape once computed."""
+    shape = _SHAPES[id(tree)]
+    if shape.enc is None:
+        shape.enc = _encode_atom(tree)
+    return shape.enc
+
+
 def _forest(mode: str, trees) -> BasisKey:
     """The interned key of interned trees already in canonical order."""
     sig = (mode, *map(id, trees))
     key = _FORESTS.get(sig)
     if key is None:
-        key = _FORESTS.setdefault(sig, BasisKey("forest", (mode,) + tuple(trees)))
+        new = object.__new__(_ForestKey)
+        new.tag, new.payload, new._enc = "forest", (mode,) + tuple(trees), None
+        key = _FORESTS.setdefault(sig, new)
     return key
 
 
@@ -227,9 +263,7 @@ def tree_literal(tree) -> str:
 
 def _top_literal(tree) -> str:
     """A forest entry's literal, kept on its shape once rendered."""
-    shape = _SHAPES.get(id(tree))
-    if shape is None:
-        return tree_literal(tree)
+    shape = _SHAPES[id(tree)]
     if shape.literal is None:
         shape.literal = tree_literal(tree)
     return shape.literal
@@ -243,42 +277,58 @@ def _forest_literal(key: BasisKey) -> str:
 
 
 register_literal("forest", _forest_literal)
-register_reviver("forest", lambda payload: forest_key(payload[1:], payload[0]))
+register_constructor("forest", lambda payload: forest_key(payload[1:], payload[0]))
 
 
 def parse_tree(text: str, pos: int = 0):
-    if pos >= len(text):
-        raise InputError("unexpected end of tree literal")
-    ch = text[pos]
-    if ch == "|":
-        return LINE, pos + 1
-    if ch == ".":
-        return LEAF, pos + 1
-    if text.startswith("v(", pos):
-        pos += 2
-        children = []
-        while pos < len(text) and text[pos] != ")":
-            child, pos = parse_tree(text, pos)
-            if child == LINE:
-                raise InputError("bare line cannot be a child; it is the identity")
-            children.append(child)
+    """The tree whose literal starts at ``pos``, and the position after it.
+
+    Open vertices wait on an explicit stack, so a literal of any depth
+    parses.
+    """
+    open_children = []  # the children read so far of each open vertex
+    while True:
         if pos >= len(text):
-            raise InputError("unbalanced parenthesis in tree literal")
-        if not children:
-            raise InputError("vertices need at least one child")
-        return ("v",) + tuple(children), pos + 1
-    raise InputError(f"unexpected character {ch!r} at position {pos}")
+            if open_children:
+                raise InputError("unbalanced parenthesis in tree literal")
+            raise InputError("unexpected end of tree literal")
+        ch = text[pos]
+        if ch == ")" and open_children:
+            children = open_children.pop()
+            if not children:
+                raise InputError("vertices need at least one child")
+            tree, pos = ("v",) + tuple(children), pos + 1
+        elif ch == "|":
+            tree, pos = LINE, pos + 1
+        elif ch == ".":
+            tree, pos = LEAF, pos + 1
+        elif text.startswith("v(", pos):
+            open_children.append([])
+            pos += 2
+            continue
+        else:
+            raise InputError(f"unexpected character {ch!r} at position {pos}")
+        if not open_children:
+            return tree, pos
+        if tree == LINE:
+            raise InputError("bare line cannot be a child; it is the identity")
+        open_children[-1].append(tree)
 
 
 def parse_forest(text: str, mode: str = "s") -> BasisKey:
     text = text.replace(" ", "")
-    if text in ("", "1"):
-        return unit_key(mode)
     depth = 0
     for ch in text:
         depth += (ch == "(") - (ch == ")")
         if depth > MAX_TREE_DEPTH:
             raise InputError(f"tree literal nested deeper than {MAX_TREE_DEPTH}")
+    return _literal_forest(text, mode)
+
+
+def _literal_forest(text: str, mode: str) -> BasisKey:
+    """The forest key of a literal without spaces, at any depth."""
+    if text in ("", "1"):
+        return unit_key(mode)
     trees = []
     for part in text.split(","):
         tree, end = parse_tree(part)

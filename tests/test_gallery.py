@@ -243,6 +243,17 @@ def test_equal_word_keys_are_one_object():
     assert right is word_key("a", ("b",), "c")
 
 
+def test_equal_path_keys_are_one_object():
+    p = path_key(("a", "b", "c"))
+    assert path_key(iter("abc")) is p and path_key(["a", "b", "c"]) is p
+    # the coproduct emits the same prefix and suffix objects
+    quiver = Quiver(("v",), (("a", "v", "v"), ("b", "v", "v"), ("c", "v", "v")))
+    C = build_path_coalgebra(quiver, 3)
+    pairs = C.delta(p).terms
+    assert (path_key(("a",)), path_key(("b", "c"))) in pairs
+    assert all(a is path_key(a.payload) for pair in pairs for a in pair if a.tag == "path")
+
+
 def test_empty_word_grouplike():
     w = word_key("a", (), "b")
     assert goncharov_coproduct(w) == TensorSum.pure(w, w)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweedler.linear import BasisKey, FormalSum, TensorSum
+from sweedler.linear import BasisKey, FormalSum, TensorSum, _encode_atom
 from sweedler.renorm import LaurentPoly
 from sweedler.scalars import render_scalar
 from sweedler.trees import forest_key, ladder
@@ -73,6 +73,40 @@ def test_deep_payload_reinterns_to_its_key():
     key = ladder(10_000)
     assert forest_key(key.payload[1:], "s") is key
     assert BasisKey("forest", key.payload) is key
+
+
+def _reference_bytes(key):
+    return b"k" + _encode_atom(key.tag) + _encode_atom(key.payload)
+
+
+def test_lazy_bytes_are_the_reference_encoding():
+    # forest keys fill their bytes on first use from per-shape encodings of
+    # their trees; bytes and key order must be those of the whole payload's
+    # encoding, for universe, quotient and q keys and for products that
+    # nothing has sorted yet
+    import random
+
+    from sweedler.constructions import normalized_quotient, q_deform
+    from sweedler.trees import build_tree_bialgebra, forest_product
+
+    rng = random.Random(13)
+    keys = []
+    for mode in ("s", "p"):
+        B = build_tree_bialgebra(5, 5, mode)
+        universe = list(B.keys)
+        keys += universe
+        keys += [forest_product(rng.choice(universe), rng.choice(universe))
+                 for _ in range(2000)]
+        keys += normalized_quotient(B).bialgebra.keys
+        keys += q_deform(B).bialgebra.keys
+    keys = list(dict.fromkeys(keys))
+    rng.shuffle(keys)
+    assert {k.tag for k in keys} == {"forest", "q"}
+    ordered = sorted(keys)  # fills the bytes of the products
+    assert ordered == sorted(keys, key=_reference_bytes)
+    assert all(k.encoded() == _reference_bytes(k) for k in keys)
+    terms = FormalSum({k: 1 for k in keys}).sorted_terms()
+    assert [k for k, _ in terms] == ordered
 
 
 def test_deep_keys_compare_without_recursion():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from sweedler.constructions import normalized_quotient
 from sweedler.errors import InputError
-from sweedler.linear import BasisKey, TensorSum
+from sweedler.linear import BasisKey, TensorSum, _encode_atom
 from sweedler.specs import validate_bialgebra, validate_coalgebra
 from sweedler.structure import find_grouplikes, verify_pathlike
 from sweedler.trees import (
@@ -305,6 +306,60 @@ def test_keys_unpickled_in_a_fresh_interpreter():
     assert len(tree_coproduct(forest)) == 10 and len(B.delta(qkey)) == 4
 
 
+_RAW_CHILD = """
+from sweedler.linear import BasisKey
+from sweedler.trees import forest_grading, parse_forest
+key = BasisKey("forest", ("s", ("v", (".",), (".",), (".",))))  # before the trees code builds it
+print(key is parse_forest("v(...)"), forest_grading(key))
+"""
+
+
+def test_raw_forest_payload_builds_the_family_key():
+    # BasisKey("forest", ...) hands a raw payload to forest_key, so the key
+    # holds interned trees even when nothing built that forest before
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, "-c", _RAW_CHILD], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.split() == [b"True", b"1"]
+
+
+def test_deep_keys_copy_and_pickle():
+    # copies are the key itself, and a forest key pickles as its literal,
+    # so neither walks the nested payload with the interpreter's stack
+    import copy
+    import pickle
+
+    key = ladder(2000)
+    assert copy.copy(key) is key and copy.deepcopy(key) is key
+    assert copy.deepcopy([key, (key,)])[1][0] is key
+    assert pickle.loads(pickle.dumps(key)) is key
+    pair = forest_product(key, parse_forest("v(.),|"))
+    assert pickle.loads(pickle.dumps(pair)) is pair
+
+
+_LADDER_CHILD = """
+import tracemalloc
+tracemalloc.start()
+from sweedler.trees import ladder, tree_coproduct
+print(len(tree_coproduct(ladder(5000))), tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_deep_coproduct_costs_its_new_structure():
+    # no one orders the 10,002 factors of a ladder's coproduct, so they carry
+    # no bytes; with a full encoding per key this peaks near 100 MB
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, "-c", _LADDER_CHILD], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    terms, peak = map(int, proc.stdout.split())
+    assert terms == 5001
+    assert peak < 20 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # The shape table against its oracles
 
@@ -477,3 +532,48 @@ def test_shapes_interned_across_threads():
             for (a, b), _ in results[t][i][1]:
                 assert forest_key(a.payload[1:], "s") is a
                 assert forest_key(b.payload[1:], "s") is b
+
+
+def test_forest_bytes_filled_across_threads():
+    # four threads build, sort and encode the same never-seen forests in
+    # rounds that start together (pairs of corollas of 40 to 99 leaf slots,
+    # which no other test builds); each forest must be one object, and every
+    # thread must read the bytes of the reference encoding
+    import sys
+    import threading
+
+    corollas = [forest_key((("v",) + (LEAF,) * n,), "s").payload[1] for n in range(40, 100)]
+    pairs = list(itertools.combinations_with_replacement(corollas, 2))
+    rounds = [pairs[r::6] for r in range(6)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        barrier = threading.Barrier(4, timeout=30)
+        errors = []
+        results = [[] for _ in range(4)]
+
+        def work(t):
+            try:
+                for batch in rounds:
+                    barrier.wait()
+                    keys = [forest_key(f, "s") for f in batch]
+                    results[t].append((keys, sorted(keys), [k.encoded() for k in keys]))
+            except Exception as exc:  # any error fails the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not errors
+    for r, batch in enumerate(rounds):
+        keys = [forest_key(f, "s") for f in batch]
+        reference = {k: b"k" + _encode_atom(k.tag) + _encode_atom(k.payload) for k in keys}
+        for got, ordered, encs in (res[r] for res in results):
+            assert all(a is b for a, b in zip(got, keys))
+            assert encs == [reference[k] for k in keys]
+            assert ordered == sorted(keys, key=reference.__getitem__)
