@@ -5,6 +5,11 @@ literals), dispatch to the engines, and print canonical renderings: terms
 sorted by key encoding, byte-identical across runs.  Exit codes: 0 success,
 1 mathematical obstruction (e.g. a grouplike without an inverse), 2 input or
 configuration error, 3 internal error (a bug: one line, never a traceback).
+
+Text output is written line by line as it is rendered.  A subcommand
+computes every value it prints before the first byte goes out (the values
+are memoised, so rendering reads them back), so an obstruction exits with
+nothing on stdout.  ``--format json`` builds its one document in full.
 """
 
 from __future__ import annotations
@@ -105,12 +110,21 @@ def _maybe_quotient(B, args):
 
 
 def _emit(lines, fmt: str):
+    """Write ``lines``, an iterable of strings, to stdout.  Text output is
+    written one line at a time as it is rendered, so the whole table is
+    never held as one string; an empty table is one empty line."""
+    out = sys.stdout.buffer
     if fmt == "json":
-        text = json.dumps({"lines": lines}, indent=2, sort_keys=True) + "\n"
+        text = json.dumps({"lines": list(lines)}, indent=2, sort_keys=True) + "\n"
+        out.write(text.encode("utf-8"))
     else:
-        text = "\n".join(lines) + "\n"
-    sys.stdout.buffer.write(text.encode("utf-8"))
-    sys.stdout.buffer.flush()
+        empty = True
+        for line in lines:
+            out.write(f"{line}\n".encode("utf-8"))
+            empty = False
+        if empty:
+            out.write(b"\n")
+    out.flush()
 
 
 def _cmd_coproduct(args) -> int:
@@ -179,14 +193,11 @@ def _cmd_antipode(args) -> int:
         deformed = q_deform(B, laurent=args.laurent, exponent_window=1)
         B = deformed.bialgebra
     S = antipode(B, validate=not args.no_validate)
-    lines = []
-    for k in B.keys:
-        if B.grading(k) > args.truncation:
-            continue
-        if args.key is not None and str(k) != args.key:
-            continue
-        lines.append(f"S({k}) = {S(k).render()}")
-    _emit(lines, args.format)
+    keys = [k for k in B.keys if B.grading(k) <= args.truncation
+            and (args.key is None or str(k) == args.key)]
+    for k in keys:  # every value, so an obstruction comes before any output
+        S(k)
+    _emit((f"S({k}) = {S(k).render()}" for k in keys), args.format)
     return 0
 
 
@@ -195,12 +206,11 @@ def _cmd_inverse(args) -> int:
     B = _maybe_quotient(B, args)
     phi = CharacterSpec.from_doc(_load_doc(args.character))
     inv = invert_character(phi.as_conv_map(B), B)
-    lines = []
-    for k in B.keys:
-        if B.grading(k) > args.truncation:
-            continue
-        lines.append(f"phi^-1({k}) = {inv.target.render(inv(k))}")
-    _emit(lines, args.format)
+    keys = [k for k in B.keys if B.grading(k) <= args.truncation]
+    for k in keys:  # every value, so an obstruction comes before any output
+        inv(k)
+    render = inv.target.render
+    _emit((f"phi^-1({k}) = {render(inv(k))}" for k in keys), args.format)
     return 0
 
 

@@ -10,6 +10,14 @@ kernel ideal is the span of ``k - nf(k)``, so membership of a coproduct in
 the normal form.  The deformed algebras assume the grouplike monoid is free
 on the basic-object classes (true for the tree and graph instances); inputs
 with other relations are rejected rather than guessed at.
+
+A quotient reads its parent's unmemoised maps (``raw_delta``,
+``raw_product``), so only the quotient's own memos fill.  The deformation
+reads the parent's memoised maps: its grouplike scan fills the parent's
+coproduct memo anyway, and one parent product serves every exponent.
+Deformed (``q``) keys are interned by their base key and exponents and
+take their bytes from the base key's on first use, so they cost their new
+structure and pickle through the base key at any depth.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from typing import Callable
 
 from .errors import ConfigurationError, UnsupportedError
 from .linear import (
-    BasisKey, FormalSum, TensorSum, _addto, intern_key, key_literal, register_constructor,
+    BasisKey, FormalSum, TensorSum, _addto, _encode_atom, key_literal, register_constructor,
     register_literal,
 )
 from .specs import (
@@ -41,18 +49,22 @@ class QuotientSpec:
 
 
 def _quotient_bialgebra(B: BialgebraSpec, nf, name: str) -> BialgebraSpec:
+    """The quotient by ``nf``, computed from the parent's unmemoised maps
+    so that only its own memos fill."""
     keys = sorted({nf(k) for k in B.keys})
+    parent_delta = B.coalgebra.raw_delta
+    parent_product = B.algebra.raw_product
 
     def delta(key: BasisKey) -> TensorSum:
         out: dict = {}
-        for (a, b), c in B.delta(key):
+        for (a, b), c in parent_delta(key):
             _addto(out, (nf(a), nf(b)), c)
         return TensorSum(out, _clean=True)
 
     coalg = CoalgebraSpec(name, keys, delta, B.counit, B.grading)
 
     def product(a: BasisKey, b: BasisKey) -> BasisKey | None:
-        k = B.algebra.key_product(a, b)
+        k = parent_product(a, b)
         return None if k is None else nf(k)
 
     unit = B.unit.map_keys(lambda k: FormalSum.basis(nf(k)))
@@ -139,10 +151,37 @@ def validate_coideal(q: QuotientSpec, sample_budget: int = 40, seed: int = 0) ->
 # q-deformation
 
 
+class _QKey(BasisKey):
+    """A deformed key, interned by its base key and exponents and built
+    without bytes.  Its payload is ``(base tag, base payload, exponents)``."""
+
+    __slots__ = ("base",)
+
+    def _fill(self) -> bytes:
+        # the bytes of that payload: the base's encoding after its b"k"
+        self._enc = enc = b"".join((
+            b"ks1:qt3:", self.base.encoded()[1:], _encode_atom(self.payload[2]),
+        ))
+        return enc
+
+    def __reduce__(self):  # pickled through the base key, at any depth
+        return q_key, (self.base, dict(self.payload[2]))
+
+
+# (base key, sorted nonzero exponents) -> the one q key
+_QKEYS: dict = {}
+
+
 def q_key(base: BasisKey, exps: dict) -> BasisKey:
     cleaned = tuple(sorted((g, e) for g, e in exps.items() if e))
-    # BasisKey("q", ...) would come back here through the constructor table
-    return intern_key("q", (base.tag, base.payload, cleaned))
+    sig = (base, cleaned)
+    key = _QKEYS.get(sig)
+    if key is None:
+        new = object.__new__(_QKey)
+        new.tag, new.payload, new._enc = "q", (base.tag, base.payload, cleaned), None
+        new.base = base
+        key = _QKEYS.setdefault(sig, new)
+    return key
 
 
 def _q_literal(key: BasisKey) -> str:
@@ -160,8 +199,7 @@ register_constructor("q", lambda payload: q_key(BasisKey(*payload[:2]), dict(pay
 
 
 def split_q_key(key: BasisKey):
-    tag, payload, exps = key.payload
-    return BasisKey(tag, payload), dict(exps)
+    return key.base, dict(key.payload[2])
 
 
 def _merge_exps(a: dict, b: dict) -> dict:

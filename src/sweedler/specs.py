@@ -12,6 +12,12 @@ family's basis is a partial monoid.  The spec memoises keys;
 ``product`` and ``mul`` are ``FormalSum`` views of that memo, and
 ``mul_into`` makes one dict update per pair of terms.
 
+Each spec caches only what it serves: ``CoalgebraSpec.delta`` and
+``AlgebraSpec.key_product`` are memoised views, and ``raw_delta`` and
+``raw_product`` are the maps they were built from.  A quotient reads its
+parent's raw maps, so its evaluations fill its own memos and never its
+parent's.
+
 Convolution maps can land in the bialgebra itself (formal sums), in the
 rationals, or in Laurent polynomials; the dual algebra of a coalgebra is
 convolution into :class:`RationalTarget`.  An :class:`AlgebraSpec` is its own
@@ -55,6 +61,9 @@ class _Memo(dict):
 
 
 class CoalgebraSpec:
+    """A truncated key universe; ``delta`` reads the spec's memo and
+    ``raw_delta`` is the unmemoised map it was built from."""
+
     def __init__(
         self,
         name: str,
@@ -69,6 +78,7 @@ class CoalgebraSpec:
         self._counit = counit
         self.grading = grading
         self.finite_universe = finite_universe
+        self.raw_delta = delta
         self._delta_memo = _Memo(delta)
         self._key_set = set(self.keys)
 
@@ -98,7 +108,8 @@ class AlgebraSpec:
     """An algebra on a partial monoid of keys: ``product(a, b)`` is the key
     ``a*b`` (coefficient 1) or ``None`` where the product is zero.  ``unit``
     is a sum, of several identities in the doubles.  The spec memoises
-    ``memo[a][b]``; ``product`` and ``mul`` are ``FormalSum`` views."""
+    ``memo[a][b]``; ``key_product`` reads it, ``product`` and ``mul`` are
+    ``FormalSum`` views, and ``raw_product`` is the unmemoised map."""
 
     def __init__(
         self,
@@ -110,6 +121,7 @@ class AlgebraSpec:
         self.name = name
         self.unit = unit
         self.key_inverse = key_inverse
+        self.raw_product = product
         self._memo = _Memo(lambda a: _Memo(functools.partial(product, a)))
 
     def zero(self) -> FormalSum:

@@ -21,6 +21,7 @@ from sweedler.renorm import LAURENT, CharacterSpec, parse_laurent
 from sweedler.specs import BialgebraSpec, validate_bialgebra, validate_coalgebra
 from sweedler.structure import find_grouplikes
 from sweedler.trees import (
+    build_tree_bialgebra,
     forest_key,
     line_forest,
     parse_forest,
@@ -241,3 +242,83 @@ def test_localized_graph_merger_antipode():
         assert c == -1
         assert loc.single_parameter_exponent(kk) == -2 * (n + m)
         assert loc.specialize_key(kk) == merger_class(n, m)
+
+
+# ---------------------------------------------------------------------------
+# Cache ownership: a quotient fills its own memos, never its parent's
+
+
+def _memo_sizes(B):
+    return len(B.coalgebra._delta_memo), sum(map(len, B.algebra._memo.values()))
+
+
+def _antipode_table(B):
+    S = antipode(B)
+    return {k: S(k) for k in B.keys}
+
+
+def test_normalized_quotient_fills_only_its_own_memos():
+    B = build_tree_bialgebra(4, 4, "s")
+    Q = normalized_quotient(B).bialgebra
+    table = _antipode_table(Q)
+    assert _memo_sizes(B) == (0, 0)
+    delta_entries, product_entries = _memo_sizes(Q)
+    assert delta_entries == len(Q.keys) and product_entries > 0
+    # a parent whose memos are warm gives the same table
+    warm = build_tree_bialgebra(4, 4, "s")
+    assert validate_coalgebra(warm.coalgebra).ok
+    assert validate_bialgebra(warm, exhaustive_degree=4).ok
+    assert min(_memo_sizes(warm)) > 0
+    assert _antipode_table(normalized_quotient(warm).bialgebra) == table
+
+
+@pytest.mark.parametrize("kind", ["commutator", "central"])
+def test_abelianized_quotient_fills_only_its_own_memos(kind):
+    B = build_tree_bialgebra(3, 3, "p")
+    Q = abelianized_quotient(B, kind).bialgebra
+    assert validate_coalgebra(Q.coalgebra).ok
+    assert validate_bialgebra(Q, exhaustive_degree=3).ok
+    assert _memo_sizes(B) == (0, 0)
+    assert min(_memo_sizes(Q)) > 0
+
+
+_Q_LADDER_CHILD = """
+import pickle, tracemalloc
+from sweedler.constructions import q_deform, q_key
+from sweedler.trees import build_tree_bialgebra, ladder
+D = q_deform(build_tree_bialgebra(2)).bialgebra
+key = q_key(ladder(3000), {"q": 1})
+tracemalloc.start()
+delta = D.delta(key)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+universe = set(D.keys)
+print(len(delta), peak, sum(a._enc is not None and a not in universe for (a, _), _c in delta),
+      pickle.loads(pickle.dumps(key)) is key)
+"""
+
+
+def test_deep_q_key_costs_its_new_structure():
+    # a q key is interned by its base key and carries no bytes until asked,
+    # so the deformed ladder's coproduct is linear in its depth; with the
+    # whole base payload encoded per key it was quadratic, and the key's
+    # nested payload tuples could not be pickled
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, "-c", _Q_LADDER_CHILD], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    terms, peak, encoded, round_trip = proc.stdout.split()
+    assert int(terms) == 3001 and int(encoded) == 0 and round_trip == b"True"
+    assert int(peak) < 20 * 2 ** 20
+
+
+def test_q_key_bytes_are_the_payload_encoding():
+    from sweedler.linear import _encode_atom
+
+    D = q_deform(build_tree_bialgebra(2), laurent=True)
+    keys = list(D.bialgebra.keys) + [q_key(parse_forest("v(v(.)),v(.)"), {"q": -1, "r": 2})]
+    for k in keys:
+        assert k.encoded() == b"k" + _encode_atom("q") + _encode_atom(k.payload)
+        base, exps = split_q_key(k)
+        assert q_key(base, exps) is k and q_key(base, {**exps, "z": 0}) is k
