@@ -8,13 +8,22 @@ a morphism is exactly: the multigraph of ghost edges on size-attributed
 corollas together with the partition.  Class keys store the lexicographically
 minimal relabeling; minimization runs over attribute-preserving permutations
 only, which is sound because attributes are isomorphism-invariant (and the
-test suite cross-checks against the all-permutations brute force).
+test suite cross-checks against the all-permutations brute force).  Two
+corollas whose swap is an automorphism (twins: equal edge multiplicities to
+every other corolla, and one shared group or two singleton groups) give
+equal relabelings, so the search enumerates only the distinct orders of
+each attribute cell's twin classes; the tests keep the full search as the
+oracle.
 
 ``graph_class_key`` canonicalises each distinct labelled input once (the
 memo is pure: a result depends on its input alone).  Equal classes are the
-same ``BasisKey`` object, as every key is; ``_INTERNED`` maps a canonical
-payload to its key, so a class met again skips the key encoding.  Inputs
-that fail a check raise every time and are never memoised.
+same ``BasisKey`` object, as every key is: ``_INTERNED`` maps a canonical
+payload to its key and is the only table graph keys live in.  A graph key
+carries no bytes until ``encoded()`` or the key order first asks for them,
+so product and factor classes that nothing sorts are never encoded.
+``BasisKey("graph", payload)``, copies and unpickling go through
+``graph_class_key``.  Inputs that fail a check raise every time and are
+never memoised.
 
 In connected mode every target group must be connected by its ghost edges
 (mergers are forbidden) and the partition is forced to the edge components;
@@ -40,7 +49,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
-from .linear import BasisKey, FormalSum, TensorSum, register_literal
+from .linear import (
+    BasisKey, FormalSum, TensorSum, _encode_atom, register_constructor, register_literal,
+)
 from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec, ValidationReport
 
 
@@ -66,51 +77,104 @@ def _components(n: int, edges) -> list:
     return [tuple(sorted(c)) for c in comps.values()]
 
 
-def _normalize(sizes, edges, blocks, perm):
-    """Relabel by perm (old index -> new index) and sort each section."""
-    new_sizes = [0] * len(sizes)
-    for old, new in enumerate(perm):
-        new_sizes[new] = sizes[old]
-    new_edges = sorted(
-        (min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in edges
-    )
-    new_blocks = sorted(tuple(sorted(perm[c] for c in blk)) for blk in blocks)
-    return tuple(new_sizes), tuple(new_edges), tuple(new_blocks)
+def _twin_classes(cell, mult, block_id, single: bool) -> list:
+    """Split an attribute cell into twin classes, each in its original order.
+    ``single``: the cell's corollas sit in singleton groups.  Twinhood is an
+    equivalence, so a corolla is compared with one member of each class."""
+    classes: list = []
+    for i in cell:
+        row = mult[i]
+        for cls in classes:
+            j = cls[0]
+            other = mult[j]
+            if (single or block_id[i] == block_id[j]) and all(
+                row[k] == other[k] for k in range(len(row)) if k != i and k != j
+            ):
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
+
+
+def _cell_orders(classes) -> list:
+    """Every distinct sequence of a cell's twin classes, as corolla orders.
+
+    The sequences are the permutations of a multiset of class labels, listed
+    directly in lexicographic order (Knuth's Algorithm L), so a cell of k
+    corollas costs k!/(m1!...mr!) orders for class sizes m1..mr, and one
+    when all are twins.  Each class's corollas keep their original order.
+    """
+    if len(classes) == 1:
+        return [classes[0]]
+    labels = [c for c, cls in enumerate(classes) for _ in cls]
+    orders = []
+    while True:
+        members = [iter(cls) for cls in classes]
+        orders.append([next(members[c]) for c in labels])
+        i = len(labels) - 2
+        while i >= 0 and labels[i] >= labels[i + 1]:
+            i -= 1
+        if i < 0:
+            return orders
+        j = len(labels) - 1
+        while labels[j] <= labels[i]:
+            j -= 1
+        labels[i], labels[j] = labels[j], labels[i]
+        labels[i + 1:] = labels[:i:-1]
 
 
 def _canonical(sizes, edges, blocks):
+    """The least relabelling among those that sort the corollas by attribute
+    (size, loops, degree, group size), one per twin-class sequence (McKay &
+    Piperno 2014 prune with automorphisms; twin swaps are the simplest).  A
+    candidate whose edges already lose is dropped before its groups sort."""
     n = len(sizes)
     if n == 0:
         return (), (), ()
     loops = [0] * n
     degree = [0] * n
+    mult = [[0] * n for _ in range(n)]
     for a, b in edges:
         if a == b:
             loops[a] += 1
         else:
             degree[a] += 1
             degree[b] += 1
-    block_of = {}
-    for blk in blocks:
+            mult[a][b] += 1
+            mult[b][a] += 1
+    block_id = [0] * n
+    for bi, blk in enumerate(blocks):
         for c in blk:
-            block_of[c] = len(blk)
-    attr = [(sizes[i], loops[i], degree[i], block_of[i]) for i in range(n)]
-    groups: dict = {}
+            block_id[c] = bi
+    cells: dict = {}
     for i in range(n):
-        groups.setdefault(attr[i], []).append(i)
-    ordered_groups = [groups[a] for a in sorted(groups)]
-    best = None
-    for arrangement in itertools.product(
-        *(itertools.permutations(g) for g in ordered_groups)
-    ):
-        order = [i for g in arrangement for i in g]
-        perm = [0] * n
-        for new, old in enumerate(order):
-            perm[old] = new
-        cand = _normalize(sizes, edges, blocks, perm)
-        if best is None or cand < best:
-            best = cand
-    return best
+        attr = (sizes[i], loops[i], degree[i], len(blocks[block_id[i]]))
+        cells.setdefault(attr, []).append(i)
+    attrs = sorted(cells)
+    perm = [0] * n
+    best_edges = best_blocks = None
+    for arrangement in itertools.product(*(
+        _cell_orders(_twin_classes(cells[a], mult, block_id, a[3] == 1))
+        for a in attrs
+    )):
+        new = 0
+        for order in arrangement:
+            for old in order:
+                perm[old] = new
+                new += 1
+        cand = tuple(sorted(
+            (min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in edges
+        ))
+        if best_edges is not None and cand > best_edges:
+            continue
+        cand_blocks = tuple(sorted(
+            tuple(sorted(perm[c] for c in blk)) for blk in blocks
+        ))
+        if best_edges is None or cand < best_edges or cand_blocks < best_blocks:
+            best_edges, best_blocks = cand, cand_blocks
+    new_sizes = tuple(a[0] for a in attrs for _ in cells[a])
+    return new_sizes, best_edges, best_blocks
 
 
 def graph_class_key(sizes, edges, blocks, mode: str) -> BasisKey:
@@ -125,7 +189,19 @@ def graph_class_key(sizes, edges, blocks, mode: str) -> BasisKey:
     )
 
 
-# Canonical payload -> its BasisKey, looked up before a key is built.
+class _GraphKey(BasisKey):
+    """A graph class key, interned by canonical payload and built without
+    bytes."""
+
+    __slots__ = ()
+
+    def _fill(self) -> bytes:
+        # b"ks5:graph" is b"k" + _encode_atom("graph")
+        self._enc = enc = b"ks5:graph" + _encode_atom(self.payload)
+        return enc
+
+
+# Canonical payload -> the one graph key with that payload.
 _INTERNED: dict = {}
 
 
@@ -166,7 +242,9 @@ def _class_key(sizes, edges, blocks, mode: str) -> BasisKey:
     payload = (mode,) + _canonical(sizes, edges, blocks)
     key = _INTERNED.get(payload)
     if key is None:
-        key = _INTERNED.setdefault(payload, BasisKey("graph", payload))
+        new = object.__new__(_GraphKey)
+        new.tag, new.payload, new._enc = "graph", payload, None
+        key = _INTERNED.setdefault(payload, new)
     return key
 
 
@@ -191,6 +269,7 @@ def _graph_literal(key: BasisKey) -> str:
 
 
 register_literal("graph", _graph_literal)
+register_constructor("graph", lambda payload: graph_class_key(*payload[1:], payload[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ object per encoding.  Equal keys are identical, and keys hash and compare
 with the C-level identity defaults.  A family whose keys must hold its own
 interned parts registers its constructor (``register_constructor``), and
 ``BasisKey(tag, payload)`` hands that tag's payloads to it: forest keys are
-interned by their interned trees (``trees._FORESTS``) and carry no bytes
+interned by their interned trees (``trees._FORESTS``) and graph keys by
+their canonical payloads (``graphs._INTERNED``), and both carry no bytes
 until ``encoded()`` or the key order first asks for them.  Every other key
 is encoded once by ``intern_key`` and looked up in ``_KEYS``, filled with
 ``dict.setdefault``, so threads that build the same key at once still share
-one object.  Family tables (``graphs._INTERNED``, ``gallery._WORDS``,
-``gallery._PATHS``) are caches in front of it that skip the encoding.
+one object.  Family tables (``gallery._WORDS``, ``gallery._PATHS``) are
+caches in front of it that skip the encoding.
 
 One private core, ``_SparseSum``, underlies every sum type: a term dict that
 never stores a zero coefficient, so equality of sums is plain map equality

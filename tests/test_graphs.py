@@ -2,10 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sweedler.errors import InputError
 from sweedler.graphs import (
     GraphMorphism,
+    _canonical,
     all_graph_classes,
     check_graph_relations,
     degree_of,
@@ -124,6 +127,101 @@ def test_canonical_agrees_with_all_permutations_bruteforce():
         for j in range(i, len(structures)):
             expected = _isomorphic_bruteforce(structures[i], structures[j])
             assert (keys[i] == keys[j]) == expected, (structures[i], structures[j])
+
+
+def _reference_normalize(sizes, edges, blocks, perm):
+    """Relabel by perm (old index -> new index) and sort each section."""
+    new_sizes = [0] * len(sizes)
+    for old, new in enumerate(perm):
+        new_sizes[new] = sizes[old]
+    new_edges = sorted(
+        (min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in edges
+    )
+    new_blocks = sorted(tuple(sorted(perm[c] for c in blk)) for blk in blocks)
+    return tuple(new_sizes), tuple(new_edges), tuple(new_blocks)
+
+
+def _reference_canonical(sizes, edges, blocks):
+    # the full search over every attribute-preserving relabelling
+    n = len(sizes)
+    if n == 0:
+        return (), (), ()
+    loops = [0] * n
+    degree = [0] * n
+    for a, b in edges:
+        if a == b:
+            loops[a] += 1
+        else:
+            degree[a] += 1
+            degree[b] += 1
+    block_of = {}
+    for blk in blocks:
+        for c in blk:
+            block_of[c] = len(blk)
+    attr = [(sizes[i], loops[i], degree[i], block_of[i]) for i in range(n)]
+    groups: dict = {}
+    for i in range(n):
+        groups.setdefault(attr[i], []).append(i)
+    ordered_groups = [groups[a] for a in sorted(groups)]
+    best = None
+    for arrangement in itertools.product(
+        *(itertools.permutations(g) for g in ordered_groups)
+    ):
+        order = [i for g in arrangement for i in g]
+        perm = [0] * n
+        for new, old in enumerate(order):
+            perm[old] = new
+        cand = _reference_normalize(sizes, edges, blocks, perm)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+@st.composite
+def _labelled_inputs(draw):
+    # few sizes, so cells are large; loops and multi-edges; the groups
+    # coarsen the edge components at random, as non-connected mode allows
+    from sweedler.graphs import _components
+
+    n = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.sampled_from((2, 2, 3, 4)), min_size=n, max_size=n))
+    free = list(sizes)
+    edges = []
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=8)):
+        if free[a] >= 1 + (a == b) and free[b] >= 1:
+            free[a] -= 1
+            free[b] -= 1
+            edges.append((min(a, b), max(a, b)))
+    comps = _components(n, edges)
+    labels = draw(st.lists(st.integers(0, len(comps) - 1),
+                           min_size=len(comps), max_size=len(comps)))
+    merged: dict = {}
+    for comp, label in zip(comps, labels):
+        merged.setdefault(label, []).extend(comp)
+    blocks = [tuple(sorted(blk)) for blk in merged.values()]
+    return tuple(sizes), tuple(edges), tuple(draw(st.permutations(blocks)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_labelled_inputs())
+def test_twin_reduced_search_equals_full_search(structure):
+    # skipping twin swaps must find the full search's minimum, tuple for tuple
+    assert _canonical(*structure) == _reference_canonical(*structure)
+
+
+def test_many_equal_corollas_canonicalise_fast():
+    # twelve two-flag corollas and one ghost edge: the full search tries
+    # 2!*10! relabellings, the twin-reduced search one
+    import time
+
+    blocks = [(5, 9)] + [(c,) for c in range(12) if c not in (5, 9)]
+    start = time.perf_counter()
+    key = graph_class_key((2,) * 12, [(5, 9)], blocks, "c")
+    assert time.perf_counter() - start < 1.0
+    assert key.payload == (
+        "c", (2,) * 12, ((10, 11),), tuple((c,) for c in range(10)) + ((10, 11),)
+    )
 
 
 def test_edge_contraction_skew_primitive_connected():
@@ -427,6 +525,50 @@ def test_class_keys_interned_across_threads():
         assert len(seen) == len(inputs)
         for i, key in seen.items():
             assert first.setdefault(classes[i], key) is key
+
+
+_GRAPH_CHILD = """
+import pickle, sys
+keys = pickle.loads(sys.stdin.buffer.read())  # before any graph key is built
+from sweedler.graphs import graph_class_key
+from sweedler.linear import _KEYS, _encode_atom
+print(
+    keys[0] is graph_class_key((3, 2), [(1, 0)], [(1, 0)], "c"),
+    keys[1] is graph_class_key((2, 3, 2), [], [(2, 0), (1,)], "n"),
+    all(k.encoded() == b"k" + _encode_atom("graph") + _encode_atom(k.payload)
+        for k in keys),
+    any(k.tag == "graph" for k in _KEYS.values()),
+)
+"""
+
+
+def test_graph_keys_copy_and_pickle_to_the_stored_key(graphs_c33, graphs_n33):
+    # BasisKey("graph", ...), copies and unpickling all go through
+    # graph_class_key, also in an interpreter that built no graph key yet;
+    # graph keys live in graphs._INTERNED alone, never in linear._KEYS
+    import copy
+    import pickle
+    import subprocess
+    import sys
+
+    from sweedler.graphs import _GraphKey, _INTERNED
+    from sweedler.linear import _KEYS, BasisKey
+
+    keys = list(graphs_c33.keys) + list(graphs_n33.keys)
+    for key in keys:
+        assert type(key) is _GraphKey and _INTERNED[key.payload] is key
+        assert BasisKey("graph", key.payload) is key
+        assert copy.copy(key) is key and copy.deepcopy(key) is key
+        assert pickle.loads(pickle.dumps(key)) is key
+    assert not any(k.tag == "graph" for k in _KEYS.values())
+    # a raw payload that is not canonical is canonicalised
+    assert BasisKey("graph", ("c", (2, 3), ((0, 1),), ((0, 1),))) is edge_contraction_class(3, 2)
+    sent = [graph_class_key((2, 3), [(0, 1)], [(0, 1)], "c"),
+            graph_class_key((2, 2, 3), [], [(0, 1), (2,)], "n")]
+    proc = subprocess.run([sys.executable, "-c", _GRAPH_CHILD],
+                          input=pickle.dumps(sent), capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.split() == [b"True", b"True", b"True", b"False"]
 
 
 def test_edge_enumeration_bounded_by_flag_capacity():

@@ -79,14 +79,15 @@ def _reference_bytes(key):
     return b"k" + _encode_atom(key.tag) + _encode_atom(key.payload)
 
 
-def test_lazy_bytes_are_the_reference_encoding():
+def test_lazy_bytes_are_the_reference_encoding(graphs_c33, graphs_n33):
     # forest keys fill their bytes on first use from per-shape encodings of
-    # their trees; bytes and key order must be those of the whole payload's
-    # encoding, for universe, quotient and q keys and for products that
-    # nothing has sorted yet
+    # their trees, and graph and q keys from their payloads; bytes and key
+    # order must be those of the whole payload's encoding, for universe,
+    # quotient and q keys and for products that nothing has sorted yet
     import random
 
     from sweedler.constructions import normalized_quotient, q_deform
+    from sweedler.graphs import graph_product
     from sweedler.trees import build_tree_bialgebra, forest_product
 
     rng = random.Random(13)
@@ -99,9 +100,14 @@ def test_lazy_bytes_are_the_reference_encoding():
                  for _ in range(2000)]
         keys += normalized_quotient(B).bialgebra.keys
         keys += q_deform(B).bialgebra.keys
+    for G in (graphs_c33, graphs_n33):
+        universe = list(G.keys)
+        keys += universe
+        keys += [graph_product(rng.choice(universe), rng.choice(universe))
+                 for _ in range(500)]
     keys = list(dict.fromkeys(keys))
     rng.shuffle(keys)
-    assert {k.tag for k in keys} == {"forest", "q"}
+    assert {k.tag for k in keys} == {"forest", "q", "graph"}
     ordered = sorted(keys)  # fills the bytes of the products
     assert ordered == sorted(keys, key=_reference_bytes)
     assert all(k.encoded() == _reference_bytes(k) for k in keys)
