@@ -72,8 +72,6 @@ from .inversion import (
     convolution_inverse,
     finite_convolution_inverse,
     invert_character,
-    recursive_inverse,
-    takeuchi_inverse,
     validate_antipode,
 )
 from .trees import build_tree_bialgebra, parse_forest, tree_coproduct

@@ -15,6 +15,7 @@ nothing on stdout.  ``--format json`` builds its one document in full.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import json
 import sys
@@ -112,18 +113,20 @@ def _maybe_quotient(B, args):
 def _emit(lines, fmt: str):
     """Write ``lines``, an iterable of strings, to stdout.  Text output is
     written one line at a time as it is rendered, so the whole table is
-    never held as one string; an empty table is one empty line."""
-    out = sys.stdout.buffer
+    never held as one string; an empty table is one empty line.  The text
+    goes to ``sys.stdout.buffer`` as UTF-8, or through ``sys.stdout`` itself
+    when it has no buffer (an ``io.StringIO``, say)."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    out = sys.stdout if buffer is None else codecs.getwriter("utf-8")(buffer)
     if fmt == "json":
-        text = json.dumps({"lines": list(lines)}, indent=2, sort_keys=True) + "\n"
-        out.write(text.encode("utf-8"))
+        out.write(json.dumps({"lines": list(lines)}, indent=2, sort_keys=True) + "\n")
     else:
         empty = True
         for line in lines:
-            out.write(f"{line}\n".encode("utf-8"))
+            out.write(f"{line}\n")
             empty = False
         if empty:
-            out.write(b"\n")
+            out.write("\n")
     out.flush()
 
 

@@ -1,40 +1,35 @@
 """Convolution inverses and antipodes.
 
-Three routes to the inverse of a map out of a coalgebra:
+Two routes to the inverse of a map out of a coalgebra:
 
-* the colored recursion, peeling the unique left-flank term off the
-  coproduct of each key.  This is the default route: :func:`convolution_inverse`
-  takes it whenever the filtration is exhaustive and
-  :func:`~sweedler.structure.color_decompose` reports no uncolorable key.
-  It runs without Python recursion, keeps all of its bookkeeping local to
-  the call, and shares only an idempotent memo, so one inverse map can be
-  evaluated from several threads at once;
-* the geometric series over a filtration (Takeuchi): after pre-composing
-  with the degree-0 inverse the series for a key of filtration degree r
-  truncates after r+1 terms, because every (r+1)-fold reduced product hits
-  the base.  The default route falls back to it when the filtration is
-  exhaustive but some key is uncolorable;
-* an exact sparse linear solve on finite-dimensional instances, which needs
-  no filtration at all (the route used for the group-double examples).  The
-  default route falls back to it when the filtration is not exhaustive and
-  the instance is finite with values in the bialgebra itself.
+* the colored recursion, peeling the left-flank term off the coproduct of
+  each key; :func:`convolution_inverse` takes it whenever the filtration is
+  exhaustive.  There f has a two-sided inverse, and the recursion solves
+  f * h = eta.eps key by key, so it returns that inverse.  It runs without
+  Python recursion, keeps all of its bookkeeping local to the call, and
+  shares only an idempotent memo, so one inverse map can be evaluated from
+  several threads at once;
+* an exact sparse linear solve on finite-dimensional instances
+  (:func:`finite_convolution_inverse`), which needs no filtration at all.
+  :func:`convolution_inverse` takes it when the filtration is not
+  exhaustive and the instance is finite with values in the bialgebra
+  itself (the group doubles).
 
 :func:`convolution_inverse` is the one place that picks a filtration: the
 grading when the bialgebra has the ``graded_filtration`` hook, the bivariate
 sweep otherwise; antipodes, character inverses and the Birkhoff check all go
-through it.  Each route is also public (:func:`recursive_inverse`,
-:func:`takeuchi_inverse`, :func:`finite_convolution_inverse`), so the series
-and the solve are oracles for the recursion.  Every route first checks that
-the map sends each (semi)grouplike basis key to an invertible value, the
-only obstruction in scope.  Targets are those of :mod:`sweedler.specs`; for
-formal sums the :class:`~sweedler.specs.AlgebraSpec` itself.
+through it.  The tests check the recursion against Takeuchi's geometric
+series over the filtration (``tests/series_oracle.py``) and against the
+finite solve.  Before either route it checks that the map sends each
+(semi)grouplike basis key to an invertible value, the only obstruction in
+scope.  Targets are those of :mod:`sweedler.specs`; for formal sums the
+:class:`~sweedler.specs.AlgebraSpec` itself.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
-import threading
 
 from .errors import (
     ConfigurationError,
@@ -54,9 +49,7 @@ from .specs import (
     identity_map,
 )
 from .structure import (
-    FiltrationTable,
     bivariate_filtration,
-    color_decompose,
     filtration_from_grading,
     find_grouplikes,
     flanks,
@@ -83,67 +76,6 @@ def _grouplike_inverse(f: ConvMap, key: BasisKey):
     if inv is None:
         raise GrouplikeNotInvertible(key, f(key))
     return inv
-
-
-def _base_inverse(f: ConvMap) -> ConvMap:
-    """Extend the degree-0 inverse of f by zero on all other basis keys."""
-    C, T = f.source, f.target
-
-    def fn(key):
-        if is_grouplike(C, key):
-            return _grouplike_inverse(f, key)
-        return T.zero()
-
-    return ConvMap(C, T, fn, name="f0inv")
-
-
-def takeuchi_inverse(f: ConvMap, filt: FiltrationTable) -> ConvMap:
-    """Two-sided convolution inverse via the truncated geometric series."""
-    _gate_grouplikes(f)
-    return _series_inverse(f, filt)
-
-
-def _series_inverse(f: ConvMap, filt: FiltrationTable) -> ConvMap:
-    C, T = f.source, f.target
-    g0 = _base_inverse(f)
-    fp = convolve(f, g0, name="fnorm")
-    eta_eps = convolution_unit(C, T)
-
-    def u_fn(key):
-        acc = T.accumulate(T.zero(), C.counit(key), T.one())
-        return T.accumulate(acc, -1, fp(key))
-
-    u = ConvMap(C, T, u_fn, name="unit-minus-f")
-    powers = [eta_eps]
-    powers_lock = threading.Lock()
-
-    def ensure_power(i: int):
-        with powers_lock:
-            while len(powers) <= i:
-                powers.append(convolve(powers[-1], u, name=f"u^{len(powers)}"))
-
-    def h_fn(key):
-        d = filt.degree(key)
-        if d is None:
-            raise FiltrationNotExhaustive(key)
-        ensure_power(d)
-        acc = T.zero()
-        for i in range(d + 1):
-            acc = T.accumulate(acc, 1, powers[i](key))
-        return acc
-
-    h = ConvMap(C, T, h_fn, name="series")
-    return convolve(g0, h, name=f"{f.name}^-1")
-
-
-def recursive_inverse(f: ConvMap) -> ConvMap:
-    """Convolution inverse by the flank-peeling recursion on a colored source."""
-    _gate_grouplikes(f)
-    _, uncolorable = color_decompose(f.source)
-    if uncolorable:
-        key, reason = uncolorable[0]
-        raise ConfigurationError(f"source is not colored: {key} ({reason})")
-    return _colored_inverse(f)
 
 
 def _colored_inverse(f: ConvMap) -> ConvMap:
@@ -294,9 +226,9 @@ def convolution_inverse(f: ConvMap, bialgebra: BialgebraSpec | None = None) -> C
     This is the one place that chooses a filtration: the grading when
     ``bialgebra`` carries the ``graded_filtration`` hook, the bivariate
     sweep otherwise.  Takes the colored recursion when the filtration is
-    exhaustive and every key is colorable, the series when it is exhaustive
-    but some key is not, and the finite solve on finite instances of
-    ``bialgebra`` the filtration does not exhaust.
+    exhaustive, and the finite solve on finite instances of ``bialgebra``
+    the filtration does not exhaust; raises FiltrationNotExhaustive
+    otherwise.
     """
     _gate_grouplikes(f)
     if bialgebra is not None and bialgebra.hooks.get("graded_filtration"):
@@ -304,10 +236,7 @@ def convolution_inverse(f: ConvMap, bialgebra: BialgebraSpec | None = None) -> C
     else:
         filt = bivariate_filtration(f.source)
     if filt.exhaustive:
-        _, uncolorable = color_decompose(f.source)
-        if not uncolorable:
-            return _colored_inverse(f)
-        return _series_inverse(f, filt)
+        return _colored_inverse(f)
     if (
         bialgebra is not None
         and f.source.finite_universe

@@ -3,10 +3,12 @@
 Basis-level analysis of a truncated coalgebra: which basis keys are
 (semi)grouplike, which are skew primitive between a pair of grouplikes, the
 color block of every key read off from the flanking terms of its coproduct,
-and the inductive two-sided filtration built from reduced coproducts.  The
-filtration degree of a key is the engine behind geometric-series inversion:
-a key of degree r is annihilated by any (r+1)-fold product of maps vanishing
-on the degree-0 base.
+and the inductive two-sided filtration built from reduced coproducts.  An
+exhaustive filtration is what makes inversion possible: a key of degree r is
+annihilated by any (r+1)-fold product of maps vanishing on the degree-0
+base, so the geometric series for the inverse truncates, and
+:func:`~sweedler.inversion.convolution_inverse` takes the colored recursion
+exactly when the filtration is exhaustive.
 
 Membership of a coproduct term in a filtration stratum is decided per term
 on the canonical coproduct output.  Over a field with a canonical basis this
@@ -147,8 +149,8 @@ def filtration_from_grading(C: CoalgebraSpec) -> FiltrationTable:
     """Use the grading as the filtration; valid when degree 0 is grouplike.
 
     The grading of a graded coalgebra is always an admissible filtration for
-    series inversion provided the degree-0 stratum is spanned by grouplikes,
-    which is checked here.
+    inversion provided the degree-0 stratum is spanned by grouplikes, which
+    is checked here.
     """
     gpl, sgpl = find_grouplikes(C)
     degrees = {}

@@ -175,6 +175,21 @@ def test_float_coefficient_exits_3(monkeypatch):
     assert err == "internal error: TypeError: floating-point coefficient 0.5\n"
 
 
+@pytest.mark.parametrize("name", ["coproduct-ladder", "coproduct-json"])
+def test_stdout_without_buffer_gets_the_golden_text(name):
+    # a text stream with no .buffer (redirect_stdout to a StringIO) gets
+    # the same text the golden file holds
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from sweedler.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(dict(CASES)[name])
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == (GOLDEN_DIR / f"{name}.txt").read_text("utf-8")
+
+
 def test_grouplike_gate_exit_code():
     bad = json.dumps({"rules": {"vertex": "z^-1", "grouplike": "1+z"}})
     code, _ = run_cli(["inverse", "--bialgebra", "trees", "--character", bad,

@@ -2,28 +2,32 @@ from fractions import Fraction
 
 import pytest
 
+from series_oracle import base_inverse, takeuchi_inverse
 from sweedler.errors import (
     ConfigurationError,
     FiltrationNotExhaustive,
     GrouplikeNotInvertible,
 )
 from sweedler.gallery import (
+    boolean_poset,
+    build_categorical_coalgebra,
     build_drinfeld_double,
     build_drinfeld_double_dual,
+    build_incidence_coalgebra,
+    build_setlike_coalgebra,
+    build_word_coalgebra,
     cyclic_group,
+    free_monoid_one_generator,
     path_key,
     symmetric_group_3,
     vertex_key,
 )
 from sweedler.constructions import normalized_quotient, q_deform
 from sweedler.inversion import (
-    _base_inverse,
     antipode,
     convolution_inverse,
     finite_convolution_inverse,
     invert_character,
-    recursive_inverse,
-    takeuchi_inverse,
     validate_antipode,
 )
 from sweedler.linear import BasisKey, FormalSum, TensorSum
@@ -40,8 +44,9 @@ from sweedler.specs import (
     validate_coalgebra,
 )
 from sweedler.structure import (
+    analyze_structure,
     bivariate_filtration,
-    color_decompose,
+    filtration_from_grading,
 )
 from sweedler.trees import build_tree_bialgebra, ladder, line_forest, parse_forest, tau
 
@@ -155,12 +160,67 @@ def test_antipode_involutive_on_commutative_quotient():
         assert S(k).map_keys(S) == FormalSum.basis(k)
 
 
-def test_methods_agree_on_quotient(trees_sym4_normalized):
-    B = trees_sym4_normalized.bialgebra
-    ident = identity_map(B)
-    series = takeuchi_inverse(ident, bivariate_filtration(B.coalgebra))
-    recursion = recursive_inverse(ident)
-    assert conv_maps_equal(series, recursion)
+def _distinct_values(C):
+    """A rational map with its own value on every key, so that a mix-up of
+    two keys changes the inverse."""
+    values = {k: i + 2 for i, k in enumerate(C.keys)}
+    return ConvMap(C, RationalTarget(), values.__getitem__, "values")
+
+
+def _on_values(B):
+    return _distinct_values(B.coalgebra), B
+
+
+def _identity(B):
+    return identity_map(B), B
+
+
+# name -> (builder taking the pytest request and returning the map to invert
+# and its bialgebra or None, the reference route: the series oracle where the
+# filtration is exhaustive, the finite solve on the doubles)
+INVERSE_INSTANCES = {
+    "trees-s": (lambda r: _on_values(r.getfixturevalue("trees_sym4")), "series"),
+    "trees-p": (lambda r: _on_values(r.getfixturevalue("trees_planar4")), "series"),
+    "normalized-s": (lambda r: _identity(
+        r.getfixturevalue("trees_sym4_normalized").bialgebra), "series"),
+    "normalized-p": (lambda r: _identity(
+        normalized_quotient(build_tree_bialgebra(3, 3, "p")).bialgebra), "series"),
+    "q-deform-laurent": (lambda r: _identity(q_deform(
+        build_tree_bialgebra(3, 3, "s"), laurent=True).bialgebra), "series"),
+    "graphs-c": (lambda r: _on_values(r.getfixturevalue("graphs_c33")), "series"),
+    "graphs-n": (lambda r: _on_values(r.getfixturevalue("graphs_n33")), "series"),
+    "paths": (lambda r: (path_letters(r.getfixturevalue("two_vertex_complete_paths")),
+                         None), "series"),
+    "boolean-b3": (lambda r: (_distinct_values(
+        build_incidence_coalgebra(boolean_poset(3))), None), "series"),
+    "words-closed": (lambda r: (_distinct_values(
+        build_word_coalgebra(("a", "b"), 3, closed=True)), None), "series"),
+    "free-monoid": (lambda r: (_distinct_values(
+        build_categorical_coalgebra(free_monoid_one_generator(5), 5)), None),
+        "series"),
+    "setlike": (lambda r: (_distinct_values(build_setlike_coalgebra("xyz")), None),
+                "series"),
+    "double-z3": (lambda r: _identity(build_drinfeld_double(cyclic_group(3))),
+                  "solve"),
+    "double-dual-s3": (lambda r: _identity(
+        build_drinfeld_double_dual(symmetric_group_3())), "solve"),
+}
+
+
+@pytest.mark.parametrize("name", INVERSE_INSTANCES)
+def test_methods_agree_on_quotient(name, request):
+    # the default route against an independent one on every built-in family
+    build, reference = INVERSE_INSTANCES[name]
+    f, B = build(request)
+    C = f.source
+    if B is not None and B.hooks.get("graded_filtration"):
+        filt = filtration_from_grading(C)
+    else:
+        filt = bivariate_filtration(C)
+    assert filt.exhaustive == (reference == "series")
+    expected = (takeuchi_inverse(f, filt) if reference == "series"
+                else finite_convolution_inverse(f, B))
+    assert conv_maps_equal(convolution_inverse(f, bialgebra=B), expected)
 
 
 def test_antipode_gate_on_raw_trees(trees_sym4):
@@ -172,7 +232,7 @@ def test_antipode_gate_on_raw_trees(trees_sym4):
 def test_grouplike_base_case(trees_sym4_normalized):
     B = trees_sym4_normalized.bialgebra
     ident = identity_map(B)
-    g0 = _base_inverse(ident)
+    g0 = base_inverse(ident)
     unit_key, = B.unit.terms
     assert g0(unit_key) == B.unit
     assert g0(tau(1)).is_zero()
@@ -261,6 +321,14 @@ def test_double_antipode_s3():
     assert report.ok, report.render()
 
 
+def test_finite_solve_needs_the_bialgebra():
+    # without its bialgebra the double has no finite solve to fall back to,
+    # and its filtration does not reach every key
+    D = build_drinfeld_double(symmetric_group_3())
+    with pytest.raises(FiltrationNotExhaustive):
+        convolution_inverse(identity_map(D))
+
+
 def test_double_dual_antipode_s3():
     D = build_drinfeld_double_dual(symmetric_group_3())
     S = antipode(D)
@@ -334,12 +402,14 @@ def test_polynomial_deformation_not_invertible(trees_sym4):
 
 
 # ---------------------------------------------------------------------------
-# the series fallback of the default route
+# the default route on a source the colour test rejects
 
 
-def test_uncolorable_source_falls_back_to_the_series():
+def test_uncolorable_source_inverts_by_the_recursion():
     # x is a (g,h)-skew primitive shifted by y: its flanks are unique, but
-    # its reduced coproduct touches the grouplikes h and h2
+    # its reduced coproduct touches the grouplikes h and h2, so the structure
+    # report calls it uncolorable; the filtration is exhaustive, and there the
+    # recursion returns the two-sided inverse all the same
     g, h, h2, y, x = (BasisKey("k", (name,)) for name in ("g", "h", "h2", "y", "x"))
     coproducts = {
         g: TensorSum.of([(g, g)]),
@@ -353,14 +423,11 @@ def test_uncolorable_source_falls_back_to_the_series():
                       lambda k: Fraction(1 if grading[k] == 0 else 0),
                       grading.__getitem__)
     assert validate_coalgebra(C).ok
-    _, uncolorable = color_decompose(C)
-    assert [k for k, _ in uncolorable] == [x]
+    assert [k for k, _ in analyze_structure(C).uncolorable] == [x]
     filt = bivariate_filtration(C)
     assert filt.exhaustive
     values = {g: 2, h: 3, h2: 5, y: 7, x: 11}
     f = ConvMap(C, RationalTarget(), lambda k: Fraction(values[k]), "f")
-    with pytest.raises(ConfigurationError):
-        recursive_inverse(f)
     inv = convolution_inverse(f)
     eta = convolution_unit(C, f.target)
     assert conv_maps_equal(convolve(f, inv), eta)
@@ -369,7 +436,7 @@ def test_uncolorable_source_falls_back_to_the_series():
 
 
 # ---------------------------------------------------------------------------
-# thread safety of the default route
+# thread safety and stack use of the default route
 
 
 def test_colored_recursion_shared_across_threads():
@@ -381,13 +448,13 @@ def test_colored_recursion_shared_across_threads():
 
     B = normalized_quotient(build_tree_bialgebra(5, 5, "s")).bialgebra
     ident = identity_map(B)
-    reference = recursive_inverse(ident)
+    reference = convolution_inverse(ident, bialgebra=B)
     expected = {k: reference(k) for k in B.keys}
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(3):
-            S = recursive_inverse(ident)
+            S = convolution_inverse(ident, bialgebra=B)
             barrier = threading.Barrier(4, timeout=30)
             errors = []
             results = [{} for _ in range(4)]
@@ -424,7 +491,7 @@ def test_colored_recursion_needs_no_python_stack():
     n = 300
     C = build_path_coalgebra(Quiver(("v",), (("e", "v", "v"),)), n)
     f = ConvMap(C, RationalTarget(), lambda k: Fraction(1), "ones")
-    inv = recursive_inverse(f)
+    inv = convolution_inverse(f)
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
