@@ -12,7 +12,8 @@ on the basic-object classes (true for the tree and graph instances); inputs
 with other relations are rejected rather than guessed at.
 
 A quotient reads its parent's unmemoised maps (``raw_delta``,
-``raw_product``), so only the quotient's own memos fill.  The deformation
+``raw_product``), so only the quotient's own memos fill; it normalises
+each parent key once, into a dict of its own filled on first use.  The deformation
 reads the parent's memoised maps: its grouplike scan fills the parent's
 coproduct memo anyway, and one parent product serves every exponent.
 Deformed (``q``) keys are interned by their base key and exponents and
@@ -36,6 +37,7 @@ from .specs import (
     BialgebraSpec,
     CoalgebraSpec,
     ValidationReport,
+    _Memo,
 )
 from .structure import find_grouplikes
 
@@ -54,18 +56,20 @@ def _quotient_bialgebra(B: BialgebraSpec, nf, name: str) -> BialgebraSpec:
     keys = sorted({nf(k) for k in B.keys})
     parent_delta = B.coalgebra.raw_delta
     parent_product = B.algebra.raw_product
+    # parent key -> nf(key), filled by delta and product on first use
+    nf_of = _Memo(nf)
 
     def delta(key: BasisKey) -> TensorSum:
         out: dict = {}
         for (a, b), c in parent_delta(key):
-            _addto(out, (nf(a), nf(b)), c)
+            _addto(out, (nf_of[a], nf_of[b]), c)
         return TensorSum(out, _clean=True)
 
     coalg = CoalgebraSpec(name, keys, delta, B.counit, B.grading)
 
     def product(a: BasisKey, b: BasisKey) -> BasisKey | None:
         k = parent_product(a, b)
-        return None if k is None else nf(k)
+        return None if k is None else nf_of[k]
 
     unit = B.unit.map_keys(lambda k: FormalSum.basis(nf(k)))
     alg = AlgebraSpec(name, product, unit, key_inverse=B.algebra.key_inverse)

@@ -9,8 +9,11 @@ controls stay observable.
 An :class:`AlgebraSpec` is given its product as a function from two keys
 to one key (coefficient 1) or ``None`` where the product is zero: every
 family's basis is a partial monoid.  The spec memoises keys;
-``product`` and ``mul`` are ``FormalSum`` views of that memo, and
-``mul_into`` makes one dict update per pair of terms.
+``product`` and ``mul`` are ``FormalSum`` views of that memo.  A key
+times a sum costs one product-row read and then one lookup per term:
+``key_mul_into`` adds ``c * k * s`` and ``mul_key_into`` adds
+``c * s * k`` into a term dict, and ``mul_into`` runs ``key_mul_into``
+once per term of its left factor.
 
 Each spec caches only what it serves: ``CoalgebraSpec.delta`` and
 ``AlgebraSpec.key_product`` are memoised views, and ``raw_delta`` and
@@ -171,32 +174,59 @@ class AlgebraSpec:
         return FormalSum(out, _clean=True)
 
     def mul_into(self, out: dict, c, s1: FormalSum, s2: FormalSum) -> None:
-        """Add ``c * s1 * s2`` into the term dict ``out`` in place.
+        """Add ``c * s1 * s2`` into the term dict ``out`` in place, one key
+        of ``s1`` at a time."""
+        if not c:
+            return
+        for k1, c1 in s1.terms.items():
+            self.key_mul_into(out, c if c1 == 1 else c * c1, k1, s2)
+
+    def key_mul_into(self, out: dict, c, k: BasisKey, s: FormalSum) -> None:
+        """Add ``c * k * s`` into ``out``: the product row of ``k`` is read
+        once, then one lookup per term of ``s``.
 
         Nearly every coefficient is 1, and multiplications by 1 are skipped:
         an exact rational product costs several times the comparison.
         """
         if not c:
             return
+        row = self._memo[k]
+        unit = c == 1
+        for k2, c2 in s.terms.items():
+            p = row[k2]
+            if p is None:
+                continue
+            term = c2 if unit else (c if c2 == 1 else c * c2)
+            old = out.get(p)
+            if old is None:
+                out[p] = term
+                continue
+            nc = old + term
+            if nc:
+                out[p] = nc
+            else:
+                del out[p]
+
+    def mul_key_into(self, out: dict, c, s: FormalSum, k: BasisKey) -> None:
+        """Add ``c * s * k`` into ``out``: one lookup per term of ``s``."""
+        if not c:
+            return
         memo = self._memo
-        right = s2.terms.items() if c == 1 else [(k, c * v) for k, v in s2.terms.items()]
-        for k1, c1 in s1.terms.items():
-            row = memo[k1]
-            unit1 = c1 == 1
-            for k2, c2 in right:
-                k = row[k2]
-                if k is None:
-                    continue
-                term = c2 if unit1 else (c1 if c2 == 1 else c1 * c2)
-                old = out.get(k)
-                if old is None:
-                    out[k] = term
-                    continue
-                nc = old + term
-                if nc:
-                    out[k] = nc
-                else:
-                    del out[k]
+        unit = c == 1
+        for k1, c1 in s.terms.items():
+            p = memo[k1][k]
+            if p is None:
+                continue
+            term = c1 if unit else (c if c1 == 1 else c * c1)
+            old = out.get(p)
+            if old is None:
+                out[p] = term
+                continue
+            nc = old + term
+            if nc:
+                out[p] = nc
+            else:
+                del out[p]
 
     def __repr__(self) -> str:
         return f"<AlgebraSpec {self.name}>"

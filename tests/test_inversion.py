@@ -152,6 +152,36 @@ def test_antihomomorphism_check_spends_its_budget(trees_sym4_normalized):
     assert report.checked == len(B.keys) + 50
 
 
+def _one_coefficient_off(S: ConvMap, bad: BasisKey) -> ConvMap:
+    """S with the first coefficient of S(bad) raised by one."""
+    def fn(key):
+        value = S(key)
+        if key is not bad:
+            return value
+        first, _ = value.sorted_terms()[0]
+        return value + FormalSum.basis(first)
+
+    return ConvMap(S.source, S.target, fn, "S'")
+
+
+@pytest.mark.parametrize("name", ["trees-s-normalized", "double-s3"])
+def test_validator_names_a_wrong_antipode_value(name, request):
+    # negative control: a wrong value is reported on both identities at its key
+    if name == "double-s3":
+        B = build_drinfeld_double(symmetric_group_3())
+        bad = BasisKey("dbl", ("p012", "p102"))  # identity times a transposition
+    else:
+        B = request.getfixturevalue("trees_sym4_normalized").bialgebra
+        bad = ladder(2)
+    assert bad in B.keys
+    S = antipode(B, validate=False)
+    assert validate_antipode(B, S).ok
+    report = validate_antipode(B, _one_coefficient_off(S, bad))
+    assert not report.ok
+    named = {detail for ctx, detail in report.failures if ctx == str(bad)}
+    assert named >= {"S*id != unit.counit", "id*S != unit.counit"}, report.render()
+
+
 def test_antipode_involutive_on_commutative_quotient():
     # S o S = id on the commutative connected quotient, classes <= 5 vertices
     B = normalized_quotient(build_tree_bialgebra(5, 5, "s")).bialgebra

@@ -7,7 +7,16 @@ that breaks a law: the product is not a key or ``None`` (or its
 ``FormalSum`` view disagrees), associativity fails, or a unit law fails.
 The projecting product ``a*b = a`` is the negative control and must fail
 its cell.
+
+Each row also has a multiply cell: Hypothesis draws a scalar and sums with
+int and ``Fraction`` coefficients, 0 among them, and ``mul``, ``mul_into``,
+``key_mul_into`` and ``mul_key_into`` must each equal a double loop over
+``key_product``, added into a term dict that holds the negation of part of
+the result, so that terms cancel, and must store no zero coefficient.
+Two deliberately broken multiplies are its negative control.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import find, settings
@@ -76,6 +85,73 @@ def law_failures(A: AlgebraSpec, a, b, c) -> list:
     return out
 
 
+def reference_product(A: AlgebraSpec, c, s1: FormalSum, s2: FormalSum) -> dict:
+    """The term dict of ``c * s1 * s2``, by a double loop over ``key_product``."""
+    out: dict = {}
+    for k1, c1 in s1:
+        for k2, c2 in s2:
+            k = A.key_product(k1, k2)
+            if k is not None:
+                out[k] = out.get(k, 0) + c * c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def multiply_failures(A: AlgebraSpec, c, s1: FormalSum, s2: FormalSum) -> list:
+    """The multiplies of A that disagree with the double loop on c, s1, s2."""
+    cases = [("mul_into", lambda out: A.mul_into(out, c, s1, s2),
+              reference_product(A, c, s1, s2))]
+    for k in s1.terms:
+        cases.append((f"key_mul_into({k})",
+                      lambda out, k=k: A.key_mul_into(out, c, k, s2),
+                      reference_product(A, c, FormalSum.basis(k), s2)))
+    for k in s2.terms:
+        cases.append((f"mul_key_into({k})",
+                      lambda out, k=k: A.mul_key_into(out, c, s1, k),
+                      reference_product(A, c, s1, FormalSum.basis(k))))
+    out = []
+    if A.mul(s1, s2).terms != reference_product(A, 1, s1, s2):
+        out.append(f"mul({s1}, {s2}) is not the double loop")
+    for what, run, product in cases:
+        # start from the negation of every other term, so those cancel
+        start = {k: -v for k, v in list(product.items())[::2]}
+        expected = {k: v for k, v in product.items() if k not in start}
+        acc = dict(start)
+        run(acc)
+        if any(v == 0 for v in acc.values()):
+            out.append(f"{what} stored a zero coefficient")
+        elif acc != expected:
+            out.append(f"{what} with c={c}, {s1} and {s2} is not the double loop")
+    return out
+
+
+def sums(A: AlgebraSpec, keys):
+    """Sums of up to three terms with int and Fraction coefficients, 0 and
+    repeated keys among them, or the unit, alone or added."""
+    coeff = st.one_of(st.integers(-2, 2),
+                      st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+    def build(terms):
+        d: dict = {}
+        for k, c in terms:
+            d[k] = d.get(k, 0) + c
+        return FormalSum(d)
+
+    drawn = st.lists(st.tuples(st.sampled_from(list(keys)), coeff), max_size=3).map(build)
+    return coeff, st.one_of(drawn, st.just(A.unit), drawn.map(lambda s: s + A.unit))
+
+
+def multiply_counterexample(A: AlgebraSpec, keys, examples: int = 60):
+    """A scalar and two sums on which a multiply of A disagrees, or None."""
+    coeff, sum_ = sums(A, keys)
+    try:
+        return find(st.tuples(coeff, sum_, sum_),
+                    lambda t: bool(multiply_failures(A, *t)),
+                    settings=settings(max_examples=examples, deadline=None,
+                                      database=None))
+    except NoSuchExample:
+        return None
+
+
 def counterexample(A: AlgebraSpec, keys, examples: int = 100):
     """A triple of keys that breaks a law of A, or None if none is found."""
     key = st.sampled_from(list(keys))
@@ -91,8 +167,42 @@ def counterexample(A: AlgebraSpec, keys, examples: int = 100):
 def test_product_laws(name, request):
     build, lawful = ROWS[name]
     B = build(request)
-    found = counterexample(B.algebra, B.keys)
+    A = B.algebra
+    found = counterexample(A, B.keys)
     if lawful:
-        assert found is None, law_failures(B.algebra, *found)
+        assert found is None, law_failures(A, *found)
     else:
         assert found is not None, f"{name} broke no law"
+    # the multiply cell: every row, the projecting one too, extends its
+    # key product bilinearly
+    assert multiply_failures(A, Fraction(-1, 2), A.unit, A.unit) == []
+    if name.startswith("double"):
+        # a unit that is a sum, with zero products among its terms
+        assert len(A.unit) > 1
+        assert any(A.key_product(a, b) is None for a in A.unit.terms for b in A.unit.terms)
+    bad = multiply_counterexample(A, B.keys)
+    assert bad is None, multiply_failures(A, *bad)
+
+
+class _SwappedSides(AlgebraSpec):
+    """``mul_key_into`` multiplies on the wrong side."""
+
+    def mul_key_into(self, out, c, s, k):
+        self.key_mul_into(out, c, k, s)
+
+
+class _KeepsZeros(AlgebraSpec):
+    """``key_mul_into`` stores the coefficients that cancel to 0."""
+
+    def key_mul_into(self, out, c, k, s):
+        for k2, c2 in s:
+            p = self.key_product(k, k2)
+            if p is not None:
+                out[p] = out.get(p, 0) + c * c2
+
+
+@pytest.mark.parametrize("broken", [_SwappedSides, _KeepsZeros])
+def test_multiply_cell_catches_a_broken_multiply(broken, trees_planar4):
+    A = trees_planar4.algebra
+    B = broken(A.name, A.raw_product, A.unit)
+    assert multiply_counterexample(B, trees_planar4.keys) is not None
