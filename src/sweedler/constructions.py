@@ -13,9 +13,10 @@ with other relations are rejected rather than guessed at.
 
 A quotient reads its parent's unmemoised maps (``raw_delta``,
 ``raw_product``), so only the quotient's own memos fill; it normalises
-each parent key once, into a dict of its own filled on first use.  The deformation
-reads the parent's memoised maps: its grouplike scan fills the parent's
-coproduct memo anyway, and one parent product serves every exponent.
+each parent key once, into a dict of its own filled on first use.  The
+deformation reads the parent's memoised maps: its grouplike scan fills the
+parent's coproduct memo anyway, and one parent product serves every
+exponent.
 Deformed (``q``) keys are interned by their base key and exponents and
 take their bytes from the base key's on first use, so they cost their new
 structure and pickle through the base key at any depth.
