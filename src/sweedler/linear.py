@@ -250,7 +250,8 @@ class FormalSum(_SparseSum):
 
     @staticmethod
     def _term_text(key: BasisKey, c) -> str:
-        return f"{render_scalar(c)}*{key_literal(key)}"
+        # an int renders as itself, without the render_scalar call
+        return f"{c if type(c) is int else render_scalar(c)}*{key_literal(key)}"
 
 
 def _addto(d: dict, k, c) -> None:
@@ -340,4 +341,5 @@ class TensorSum(_SparseSum):
     @staticmethod
     def _term_text(pair, c) -> str:
         a, b = pair
-        return f"{render_scalar(c)}*{key_literal(a)}(x){key_literal(b)}"
+        scalar = c if type(c) is int else render_scalar(c)
+        return f"{scalar}*{key_literal(a)}(x){key_literal(b)}"

@@ -8,12 +8,13 @@ controls stay observable.
 
 An :class:`AlgebraSpec` is given its product as a function from two keys
 to one key (coefficient 1) or ``None`` where the product is zero: every
-family's basis is a partial monoid.  The spec memoises keys;
-``product`` and ``mul`` are ``FormalSum`` views of that memo.  A key
-times a sum costs one product-row read and then one lookup per term:
-``key_mul_into`` adds ``c * k * s`` and ``mul_key_into`` adds
-``c * s * k`` into a term dict, and ``mul_into`` runs ``key_mul_into``
-once per term of its left factor.
+family's basis is a partial monoid.  The spec memoises keys in one row
+per left factor, a dict that holds the product and that factor and fills
+an entry on a miss; ``product`` and ``mul`` are ``FormalSum`` views of
+that memo.  A key times a sum costs one product-row read and then one
+lookup per term: ``key_mul_into`` adds ``c * k * s`` and ``mul_key_into``
+adds ``c * s * k`` into a term dict, and ``mul_into`` runs
+``key_mul_into`` once per term of its left factor.
 
 Each spec caches only what it serves: ``CoalgebraSpec.delta`` and
 ``AlgebraSpec.key_product`` are memoised views, and ``raw_delta`` and
@@ -40,7 +41,6 @@ same :class:`ConvMap` always return identical results.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -61,6 +61,20 @@ class _Memo(dict):
 
     def __missing__(self, k):
         return self.setdefault(k, self.fn(k))
+
+
+class _Row(dict):
+    """One row of an algebra's product memo: ``row[b]`` is ``product(a, b)``,
+    computed on a miss and inserted with ``dict.setdefault``."""
+
+    __slots__ = ("product", "a")
+
+    def __init__(self, product, a):
+        self.product = product
+        self.a = a
+
+    def __missing__(self, b):
+        return self.setdefault(b, self.product(self.a, b))
 
 
 class CoalgebraSpec:
@@ -125,7 +139,7 @@ class AlgebraSpec:
         self.unit = unit
         self.key_inverse = key_inverse
         self.raw_product = product
-        self._memo = _Memo(lambda a: _Memo(functools.partial(product, a)))
+        self._memo = _Memo(lambda a: _Row(product, a))
 
     def zero(self) -> FormalSum:
         return FormalSum.zero()

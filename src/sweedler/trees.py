@@ -23,19 +23,23 @@ canonicalised once, from an explicit stack, with no Python recursion; an
 interned tree is never canonicalised again.  Each table entry holds the
 tree's vertex and leaf counts and, once asked for, its cut table (stumps
 interned, branches in canonical order) and, for a top-level tree, its
-literal and its encoding.  Forest keys are interned by the identities of
-their trees, so equal forests are one :class:`BasisKey` and dict lookups
-keyed by them hit on identity.  ``forest_key`` is the family constructor:
-``BasisKey("forest", payload)`` and unpickling go through it, so every
-forest key holds interned trees.  A forest key is built without bytes;
-``encoded()`` and the key order join a fixed prefix with the encodings of
-its top-level trees on first use, so a key that nothing orders (such as a
-coproduct factor of a deep ladder) costs only its new structure.  It
-pickles as its literal, parsed back without recursion.  Products merge,
-``strip_lines`` filters and the coproduct reads cut tables: none of them
-canonicalises.  Tables only grow and every insertion is a
-``dict.setdefault``, so threads that race on one shape or forest still
-share one object; racing threads that fill the same bytes store equal ones.
+literal and its encoding; the encoding is written by one stack walk over
+the tree tuple, and subtrees keep no bytes of their own.  Forest keys are
+interned by the identities of their trees, so equal forests are one
+:class:`BasisKey` and dict lookups keyed by them hit on identity.
+``forest_key`` is the family constructor: ``BasisKey("forest", payload)``
+and unpickling go through it, so every forest key holds interned trees.
+A forest key is built without bytes or literal; ``encoded()`` and the key
+order join a fixed prefix with the encodings of its top-level trees on
+first use, and rendering joins their literals once and keeps the text on
+the key, so a key that nothing orders or prints (such as a coproduct
+factor of a deep ladder) costs only its new structure.  It pickles as its
+literal, parsed back without recursion.  Products merge, ``strip_lines``
+filters and the coproduct reads cut tables into one term dict (a one-tree
+forest's table as it is): none of them canonicalises.  Tables only grow
+and every insertion is a ``dict.setdefault``, so threads that race on one
+shape or forest still share one object; racing threads that fill the same
+bytes or literal store equal ones.
 The payload of a key is the same nested tuple either way, so encodings,
 term order and rendering do not change.
 
@@ -50,7 +54,7 @@ import itertools
 
 from .errors import InputError
 from .linear import (
-    BasisKey, FormalSum, TensorSum, _encode_atom, register_constructor, register_literal,
+    BasisKey, FormalSum, TensorSum, register_constructor, register_literal,
 )
 from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec
 
@@ -164,9 +168,10 @@ def _canonical(tree, mode: str):
 
 
 class _ForestKey(BasisKey):
-    """A forest key, interned by its trees and built without bytes."""
+    """A forest key, interned by its trees and built without bytes or
+    literal."""
 
-    __slots__ = ()
+    __slots__ = ("_lit",)
 
     def _fill(self) -> bytes:
         payload = self.payload
@@ -181,11 +186,23 @@ class _ForestKey(BasisKey):
 
 
 def _tree_bytes(tree) -> bytes:
-    """A forest entry's encoding, kept on its shape once computed."""
+    """A forest entry's encoding (``linear._encode_atom`` of the tree), kept
+    on its shape once computed.  One stack walk writes each vertex's tuple
+    header and tag; the line and the leaf slot are constant."""
     shape = _SHAPES[id(tree)]
-    if shape.enc is None:
-        shape.enc = _encode_atom(tree)
-    return shape.enc
+    enc = shape.enc
+    if enc is None:
+        parts = []
+        stack = [tree]
+        while stack:
+            t = stack.pop()
+            if len(t) == 1:
+                parts.append(b"t1:s1:." if t[0] == "." else b"t1:s1:|")
+            else:
+                parts.append(b"t%d:s1:v" % len(t))
+                stack.extend(t[:0:-1])
+        shape.enc = enc = b"".join(parts)
+    return enc
 
 
 def _forest(mode: str, trees) -> BasisKey:
@@ -195,6 +212,7 @@ def _forest(mode: str, trees) -> BasisKey:
     if key is None:
         new = object.__new__(_ForestKey)
         new.tag, new.payload, new._enc = "forest", (mode,) + tuple(trees), None
+        new._lit = None
         key = _FORESTS.setdefault(sig, new)
     return key
 
@@ -270,10 +288,12 @@ def _top_literal(tree) -> str:
 
 
 def _forest_literal(key: BasisKey) -> str:
-    trees = key.payload[1:]
-    if not trees:
-        return "1"
-    return ",".join(map(_top_literal, trees))
+    """A forest key's literal, joined once and kept on the key."""
+    lit = key._lit
+    if lit is None:
+        trees = key.payload[1:]
+        key._lit = lit = ",".join(map(_top_literal, trees)) if trees else "1"
+    return lit
 
 
 register_literal("forest", _forest_literal)
@@ -414,16 +434,21 @@ def _chain_cuts(chain, mode: str) -> tuple:
 
 def tree_coproduct(key: BasisKey) -> TensorSum:
     """Stump/branches coproduct of a forest key, multiplicities accumulated."""
-    mode = key.payload[0]
-    tables = [_cut_table(t) for t in key.payload[1:]]
-    terms = []
-    for combo in itertools.product(*tables):
-        stumps = tuple(c[0] for c in combo)
-        branches = tuple(itertools.chain.from_iterable(c[1] for c in combo))
-        if mode == "s" and len(combo) > 1:  # one tree's branches come sorted
+    mode, *trees = key.payload
+    terms: dict = {}
+    if len(trees) == 1:  # a cut table's branches come in canonical order
+        for stump, branches in _cut_table(trees[0]):
+            pair = (_forest(mode, (stump,)), _forest(mode, branches))
+            terms[pair] = terms.get(pair, 0) + 1
+        return TensorSum(terms, _clean=True)
+    for combo in itertools.product(*[_cut_table(t) for t in trees]):
+        stumps = [c[0] for c in combo]
+        branches = [b for c in combo for b in c[1]]
+        if mode == "s":
             stumps, branches = _sorted(stumps), _sorted(branches)
-        terms.append((_forest(mode, stumps), _forest(mode, branches)))
-    return TensorSum.of(terms)
+        pair = (_forest(mode, stumps), _forest(mode, branches))
+        terms[pair] = terms.get(pair, 0) + 1
+    return TensorSum(terms, _clean=True)
 
 
 def forest_product(k1: BasisKey, k2: BasisKey) -> BasisKey:

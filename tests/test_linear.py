@@ -115,6 +115,63 @@ def test_lazy_bytes_are_the_reference_encoding(graphs_c33, graphs_n33):
     assert [k for k, _ in terms] == ordered
 
 
+def test_tree_bytes_are_the_reference_encoding():
+    # the per-shape walk writes what the generic payload encoder writes, for
+    # every shape of trees(6,6) (subtrees and cut stumps are among them)
+    from sweedler.trees import LEAF, _tree_bytes, all_trees
+
+    for mode in ("s", "p"):
+        shapes = [LEAF] + all_trees(6, 6, mode)
+        wrong = [t for t in shapes if _tree_bytes(t) != _encode_atom(t)]
+        assert not wrong, wrong[:3]
+
+
+def test_forest_literal_is_the_comma_join():
+    # a forest key joins its literal once and keeps it; the kept text must
+    # be the join of its trees' literals, "1" for the unit
+    import random
+
+    from sweedler.trees import all_forest_keys, forest_product, tree_literal
+
+    rng = random.Random(17)
+    for mode in ("s", "p"):
+        keys = all_forest_keys(5, 5, mode)
+        keys += [forest_product(rng.choice(keys), rng.choice(keys)) for _ in range(2000)]
+        expected = [",".join(map(tree_literal, k.payload[1:])) or "1" for k in keys]
+        assert [str(k) for k in keys] == expected
+        assert [str(k) for k in keys] == expected  # read back from the key
+
+
+_PICKLE_CHILD = """
+import pickle, sys
+keys = pickle.loads(sys.stdin.buffer.read())  # before any tree is built
+from sweedler.trees import parse_forest
+sys.stdout.buffer.write(pickle.dumps(
+    ([(str(k), k.encoded(), k is parse_forest(str(k), k.payload[0])) for k in keys], keys)))
+"""
+
+
+def test_forest_keys_pickle_into_a_fresh_interpreter():
+    # a key pickles as its literal; another interpreter builds it again with
+    # the same literal and bytes, and its pickle comes back as the same key
+    import pickle
+    import subprocess
+    import sys
+
+    from sweedler.trees import forest_product, parse_forest, unit_key
+
+    keys = [unit_key("s"), unit_key("p"), parse_forest("v(.),|", "p"),
+            parse_forest("|,v(.)", "p"), parse_forest("v(v(.)v(..)),v(.),v(.)", "s"),
+            ladder(50), forest_product(ladder(3), parse_forest("v(..),|"))]
+    str(keys[2]), str(keys[4])  # some keys already hold their literal
+    proc = subprocess.run([sys.executable, "-c", _PICKLE_CHILD],
+                          input=pickle.dumps(keys), capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    seen, back = pickle.loads(proc.stdout)
+    assert seen == [(str(k), k.encoded(), True) for k in keys]
+    assert all(a is b for a, b in zip(back, keys))
+
+
 def test_deep_keys_compare_without_recursion():
     # a deep key built again is the very key it encodes, so == never walks
     # the nested tuples (which overflow the stack near depth 1000)
@@ -230,6 +287,10 @@ def test_render_contract():
     k2 = BasisKey("a", ("y",))
     s = FormalSum({k2: Fraction(-1, 2), k1: Fraction(3)})
     assert s.render() == "3*a:('x',) + -1/2*a:('y',)"
+    # int coefficients render as render_scalar renders them
+    assert FormalSum({k2: -2, k1: 3}).render() == "3*a:('x',) + -2*a:('y',)"
+    t = TensorSum({(k1, k2): -7, (k2, k1): Fraction(5, 3), (k1, k1): Fraction(4)})
+    assert t.render() == "4*a:('x',)(x)a:('x',) + -7*a:('x',)(x)a:('y',) + 5/3*a:('y',)(x)a:('x',)"
     assert FormalSum.zero().render() == "0"
 
 

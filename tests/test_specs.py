@@ -241,6 +241,38 @@ def test_validate_bialgebra_negative_control(trees_sym4):
     assert not report.ok
 
 
+def test_product_rows_call_the_product_once_per_pair():
+    # multiplying the same pairs twice, by keys and by sums, evaluates the
+    # spec's raw product once per distinct pair
+    import random
+    from collections import Counter
+
+    from sweedler.trees import all_forest_keys, forest_product, unit_key
+
+    calls = Counter()
+
+    def product(a, b):
+        calls[a, b] += 1
+        return forest_product(a, b)
+
+    A = AlgebraSpec("counted", product, FormalSum.basis(unit_key("s")))
+    keys = all_forest_keys(3, 3, "s")
+    rng = random.Random(5)
+    pairs = [(rng.choice(keys), rng.choice(keys)) for _ in range(400)]
+    left = FormalSum({a: 1 for a, _ in pairs[:20]})
+    right = FormalSum({b: 2 for _, b in pairs[20:40]})
+    expected = FormalSum.zero()
+    for a in left.terms:
+        for b in right.terms:
+            expected += FormalSum.basis(forest_product(a, b), 2)
+    for _ in range(2):
+        assert [A.key_product(a, b) for a, b in pairs] == [
+            forest_product(a, b) for a, b in pairs]
+        assert A.mul(left, right) == expected
+    distinct = set(pairs) | {(a, b) for a in left.terms for b in right.terms}
+    assert set(calls) == distinct and set(calls.values()) == {1}
+
+
 def test_product_memo_shared_across_threads():
     # four threads multiply the same never-seen pairs through one spec, in
     # rounds that start together.  This product hands out a fresh key on

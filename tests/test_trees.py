@@ -238,6 +238,57 @@ def test_class_pair_deduplication_breaks_compatibility():
     assert tree_coproduct(k) == product_side
 
 
+@pytest.mark.parametrize("mode", ["s", "p"])
+def test_coproduct_is_multiplicative(mode):
+    # Delta(k1 k2) = Delta(k1) Delta(k2) for every key of trees(5,5) split
+    # after its first tree (the unit and forests with repeated trees among
+    # them) and for random products beyond the truncation; a coproduct that
+    # collapses multiplicities to 1 fails it
+    keys = all_forest_keys(5, 5, mode)
+    splits = [(forest_key(k.payload[1:2], mode), forest_key(k.payload[2:], mode))
+              for k in keys]
+    assert [forest_product(a, b) for a, b in splits] == keys
+    assert unit_key(mode) in keys and parse_forest("v(.),v(.)", mode) in keys
+    rng = random.Random(29)
+    pairs = splits + [(rng.choice(keys), rng.choice(keys)) for _ in range(500)]
+    failures = [
+        (str(a), str(b)) for a, b in pairs
+        if tree_coproduct(forest_product(a, b))
+        != tree_coproduct(a).tensor_mul(tree_coproduct(b), forest_product)
+    ]
+    assert not failures, failures[:5]
+
+
+def test_deep_key_bytes_and_literal_cost_the_tree():
+    # a deep key's bytes and literal are one walk of its tree each; storing
+    # bytes on every subshape of a ladder would take memory quadratic in
+    # its depth (about 350 MB at this depth).  The child reads its peak RSS
+    # from VmHWM: on Linux its getrusage maxrss would start at the peak of
+    # this test process, which exec carries over
+    import subprocess
+    import sys
+
+    child = """
+import time
+start = time.perf_counter()
+from sweedler.linear import _encode_atom
+from sweedler.trees import ladder, tree_literal
+key = ladder(10_000)
+ok = (key.encoded() == b"k" + _encode_atom("forest") + _encode_atom(key.payload),
+      str(key) == tree_literal(key.payload[1]))
+seconds = time.perf_counter() - start
+with open("/proc/self/status") as status:
+    peak_kb = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(*ok, seconds, peak_kb)
+"""
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    same_bytes, same_text, seconds, peak_kb = proc.stdout.split()
+    assert same_bytes == same_text == b"True"
+    assert float(seconds) <= 1.0
+    assert int(peak_kb) <= 60 * 1024
+
+
 def test_deep_trees_need_no_python_stack():
     # canonical form, product, coproduct, rendering and encoding all walk
     # explicit stacks; the default recursion limit is a tenth of the depth
