@@ -28,7 +28,7 @@ from .constructions import (
     validate_coaction,
     validate_coideal,
 )
-from .errors import InputError, MathError, SweedlerError
+from .errors import InputError, MathError, SweedlerError, json_array
 from .gallery import (
     Poset,
     Quiver,
@@ -149,7 +149,8 @@ def _cmd_coproduct(args) -> int:
     elif args.word is not None:
         doc = _load_doc(args.word)
         try:
-            left, letters, right = doc["left"], tuple(doc["letters"]), doc["right"]
+            left, right = doc["left"], doc["right"]
+            letters = tuple(json_array(doc["letters"], "letters"))
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad word document: {exc}") from exc
         for name in (left, *letters, right):

@@ -15,6 +15,13 @@ class InputError(SweedlerError):
     """Malformed input document or literal."""
 
 
+def json_array(value, field: str) -> list:
+    """``value`` if it is a JSON array; a string is not split into letters."""
+    if not isinstance(value, list):
+        raise InputError(f"{field} must be a JSON array, not {type(value).__name__}")
+    return value
+
+
 class ConfigurationError(SweedlerError):
     """Incompatible specs wired together (e.g. mismatched convolution source)."""
 

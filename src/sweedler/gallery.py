@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InputError, UnsupportedError
+from .errors import InputError, UnsupportedError, json_array
 from .linear import BasisKey, FormalSum, TensorSum, register_literal
 from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec
 from .trees import _bounded
@@ -58,7 +58,7 @@ class Quiver:
     @classmethod
     def from_doc(cls, doc: dict) -> "Quiver":
         try:
-            vertices = tuple(doc["vertices"])
+            vertices = tuple(json_array(doc["vertices"], "vertices"))
             edges = tuple((e["name"], e["src"], e["tgt"]) for e in doc["edges"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad quiver document: {exc}") from exc
@@ -146,7 +146,7 @@ class Poset:
     """A finite poset given by cover relations; closure computed eagerly."""
 
     def __init__(self, elements, covers):
-        self.elements = tuple(elements)
+        self.elements = tuple(_check_name(e, "element") for e in elements)
         if len(set(self.elements)) != len(self.elements):
             raise InputError("duplicate poset elements")
         eset = set(self.elements)
@@ -192,7 +192,7 @@ class Poset:
             for c in covers:
                 if len(c) != 2:
                     raise InputError(f"bad poset document: cover {list(c)!r} is not a pair")
-            return cls(doc["elements"], covers)
+            return cls(json_array(doc["elements"], "elements"), covers)
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad poset document: {exc}") from exc
 

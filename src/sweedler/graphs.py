@@ -36,6 +36,10 @@ groups, mode) into a cut table shared by every class with that skeleton
 adds up its target sizes and looks up both factor classes.  ``_CUTS`` is
 filled with ``dict.setdefault``, so racing threads agree on one table.
 
+``graph_coproduct`` and ``strip_identity_corollas`` cache nothing: the
+universe closure fills the coproduct memo the spec then owns, and the strip
+hook's callers (quotients, deformations, characters) memoise its results.
+
 Class literal: ``g(sizes|edges|groups)``, e.g. a single edge contraction
 between two 2-flag corollas is ``g(2,2|0-1|0.1)``; the empty aggregate
 renders as ``1``.
@@ -48,11 +52,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InputError
+from .errors import InputError, json_array
 from .linear import (
     BasisKey, FormalSum, TensorSum, _encode_atom, register_constructor, register_literal,
 )
-from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec, ValidationReport
+from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec, ValidationReport, _Memo
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +390,6 @@ def _cut_table(n: int, edges, blocks, mode: str) -> tuple:
     return _CUTS.setdefault(skeleton, tuple(rows))
 
 
-@lru_cache(maxsize=None)
 def graph_coproduct(key: BasisKey) -> TensorSum:
     """Sum over ghost-edge subsets (and group refinements) of subgraph (x) residue.
 
@@ -439,8 +442,9 @@ def graph_grading(key: BasisKey) -> int:
 # ---------------------------------------------------------------------------
 # Universe enumeration
 
-def all_graph_classes(max_corollas: int, max_edges: int, max_flags: int, mode: str):
-    """All classes within the budgets, closed under coproduct factors.
+def _graph_universe(max_corollas: int, max_edges: int, max_flags: int, mode: str):
+    """The sorted classes within the budgets, closed under coproduct factors,
+    and the coproduct memo the closure filled: one entry per class.
 
     Residue factors merge corollas, so their targets can exceed the flag
     budget; the closure pass adds those keys (mostly identity aggregates) to
@@ -476,17 +480,23 @@ def all_graph_classes(max_corollas: int, max_edges: int, max_flags: int, mode: s
                             for cell in part
                         ]
                         keys.add(graph_class_key(sizes, edges, blocks, mode))
+    delta = _Memo(graph_coproduct)
     frontier = list(keys)
     while frontier:
         new = []
         for k in frontier:
-            for (a, b), _ in graph_coproduct(k):
+            for (a, b), _ in delta[k]:
                 for f in (a, b):
                     if f not in keys:
                         keys.add(f)
                         new.append(f)
         frontier = new
-    return sorted(keys)
+    return sorted(keys), delta
+
+
+def all_graph_classes(max_corollas: int, max_edges: int, max_flags: int, mode: str):
+    """All classes within the budgets, closed under coproduct factors."""
+    return _graph_universe(max_corollas, max_edges, max_flags, mode)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +580,8 @@ class GraphMorphism:
     @classmethod
     def from_doc(cls, doc: dict) -> "GraphMorphism":
         try:
-            corollas = [(c["name"], list(c["flags"])) for c in doc["corollas"]]
+            corollas = [(c["name"], list(json_array(c["flags"], "flags")))
+                        for c in doc["corollas"]]
             names = [n for n, _ in corollas]
             edges = []
             for a, b in doc.get("edges", ()):
@@ -645,7 +656,6 @@ def check_graph_relations(budget: int = 50, seed: int = 0) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # The bialgebra
 
-@lru_cache(maxsize=None)
 def strip_identity_corollas(key: BasisKey):
     """Drop isolated identity corollas; returns (reduced key, exponents)."""
     mode, sizes, edges, blocks = key.payload
@@ -675,7 +685,7 @@ def strip_identity_corollas(key: BasisKey):
 def build_graph_bialgebra(max_corollas: int, max_edges: int,
                           max_flags: int = 3, connected: bool = True) -> BialgebraSpec:
     mode = "c" if connected else "n"
-    keys = all_graph_classes(max_corollas, max_edges, max_flags, mode)
+    keys, delta = _graph_universe(max_corollas, max_edges, max_flags, mode)
     coalg = CoalgebraSpec(
         f"graphs({mode},{max_corollas}c,{max_edges}e,{max_flags}f)",
         keys,
@@ -683,6 +693,7 @@ def build_graph_bialgebra(max_corollas: int, max_edges: int,
         graph_counit,
         graph_grading,
     )
+    coalg._delta_memo = delta  # every key's coproduct, from the closure
     alg = AlgebraSpec(coalg.name, graph_product, FormalSum.basis(graph_unit_key(mode)))
     max_size = max(
         (s for k in keys for s in k.payload[1]), default=0

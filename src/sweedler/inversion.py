@@ -89,38 +89,26 @@ def _colored_inverse(f: ConvMap) -> ConvMap:
     the keys that need it.  The order needs no filtration table: a right
     factor of a reduced term sits strictly lower in any admissible
     filtration, and a key that needs itself is reported as a cycle.  The
-    walk state is local to the call, and the memo only ever gains complete,
-    equal values, so threads sharing the map race harmlessly.
+    walk state is local to the call; values, h(g) included, live only in the
+    map's memo, which only gains complete, equal values, so threads race
+    harmlessly.
     """
     C, T = f.source, f.target
-    # left flank of every non-grouplike key, read off its coproduct on first use
-    flank_of: dict = {}
-    memo: dict = {}
-    flank_inverse: dict = {}
 
-    def left_flank(key):
-        g = flank_of.get(key)
+    def frame(key):
+        """(key, its left flank or None for a grouplike, the right factors)."""
+        if is_grouplike(C, key):
+            return key, None, iter(())
+        pair = flanks(C, key)
+        if pair is None:
+            raise ConfigurationError(f"key {key} has no well-defined flanks")
+        g = pair[0]
+        return key, g, iter([b for (a, b), _ in C.delta(key) if not (a == g and b == key)])
+
+    def evaluate(key, g):
         if g is None:
-            pair = flanks(C, key)
-            if pair is None:
-                raise ConfigurationError(f"key {key} has no well-defined flanks")
-            g = flank_of[key] = pair[0]
-        return g
-
-    def right_factors(key):
-        if is_grouplike(C, key):
-            return ()
-        g = left_flank(key)
-        return [b for (a, b), _ in C.delta(key) if not (a == g and b == key)]
-
-    def evaluate(key):
-        if is_grouplike(C, key):
             return _grouplike_inverse(f, key)
-        g = left_flank(key)
-        inv_g = flank_inverse.get(g)
-        if inv_g is None:
-            inv_g = _grouplike_inverse(f, g)
-            flank_inverse[g] = inv_g
+        inv_g = h(g)
         # eps(x) 1 - sum c f(a) h(b), accumulated in place
         acc = T.accumulate(T.zero(), C.counit(key), T.one())
         for (a, b), c in C.delta(key):
@@ -130,29 +118,28 @@ def _colored_inverse(f: ConvMap) -> ConvMap:
         return acc if inv_g == T.one() else T.mul(inv_g, acc)
 
     def h_fn(key: BasisKey):
-        value = memo.get(key)
-        if value is not None:
-            return value
-        stack = [(key, iter(right_factors(key)))]
+        stack = [frame(key)]
         on_path = {key}
         while stack:
-            k, todo = stack[-1]
+            k, g, todo = stack[-1]
             for b in todo:
                 if b in memo:
                     continue
                 if b in on_path:
                     raise ConfigurationError(f"colored recursion cycles at {b}")
                 on_path.add(b)
-                stack.append((b, iter(right_factors(b))))
+                stack.append(frame(b))
                 break
             else:
                 stack.pop()
                 on_path.discard(k)
-                if k not in memo:
-                    memo[k] = evaluate(k)
+                if k not in memo:  # racing threads keep the first value
+                    memo.setdefault(k, evaluate(k, g))
         return memo[key]
 
-    return ConvMap(C, T, h_fn, name=f"{f.name}^-1")
+    h = ConvMap(C, T, h_fn, name=f"{f.name}^-1")
+    memo = h._memo
+    return h
 
 
 def finite_convolution_inverse(f: ConvMap, B: BialgebraSpec) -> ConvMap:
@@ -171,15 +158,7 @@ def finite_convolution_inverse(f: ConvMap, B: BialgebraSpec) -> ConvMap:
     if not isinstance(T, AlgebraSpec):
         raise ConfigurationError("finite solve targets the bialgebra itself")
     keys = list(C.keys)
-    col_index = {}
-
-    def col(a, m):
-        idx = col_index.get((a, m))
-        if idx is None:
-            idx = len(col_index)
-            col_index[(a, m)] = idx
-        return idx
-
+    col_index: dict = {}  # (a, m) -> the column of the unknown coefficient
     rows: dict = {}
     rhs: dict = {}
     unit = B.unit
@@ -196,20 +175,21 @@ def finite_convolution_inverse(f: ConvMap, B: BialgebraSpec) -> ConvMap:
                 for o, co in fb:
                     mo = T.key_product(m, o)
                     if mo is not None:
-                        _addto(rows.setdefault((k, mo), {}), col(a, m), c * co)
+                        col = col_index.setdefault((a, m), len(col_index))
+                        _addto(rows.setdefault((k, mo), {}), col, c * co)
     row_keys = sorted(set(rows) | set(rhs), key=lambda ko: (ko[0], ko[1]))
     matrix = [rows.get(ko, {}) for ko in row_keys]
     vector = [rhs.get(ko, 0) for ko in row_keys]
     solution = solve_sparse(matrix, vector)
     if solution is None:
         raise MathError(f"{f.name} has no convolution inverse on {C.name}")
-    values: dict = {k: {} for k in keys}
+    # the solution fills the memo; a key it gives no term has value zero
+    inv = ConvMap(C, T, lambda k: FormalSum.zero(), name=f"{f.name}^-1")
     for (a, m), idx in col_index.items():
         v = solution.get(idx, 0)
         if v:  # a Fraction from linalg; integral values become int
-            values[a][m] = v.numerator if v.denominator == 1 else v
-    table = {k: FormalSum(values[k]) for k in keys}
-    inv = ConvMap(C, T, lambda k: table[k], name=f"{f.name}^-1")
+            inv._memo.setdefault(a, FormalSum.zero()).terms[m] = (
+                v.numerator if v.denominator == 1 else v)
     eta_eps = convolution_unit(C, T)
     for side in (convolve(inv, f), convolve(f, inv)):
         for k in keys:

@@ -372,8 +372,9 @@ def birkhoff(phi, B: BialgebraSpec, T: RBOperator) -> BirkhoffPair:
 
     The recursion prepares phibar(x) = phi(x) + sum phi_minus(x') phi(x'')
     over the reduced coproduct, then projects: the counterterm is
-    -T(phibar) and the renormalized part is (1-T)(phibar).  The factorization
-    identity is always re-derived through the convolution engine.
+    -T(phibar) and the renormalized part is (1-T)(phibar); phi_minus(x') is
+    read from the returned ``minus`` map's memo.  The factorization identity
+    is always re-derived through the convolution engine.
     """
     if isinstance(phi, CharacterSpec):
         phi = phi.as_conv_map(B)
@@ -392,22 +393,18 @@ def birkhoff(phi, B: BialgebraSpec, T: RBOperator) -> BirkhoffPair:
     if phi(unit_key) != target.one():
         raise ConfigurationError("character must send the unit to one")
 
-    memo_minus: dict = {unit_key: target.one()}
-
     def prepared(key: BasisKey):
         acc = target.accumulate(target.zero(), 1, phi(key))
         for (a, b), c in C.delta(key):
             if a == unit_key or b == unit_key:
                 continue
-            acc = target.accumulate(acc, c, minus(a), phi(b))
+            acc = target.accumulate(acc, c, minus_map(a), phi(b))
         return acc
 
     def minus(key: BasisKey):
-        out = memo_minus.get(key)
-        if out is None:
-            out = target.scale(Fraction(-1), T(prepared(key)))
-            memo_minus[key] = out
-        return out
+        if key == unit_key:
+            return target.one()
+        return target.scale(Fraction(-1), T(prepared(key)))
 
     def plus(key: BasisKey):
         if key == unit_key:

@@ -16,11 +16,11 @@ lookup per term: ``key_mul_into`` adds ``c * k * s`` and ``mul_key_into``
 adds ``c * s * k`` into a term dict, and ``mul_into`` runs
 ``key_mul_into`` once per term of its left factor.
 
-Each spec caches only what it serves: ``CoalgebraSpec.delta`` and
-``AlgebraSpec.key_product`` are memoised views, and ``raw_delta`` and
-``raw_product`` are the maps they were built from.  A quotient reads its
-parent's raw maps, so its evaluations fill its own memos and never its
-parent's.
+Each value is memoised once, by the spec or ``ConvMap`` that serves it:
+``CoalgebraSpec.delta`` and ``AlgebraSpec.key_product`` are memoised views of
+``raw_delta`` and ``raw_product``, and a coalgebra keeps its grouplike scan.
+A quotient reads its parent's raw maps, so its evaluations fill its own
+memos and never its parent's.
 
 Convolution maps can land in the bialgebra itself (formal sums), in the
 rationals, or in Laurent polynomials; the dual algebra of a coalgebra is
@@ -78,8 +78,8 @@ class _Row(dict):
 
 
 class CoalgebraSpec:
-    """A truncated key universe; ``delta`` reads the spec's memo and
-    ``raw_delta`` is the unmemoised map it was built from."""
+    """A truncated key universe; ``delta`` reads the spec's memo of
+    ``raw_delta``, and ``find_grouplikes`` keeps its scan in ``_grouplikes``."""
 
     def __init__(
         self,
@@ -98,6 +98,7 @@ class CoalgebraSpec:
         self.raw_delta = delta
         self._delta_memo = _Memo(delta)
         self._key_set = set(self.keys)
+        self._grouplikes = None
 
     def delta(self, key: BasisKey) -> TensorSum:
         return self._delta_memo[key]

@@ -32,11 +32,10 @@ def find_grouplikes(C: CoalgebraSpec):
 
     Returns (grouplikes, semigrouplikes); the first set is contained in the
     second, which also collects semigrouplikes with counit value != 1.
-    The scan is cached on the spec (universes are immutable).
+    The scan is kept in the spec's ``_grouplikes`` (universes are immutable).
     """
-    cached = getattr(C, "_grouplike_cache", None)
-    if cached is not None:
-        return cached
+    if C._grouplikes is not None:
+        return C._grouplikes
     grouplikes = set()
     semigrouplikes = set()
     for k in C.keys:
@@ -44,7 +43,7 @@ def find_grouplikes(C: CoalgebraSpec):
             semigrouplikes.add(k)
             if C.counit(k) == 1:
                 grouplikes.add(k)
-    C._grouplike_cache = (grouplikes, semigrouplikes)
+    C._grouplikes = (grouplikes, semigrouplikes)
     return grouplikes, semigrouplikes
 
 

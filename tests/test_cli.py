@@ -99,8 +99,17 @@ def test_deep_inputs_are_input_errors(argv):
     ["coproduct", "--poset", '{"elements":["0","1"],"covers":[["0","1","2"]]}',
      "--interval", "0,1"],
     ["coproduct", "--word", '{"left":"a","letters":"bc","right":5}'],
+    ["structure", "--poset", '{"elements":[1,"1"],"covers":[]}'],
+    ["structure", "--poset", '{"elements":[null],"covers":[]}'],
+    ["structure", "--poset", '{"elements":[1.5],"covers":[]}'],
+    ["structure", "--poset", '{"elements":"01","covers":[]}'],
+    ["coproduct", "--word", '{"left":"a","letters":"bc","right":"d"}'],
+    ["structure", "--quiver", '{"vertices":"uv","edges":[]}'],
+    ["coproduct", "--graph", '{"corollas":[{"name":"u","flags":"xy"}]}'],
 ], ids=["rules-not-object", "rule-not-string", "cover-singleton",
-        "cover-triple", "word-name-not-string"])
+        "cover-triple", "word-name-not-string", "element-number",
+        "element-null", "element-float", "elements-string", "letters-string",
+        "vertices-string", "flags-string"])
 def test_bad_document_fields_are_input_errors(argv):
     code, out, err = _run_cli_stderr(argv)
     assert code == 2
@@ -327,15 +336,16 @@ def _argvs(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_argvs())
 def test_exit_contract_under_fuzzing(argv):
-    # 0 success, 1 only with a MathError line, 2 bad input, 3 internal error;
-    # no traceback, whatever the arguments and documents
+    # 0 success, 1 only with a MathError line, 2 bad input; never 3, the
+    # internal-error catch-all, and no traceback, whatever the arguments and
+    # documents
     err = io.StringIO()
     try:
         code, _ = run_cli(argv, stderr=err)
     except SystemExit as exc:  # argparse rejects the command line
         code = exc.code
     text = err.getvalue()
-    assert code in (0, 1, 2, 3)
+    assert code in (0, 1, 2)
     if code == 1:
         assert text.startswith("mathematical obstruction: ")
     assert "Traceback" not in text

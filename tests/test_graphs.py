@@ -634,6 +634,29 @@ def test_graph_grouplikes_are_identity_classes(graphs_c33):
     assert graph_unit_key("c") in gpl
 
 
+@pytest.mark.parametrize("connected", [True, False])
+def test_graph_coproduct_runs_once_per_universe_key(connected, monkeypatch):
+    # the universe closure and the spec share one memo: building the spec,
+    # scanning for grouplikes and sweeping the filtration evaluate each
+    # key's coproduct once, and no other key's
+    from collections import Counter
+
+    import sweedler.graphs as graphs
+    from sweedler.structure import bivariate_filtration
+
+    calls = Counter()
+
+    def counted(key):
+        calls[key] += 1
+        return graph_coproduct(key)
+
+    monkeypatch.setattr(graphs, "graph_coproduct", counted)
+    C = graphs.build_graph_bialgebra(3, 3, 3, connected=connected).coalgebra
+    find_grouplikes(C)
+    assert bivariate_filtration(C).exhaustive
+    assert calls == Counter(C.keys)
+
+
 def test_graph_pathlike(graphs_c33, graphs_n33):
     for B in (graphs_c33, graphs_n33):
         verdict = verify_pathlike(B.coalgebra)

@@ -344,3 +344,26 @@ def test_restriction_to_subcoalgebra(two_vertex_complete_paths):
 def test_degree_zero_closure(trees_sym4):
     report = validate_coalgebra(trees_sym4.coalgebra, max_degree=0)
     assert report.ok
+
+
+def test_module_caches_are_the_documented_two():
+    # process-wide functools caches hold only pure, spec-free tables; every
+    # structure-map value is memoised by the spec or map that serves it
+    import importlib
+    import pkgutil
+    from pathlib import Path
+
+    import sweedler
+
+    caches = set()
+    for info in pkgutil.iter_modules(sweedler.__path__):
+        module = importlib.import_module(f"sweedler.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_info"):
+                caches.add(f"{value.__module__.rpartition('.')[2]}.{value.__name__}")
+    assert caches == {"graphs._class_key", "gallery._word_cuts"}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    note = readme[readme.index("- Caches live at module level"):]
+    note = note[:note.index("\n- ")] if "\n- " in note else note
+    for name in caches:
+        assert f"`{name}`" in note
