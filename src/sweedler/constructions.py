@@ -11,12 +11,12 @@ the normal form.  The deformed algebras assume the grouplike monoid is free
 on the basic-object classes (true for the tree and graph instances); inputs
 with other relations are rejected rather than guessed at.
 
-A quotient reads its parent's unmemoised maps (``raw_delta``,
-``raw_product``), so only the quotient's own memos fill; it normalises
-each parent key once, into a dict of its own filled on first use.  The
-deformation reads the parent's memoised maps: its grouplike scan fills the
-parent's coproduct memo anyway, and one parent product serves every
-exponent.
+A quotient reads its parent's maps without filling their memos
+(``peek_delta``, ``raw_product``), so only the quotient's own memos fill;
+it normalises each parent key once, into a dict of its own filled on first
+use.  The deformation reads the parent's memoised maps: its grouplike scan
+fills the parent's coproduct memo anyway, and one parent product serves
+every exponent.
 Deformed (``q``) keys are interned by their base key and exponents and
 take their bytes from the base key's on first use, so they cost their new
 structure and pickle through the base key at any depth.
@@ -52,10 +52,10 @@ class QuotientSpec:
 
 
 def _quotient_bialgebra(B: BialgebraSpec, nf, name: str) -> BialgebraSpec:
-    """The quotient by ``nf``, computed from the parent's unmemoised maps
-    so that only its own memos fill."""
+    """The quotient by ``nf``, computed from parent maps that fill no
+    parent memo, so that only its own memos fill."""
     keys = sorted({nf(k) for k in B.keys})
-    parent_delta = B.coalgebra.raw_delta
+    parent_delta = B.coalgebra.peek_delta
     parent_product = B.algebra.raw_product
     # parent key -> nf(key), filled by delta and product on first use
     nf_of = _Memo(nf)

@@ -29,12 +29,20 @@ In connected mode every target group must be connected by its ghost edges
 (mergers are forbidden) and the partition is forced to the edge components;
 in non-connected mode target groups may merge disconnected pieces.
 
-The coproduct's edge subsets, refinements and residues do not depend on the
-flag sizes: they are computed once per skeleton (corolla count, edges,
+The coproduct's target groups, chosen edges and residues do not depend on
+the flag sizes: they are computed once per skeleton (corolla count, edges,
 groups, mode) into a cut table shared by every class with that skeleton
-(hash-consing, Filliâtre & Conchon 2006).  A key's coproduct walks the rows,
-adds up its target sizes and looks up both factor classes.  ``_CUTS`` is
-filled with ``dict.setdefault``, so racing threads agree on one table.
+(hash-consing, Filliâtre & Conchon 2006).  A row that takes j_e of the m_e
+parallel copies of each edge e stands for the product of the C(m_e, j_e)
+edge subsets that all give its term, and carries that product as its
+coefficient.  Connected mode walks the distinct edges' supports, whose
+components are the target groups; non-connected mode takes the target
+groups first, every refinement of the morphism's groups, and then the
+sub-multisets of the edges inside them.  Either way each row walked is a
+row kept.  A key's coproduct walks the rows, adds up its target sizes,
+looks up both factor classes and adds the coefficient into one term dict.
+``_CUTS`` is filled with ``dict.setdefault``, so racing threads agree on
+one table.
 
 ``graph_coproduct`` and ``strip_identity_corollas`` cache nothing: the
 universe closure fills the coproduct memo the spec then owns, and the strip
@@ -48,6 +56,7 @@ renders as ``1``.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -327,24 +336,6 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
-def _mergers(comps, block_id) -> list:
-    """Every coarsening of the components inside the morphism's groups."""
-    by_block: dict = {}
-    for comp in comps:
-        by_block.setdefault(block_id[comp[0]], []).append(comp)
-    per_block = []
-    for bi in sorted(by_block):
-        cs = by_block[bi]
-        per_block.append([
-            [tuple(sorted(c for i in cell for c in cs[i])) for cell in part]
-            for part in _set_partitions(range(len(cs)))
-        ])
-    return [
-        [grp for part in combo for grp in part]
-        for combo in itertools.product(*per_block)
-    ]
-
-
 # (corolla count, edges, blocks, mode) -> that skeleton's cut table; each
 # row part is also a key here, mapped to its one shared copy (a skeleton
 # ends in the mode string and no part holds a string, so they never meet).
@@ -354,39 +345,52 @@ _CUTS: dict = {}
 def _cut_table(n: int, edges, blocks, mode: str) -> tuple:
     """The size-free part of the coproduct of every key with this skeleton.
 
-    One row per (edge subset, refinement): the chosen edges, the sorted left
-    groups, the flags each group's chosen edges contract, and the residue
-    edges and groups on the left factor's target corollas.
+    Each row takes j of the m parallel copies of every edge and stands for
+    the C(m, j) edge subsets that give its term.  Connected mode walks the
+    supports (which distinct edges have j >= 1); their components are the
+    left groups.  Non-connected mode walks the partitions G that refine the
+    groups, then every sub-multiset of the edges inside G's parts.  A row
+    holds the chosen edges, the sorted left groups, the flags each group's
+    chosen edges contract, the residue edges and groups on the left factor's
+    target corollas, and the coefficient.
     """
     skeleton = (n, edges, blocks, mode)
     table = _CUTS.get(skeleton)
     if table is not None:
         return table
-    block_id = [0] * n
-    for bi, blk in enumerate(blocks):
-        for c in blk:
-            block_id[c] = bi
+    distinct = [(e, len(list(run))) for e, run in itertools.groupby(edges)]
+    if mode == "c":
+        cuts = ((_components(n, [e for (e, _), t in zip(distinct, on) if t]), on)
+                for on in itertools.product((0, 1), repeat=len(distinct)))
+    else:
+        cuts = (([grp for part in combo for grp in part], None)
+                for combo in itertools.product(*map(_set_partitions, blocks)))
     rows = []
-    for bits in range(1 << len(edges)):
-        chosen = tuple(edges[i] for i in range(len(edges)) if bits & (1 << i))
-        rest = [edges[i] for i in range(len(edges)) if not bits & (1 << i)]
-        comps = _components(n, chosen)
-        refinements = [comps] if mode == "c" else _mergers(comps, block_id)
-        for groups in refinements:
-            groups = sorted(groups)
-            tgt_index = [0] * n
-            res_groups: dict = {}
-            for gi, grp in enumerate(groups):
-                for c in grp:
-                    tgt_index[c] = gi
-                res_groups.setdefault(block_id[grp[0]], []).append(gi)
+    for groups, on in cuts:
+        groups = tuple(sorted(tuple(sorted(grp)) for grp in groups))
+        tgt_index = [0] * n
+        for gi, grp in enumerate(groups):
+            for c in grp:
+                tgt_index[c] = gi
+        res_groups = tuple(tuple(sorted({tgt_index[c] for c in blk})) for blk in blocks)
+        # per distinct edge: j chosen copies, m - j residue copies, C(m, j)
+        options = []
+        for i, (e, m) in enumerate(distinct):
+            ga, gb = tgt_index[e[0]], tgt_index[e[1]]
+            js = range(m + 1 if ga == gb else 1) if on is None else range(on[i], on[i] * m + 1)
+            options.append([((e,) * j, ((ga, gb),) * (m - j), math.comb(m, j)) for j in js])
+        for picks in itertools.product(*options):
+            chosen = res_edges = ()
+            coef = 1
+            for took, rest, ways in picks:
+                chosen += took
+                res_edges += rest
+                coef *= ways
             drops = [0] * len(groups)
             for a, _ in chosen:
                 drops[tgt_index[a]] += 2
-            row = (chosen, tuple(groups), tuple(drops),
-                   tuple((tgt_index[a], tgt_index[b]) for a, b in rest),
-                   tuple(map(tuple, res_groups.values())))
-            rows.append(tuple(_CUTS.setdefault(part, part) for part in row))
+            row = (chosen, groups, tuple(drops), res_edges, res_groups)
+            rows.append(tuple(_CUTS.setdefault(part, part) for part in row) + (coef,))
     return _CUTS.setdefault(skeleton, tuple(rows))
 
 
@@ -401,8 +405,8 @@ def graph_coproduct(key: BasisKey) -> TensorSum:
     flags of its group less the two each chosen edge inside it contracts.
     """
     mode, sizes, edges, blocks = key.payload
-    terms = []
-    for chosen, groups, drops, res_edges, res_groups in _cut_table(
+    terms: dict = {}
+    for chosen, groups, drops, res_edges, res_groups, coef in _cut_table(
         len(sizes), edges, blocks, mode
     ):
         tgt_sizes = []
@@ -411,11 +415,12 @@ def graph_coproduct(key: BasisKey) -> TensorSum:
             for c in grp:
                 total += sizes[c]
             tgt_sizes.append(total)
-        terms.append((
+        pair = (
             _class_key(sizes, chosen, groups, mode),
             _class_key(tuple(tgt_sizes), res_edges, res_groups, mode),
-        ))
-    return TensorSum.of(terms)
+        )
+        terms[pair] = terms.get(pair, 0) + coef
+    return TensorSum(terms, _clean=True)
 
 
 def graph_product(k1: BasisKey, k2: BasisKey) -> BasisKey:

@@ -19,8 +19,10 @@ adds ``c * s * k`` into a term dict, and ``mul_into`` runs
 Each value is memoised once, by the spec or ``ConvMap`` that serves it:
 ``CoalgebraSpec.delta`` and ``AlgebraSpec.key_product`` are memoised views of
 ``raw_delta`` and ``raw_product``, and a coalgebra keeps its grouplike scan.
-A quotient reads its parent's raw maps, so its evaluations fill its own
-memos and never its parent's.
+A quotient reads its parent's coproducts with ``peek_delta`` (the memo's
+entry where there is one, ``raw_delta`` otherwise) and its products with
+``raw_product``, so its evaluations fill its own memos and never its
+parent's.
 
 Convolution maps can land in the bialgebra itself (formal sums), in the
 rationals, or in Laurent polynomials; the dual algebra of a coalgebra is
@@ -102,6 +104,11 @@ class CoalgebraSpec:
 
     def delta(self, key: BasisKey) -> TensorSum:
         return self._delta_memo[key]
+
+    def peek_delta(self, key: BasisKey) -> TensorSum:
+        """``delta(key)`` without filling the memo: its entry if it holds one."""
+        d = self._delta_memo.get(key)
+        return self.raw_delta(key) if d is None else d
 
     def counit(self, key: BasisKey) -> int:
         return self._counit(key)

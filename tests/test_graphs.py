@@ -210,6 +210,56 @@ def test_twin_reduced_search_equals_full_search(structure):
     assert _canonical(*structure) == _reference_canonical(*structure)
 
 
+@st.composite
+def _untied_inputs(draw):
+    # labelled inputs in which no two corollas share an attribute: either
+    # distinct sizes, or distinct (loops, degree) pairs on sizes that may tie
+    # (all equal, or each the flags its corolla uses plus a little)
+    from sweedler.graphs import _components
+
+    n = draw(st.integers(1, 7))
+    degree = [0] * n
+    edges = []
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=8)):
+        if a != b:
+            edges.append((min(a, b), max(a, b)))
+            degree[a] += 1
+            degree[b] += 1
+    by_size = draw(st.booleans())
+    pairs = set()
+    for i in range(n):
+        loops = draw(st.integers(0, 2))
+        while not by_size and (loops, degree[i]) in pairs:
+            loops += 1
+        pairs.add((loops, degree[i]))
+        edges += [(i, i)] * loops
+        degree[i] += 2 * loops  # now the flags corolla i uses
+    if by_size:
+        sizes = [max(degree) + r for r in draw(st.permutations(range(n)))]
+    elif draw(st.booleans()):
+        sizes = [max(degree)] * n
+    else:
+        sizes = [d + draw(st.integers(0, 2)) for d in degree]
+    comps = _components(n, edges)
+    labels = draw(st.lists(st.integers(0, len(comps) - 1),
+                           min_size=len(comps), max_size=len(comps)))
+    merged: dict = {}
+    for comp, label in zip(comps, labels):
+        merged.setdefault(label, []).extend(comp)
+    blocks = [tuple(sorted(blk)) for blk in merged.values()]
+    return (tuple(sizes), tuple(draw(st.permutations(edges))),
+            tuple(draw(st.permutations(blocks))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_untied_inputs())
+def test_untied_attributes_canonicalise_by_sorting(structure):
+    # with every attribute cell a singleton the attribute sort alone is the
+    # relabelling, so it must carry every attribute the full search uses
+    assert _canonical(*structure) == _reference_canonical(*structure)
+
+
 def test_many_equal_corollas_canonicalise_fast():
     # twelve two-flag corollas and one ghost edge: the full search tries
     # 2!*10! relabellings, the twin-reduced search one
@@ -374,7 +424,8 @@ def test_coproduct_representative_independence():
 @pytest.mark.parametrize("universe", [(3, 3, 3, "c"), (3, 3, 3, "n"), (4, 4, 3, "c")])
 def test_coproduct_equals_oracle_on_whole_universe(universe):
     # every key's coproduct against the subset enumeration; keys that differ
-    # only in sizes walk one shared table, each row giving one term
+    # only in sizes walk one shared table, each row giving as many terms as
+    # its coefficient counts edge subsets
     from sweedler.graphs import _cut_table
 
     mode = universe[3]
@@ -386,8 +437,84 @@ def test_coproduct_equals_oracle_on_whole_universe(universe):
         assert d == _coproduct_oracle(sizes, edges, blocks, mode), key
         table = _cut_table(len(sizes), edges, blocks, mode)
         assert tables.setdefault((len(sizes), edges, blocks), table) is table
-        assert sum(c for _, c in d) == len(table)
+        assert sum(c for _, c in d) == sum(row[-1] for row in table)
     assert len(tables) < len(keys) // 2
+
+
+@pytest.mark.parametrize("mode", ["c", "n"])
+def test_parallel_edges_equal_the_subset_oracle(mode):
+    # k parallel edges between two corollas, a loop on the first and an edge
+    # to a third: one row per count j of chosen parallel edges, weighted
+    # C(k, j), against the oracle's 2^(k + 2) edge subsets
+    from sweedler.graphs import _components
+
+    for k in range(11):
+        sizes = (k + 2, k + 1, 1)
+        edges = ((0, 0),) + ((0, 1),) * k + ((1, 2),)
+        blocks = _components(3, edges) if mode == "c" else [(0, 1, 2)]
+        key = graph_class_key(sizes, edges, blocks, mode)
+        assert graph_coproduct(key) == _coproduct_oracle(sizes, edges, blocks, mode), k
+
+
+def test_parallel_edges_cost_their_multiplicity():
+    # two 25-flag corollas joined by 25 edges: 2^25 edge subsets, but 26
+    # edge counts and a merger, so 27 rows and 27 terms
+    import json
+    import subprocess
+    import sys
+    import time
+
+    from sweedler.graphs import _cut_table
+
+    sizes, edges = (25, 25), ((0, 1),) * 25
+    start = time.perf_counter()
+    d = graph_coproduct(graph_class_key(sizes, edges, [(0, 1)], "n"))
+    assert time.perf_counter() - start < 1.0
+    assert len(_cut_table(2, edges, ((0, 1),), "n")) == len(list(d)) == 27
+    doc = {"corollas": [{"name": "u", "flags": [f"a{i}" for i in range(25)]},
+                        {"name": "v", "flags": [f"b{i}" for i in range(25)]}],
+           "edges": [[f"u.a{i}", f"v.b{i}"] for i in range(25)]}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sweedler.cli", "coproduct", "--nonconnected",
+         "--graph", json.dumps(doc)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("(x)") == 27
+
+
+def test_connected_chain_costs_its_edge_subsets():
+    # a connected chain of twelve corollas of distinct sizes: its groups are
+    # forced by the chosen edges, so the table has one row per edge subset
+    # (2^11), and nothing walks the 4,213,597 partitions of its one group
+    import time
+
+    from sweedler.graphs import _cut_table
+
+    sizes, edges = tuple(range(2, 14)), tuple((i, i + 1) for i in range(11))
+    start = time.perf_counter()
+    d = graph_coproduct(graph_class_key(sizes, edges, [tuple(range(12))], "c"))
+    assert time.perf_counter() - start < 5.0
+    assert len(_cut_table(12, edges, (tuple(range(12)),), "c")) == len(list(d)) == 2048
+
+
+def test_graph_work_counts_multiplicity_rows():
+    # a deterministic guard on graphs(4,4,3,n), counts rather than times:
+    # rows walked, the edge subsets their coefficients stand for (the row
+    # count of one row per edge subset) and the distinct cut tables
+    from sweedler.graphs import _cut_table, build_graph_bialgebra
+
+    tables = set()
+    walked = subsets = 0
+    for key in build_graph_bialgebra(4, 4, 3, connected=False).keys:
+        mode, sizes, edges, blocks = key.payload
+        table = _cut_table(len(sizes), edges, blocks, mode)
+        tables.add(id(table))
+        walked += len(table)
+        subsets += sum(row[-1] for row in table)
+    assert walked <= 106_482
+    assert subsets == 118_748
+    assert len(tables) == 864
 
 
 def _unseen_skeletons(rng, count):
@@ -637,11 +764,14 @@ def test_graph_grouplikes_are_identity_classes(graphs_c33):
 @pytest.mark.parametrize("connected", [True, False])
 def test_graph_coproduct_runs_once_per_universe_key(connected, monkeypatch):
     # the universe closure and the spec share one memo: building the spec,
-    # scanning for grouplikes and sweeping the filtration evaluate each
-    # key's coproduct once, and no other key's
+    # scanning for grouplikes, sweeping the filtration and the antipode of
+    # the normalized quotient evaluate each key's coproduct once, and no
+    # other key's
     from collections import Counter
 
     import sweedler.graphs as graphs
+    from sweedler.constructions import normalized_quotient
+    from sweedler.inversion import antipode
     from sweedler.structure import bivariate_filtration
 
     calls = Counter()
@@ -651,9 +781,13 @@ def test_graph_coproduct_runs_once_per_universe_key(connected, monkeypatch):
         return graph_coproduct(key)
 
     monkeypatch.setattr(graphs, "graph_coproduct", counted)
-    C = graphs.build_graph_bialgebra(3, 3, 3, connected=connected).coalgebra
+    B = graphs.build_graph_bialgebra(3, 3, 3, connected=connected)
+    C = B.coalgebra
     find_grouplikes(C)
     assert bivariate_filtration(C).exhaustive
+    assert calls == Counter(C.keys)
+    # the normalized quotient reads its parent's memo, which the build filled
+    antipode(normalized_quotient(B).bialgebra)
     assert calls == Counter(C.keys)
 
 
