@@ -3,8 +3,9 @@
 Subcommands parse structured-text inputs (JSON documents or the tree/path
 literals), dispatch to the engines, and print canonical renderings: terms
 sorted by key encoding, byte-identical across runs.  Exit codes: 0 success,
-1 mathematical obstruction (e.g. a grouplike without an inverse), 2 input or
-configuration error, 3 internal error (a bug: one line, never a traceback).
+1 mathematical obstruction (e.g. a grouplike without an inverse) or a failed
+re-validation report, 2 input or configuration error, 3 internal error (a
+bug: one line, never a traceback).
 
 Text output is written line by line as it is rendered.  A subcommand
 computes every value it prints before the first byte goes out (the values
@@ -249,7 +250,7 @@ def _cmd_quotient(args) -> int:
         if nf != k:
             lines.append(f"{k} -> {nf}")
     _emit(lines, args.format)
-    return 0
+    return 0 if report.ok else 1
 
 
 def _cmd_qdeform(args) -> int:
@@ -278,7 +279,7 @@ def _cmd_coaction(args) -> int:
             continue
         lines.append(f"coaction({k}) = {coaction(k).render()}")
     _emit(lines, args.format)
-    return 0
+    return 0 if report.ok else 1
 
 
 def _build_coalgebra_for_analysis(args):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ConfigurationError, InputError, RuleNotFound, UnsupportedError
+from .errors import ConfigurationError, InputError, MathError, RuleNotFound, UnsupportedError
 from .linear import BasisKey, _SparseSum, _addto, _iadd
 from .scalars import render_scalar
 from .specs import BialgebraSpec, ConvMap, ValidationReport, convolve
@@ -423,7 +423,7 @@ def birkhoff(phi, B: BialgebraSpec, T: RBOperator) -> BirkhoffPair:
         if T(plus_map(k)) != target.zero():
             report.fail(k, "renormalized part not in the plus subalgebra")
     if not report.ok:
-        raise ConfigurationError(
+        raise MathError(
             f"factorization verification failed:\n{report.render()}"
         )
     return BirkhoffPair(minus_map, plus_map, report)

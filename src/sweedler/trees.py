@@ -507,6 +507,7 @@ def _bounded(pool, max_vertices: int, max_leaves: int, ordered: bool):
                 chosen.pop()
 
     go(0, 0, max_vertices, max_leaves)
+    go = None  # the closure refers to itself: break the cycle, free it now
     return out
 
 

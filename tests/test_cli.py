@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sweedler import cli, renorm
+from sweedler.specs import ValidationReport
+
 from cli_cases import (
     CASES,
     CHAR_EDGE,
@@ -41,6 +44,36 @@ def test_golden(name, argv):
 def test_exit_code_math_obstruction():
     code, _ = run_cli(["antipode", "--bialgebra", "trees", "--truncation", "3"])
     assert code == 1
+
+
+def _failing_report(*args, **kwargs):
+    report = ValidationReport("forced")
+    report.checked = 1
+    report.fail("k", "forced failure")
+    return report
+
+
+@pytest.mark.parametrize("validator,argv", [
+    ("validate_coideal", ["quotient", "--kind", "normalized", "--bialgebra", "trees",
+                          "--truncation", "3"]),
+    ("validate_coaction", ["coaction", "--bialgebra", "trees", "--truncation", "3"]),
+])
+def test_failed_report_exits_1(validator, argv, monkeypatch):
+    # the table is still printed after the FAIL report, and the exit is 1
+    monkeypatch.setattr(cli, validator, _failing_report)
+    code, out = run_cli(argv)
+    assert code == 1
+    lines = out.decode().splitlines()
+    assert lines[0] == "forced: FAIL (1 checks)" and len(lines) > 2
+
+
+def test_failed_birkhoff_factorization_exits_1(monkeypatch):
+    # a recomposition that never equals phi makes the factorization check fail
+    monkeypatch.setattr(renorm, "convolve", lambda f, g, name: (lambda k: None))
+    code, out, err = _run_cli_stderr(["birkhoff", "--bialgebra", "trees",
+                                      "--character", CHAR_VERTEX, "--truncation", "3"])
+    assert code == 1 and out == b""
+    assert err.startswith("mathematical obstruction: factorization verification failed")
 
 
 def test_exit_code_input_error():

@@ -210,6 +210,71 @@ def test_twin_reduced_search_equals_full_search(structure):
     assert _canonical(*structure) == _reference_canonical(*structure)
 
 
+@pytest.mark.parametrize("mode", ["c", "n"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_labelled_inputs(), st.randoms(use_true_random=False), st.booleans())
+def test_lookup_and_search_give_one_canonical_key(mode, structure, rng, relabelled_first):
+    # one class met under two labellings, in either order, into an empty
+    # intern table: the second finds the first's key by the sorted
+    # relabelling or by the search, and the one payload stored is the full
+    # search's minimum
+    import sweedler.graphs as graphs
+
+    sizes, edges, blocks = structure
+    if mode == "c":
+        blocks = tuple(graphs._components(len(sizes), edges))
+    perm = list(range(len(sizes)))
+    rng.shuffle(perm)
+    inputs = [(sizes, edges, blocks), _permuted(perm, sizes, edges, blocks)]
+    if relabelled_first:
+        inputs.reverse()
+    saved, graphs._INTERNED = graphs._INTERNED, {}
+    try:
+        first, second = (
+            graphs._class_key.__wrapped__(tuple(s), tuple(map(tuple, e)), tuple(b), mode)
+            for s, e, b in inputs
+        )
+        interned = graphs._INTERNED
+    finally:
+        graphs._INTERNED = saved
+    assert first is second
+    assert first.payload == (mode,) + _reference_canonical(sizes, edges, blocks)
+    assert list(interned.values()) == [first]
+
+
+def test_interned_payloads_are_their_own_canonical_form(graphs_c33, graphs_n33):
+    # the lookup is exact only if the intern table holds canonical payloads
+    from sweedler.graphs import _INTERNED
+
+    for B in (graphs_c33, graphs_n33):
+        for key in B.keys:
+            assert _INTERNED[key.payload] is key
+            assert key.payload[1:] == _reference_canonical(*key.payload[1:])
+
+
+_SEARCH_COUNT_CHILD = """
+import sweedler.graphs as graphs
+search, calls = graphs._canonical, []
+graphs._canonical = lambda *args: calls.append(1) or search(*args)
+graphs.build_graph_bialgebra(4, 4, 3, connected=False)
+print(len(calls), graphs._class_key.cache_info().misses)
+"""
+
+
+def test_graph_build_searches_only_unseen_sorted_relabellings():
+    # graphs(4,4,3,n) in a fresh interpreter: every distinct labelled input
+    # is still checked once, but 22,577 of them are found by the lookup
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, "-c", _SEARCH_COUNT_CHILD],
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    searches, misses = map(int, proc.stdout.split())
+    assert misses == 29_685
+    assert searches <= 7_200
+
+
 @st.composite
 def _untied_inputs(draw):
     # labelled inputs in which no two corollas share an attribute: either

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sweedler.constructions import normalized_quotient, q_deform
-from sweedler.errors import ConfigurationError, InputError, RuleNotFound, UnsupportedError
+from sweedler.errors import (
+    ConfigurationError, InputError, MathError, RuleNotFound, UnsupportedError,
+)
 from sweedler.graphs import (
     build_graph_bialgebra,
     edge_contraction_class,
@@ -282,6 +284,16 @@ def test_birkhoff_on_graphs():
     assert pair.report.ok
     for k in quotient.keys:
         assert pole_part(pair.plus(k)).is_zero()
+
+
+def test_failed_factorization_is_a_math_error(trees_sym4_normalized, monkeypatch):
+    # a recomposition that never equals phi: an obstruction, not a usage error
+    import sweedler.renorm as renorm
+
+    monkeypatch.setattr(renorm, "convolve", lambda f, g, name: (lambda k: None))
+    phi = CharacterSpec(LAURENT, {"vertex": parse_laurent("z^-1")})
+    with pytest.raises(MathError, match="factorization verification failed"):
+        birkhoff(phi, trees_sym4_normalized.bialgebra, pole_part_operator())
 
 
 def test_birkhoff_requires_connected(trees_sym4):

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -34,6 +35,18 @@ from sweedler.trees import (
     unit_key,
     vertices,
 )
+
+
+def test_bounded_enumeration_leaves_no_cyclic_garbage():
+    # the enumerator's recursive closure is freed when it returns, not left
+    # to the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        all_forest_keys(5, 5, "s")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_grammar_roundtrip_examples():
