@@ -19,6 +19,7 @@ import argparse
 import codecs
 import functools
 import json
+import os
 import sys
 
 from .constructions import (
@@ -116,19 +117,27 @@ def _emit(lines, fmt: str):
     written one line at a time as it is rendered, so the whole table is
     never held as one string; an empty table is one empty line.  The text
     goes to ``sys.stdout.buffer`` as UTF-8, or through ``sys.stdout`` itself
-    when it has no buffer (an ``io.StringIO``, say)."""
+    when it has no buffer (an ``io.StringIO``, say).  A reader that closes
+    the pipe early (``| head``) ends the output quietly: stdout is pointed
+    at ``os.devnull``, so the interpreter's final flush has nowhere to fail,
+    and the command keeps its exit code."""
     buffer = getattr(sys.stdout, "buffer", None)
     out = sys.stdout if buffer is None else codecs.getwriter("utf-8")(buffer)
-    if fmt == "json":
-        out.write(json.dumps({"lines": list(lines)}, indent=2, sort_keys=True) + "\n")
-    else:
-        empty = True
-        for line in lines:
-            out.write(f"{line}\n")
-            empty = False
-        if empty:
-            out.write("\n")
-    out.flush()
+    try:
+        if fmt == "json":
+            out.write(json.dumps({"lines": list(lines)}, indent=2, sort_keys=True) + "\n")
+        else:
+            empty = True
+            for line in lines:
+                out.write(f"{line}\n")
+                empty = False
+            if empty:
+                out.write("\n")
+        out.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_coproduct(args) -> int:
@@ -326,9 +335,12 @@ def _cmd_check(args) -> int:
             failures += 1
 
     t = min(args.truncation, 6)
-    suites = args.suite.split(",") if args.suite != "all" else [
-        "coassoc", "bialgebra", "antipode", "relations", "rb", "birkhoff",
-    ]
+    known = ["coassoc", "bialgebra", "antipode", "relations", "rb", "birkhoff"]
+    suites = known if args.suite == "all" else args.suite.split(",")
+    unknown = [name for name in suites if name not in known]
+    if unknown:
+        raise InputError(f"unknown suite {', '.join(map(repr, unknown))}; "
+                         f"valid suites: all, {', '.join(known)}")
 
     # each universe is built once, by the first suite that needs it
     @functools.cache

@@ -30,8 +30,8 @@ from typing import Callable
 
 from .errors import ConfigurationError, UnsupportedError
 from .linear import (
-    BasisKey, FormalSum, TensorSum, _addto, _encode_atom, key_literal, register_constructor,
-    register_literal,
+    BasisKey, FormalSum, TensorSum, _addto, _encode_atom, intern, key_literal,
+    register_constructor, register_literal,
 )
 from .specs import (
     AlgebraSpec,
@@ -179,14 +179,8 @@ _QKEYS: dict = {}
 
 def q_key(base: BasisKey, exps: dict) -> BasisKey:
     cleaned = tuple(sorted((g, e) for g, e in exps.items() if e))
-    sig = (base, cleaned)
-    key = _QKEYS.get(sig)
-    if key is None:
-        new = object.__new__(_QKey)
-        new.tag, new.payload, new._enc = "q", (base.tag, base.payload, cleaned), None
-        new.base = base
-        key = _QKEYS.setdefault(sig, new)
-    return key
+    return intern(_QKEYS, (base, cleaned), "q", (base.tag, base.payload, cleaned),
+                  _QKey, base=base)
 
 
 def _q_literal(key: BasisKey) -> str:

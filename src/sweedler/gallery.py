@@ -6,6 +6,10 @@ and the Drinfel'd double of a finite group.  Every constructor truncates to a
 finite, enumerable key universe (mandatory for sweep-style validation) while
 keeping ``delta`` total on the keys it emits, so truncated universes are
 honest subcoalgebras.
+
+Path keys live in ``_PATHS`` and word and product keys in ``_WORDS``, built
+by ``linear.intern`` without bytes; ``BasisKey``, copies and unpickling reach
+them through the registered constructors.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError, UnsupportedError, json_array
-from .linear import BasisKey, FormalSum, TensorSum, register_literal
+from .linear import (
+    BasisKey, FormalSum, TensorSum, intern, register_constructor, register_literal,
+)
 from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec
 from .trees import _bounded
 
@@ -72,17 +78,17 @@ def vertex_key(v: str) -> BasisKey:
     return BasisKey("vx", (v,))
 
 
-# Path keys by payload, looked up before a key is built: the path coproduct
-# builds every prefix and suffix key again.
+# Path keys by payload: the path coproduct builds every prefix and suffix
+# key again, and a table lookup skips the encoding.
 _PATHS: dict = {}
 
 
 def path_key(edge_names) -> BasisKey:
     payload = tuple(edge_names)
-    key = _PATHS.get(payload)
-    if key is None:
-        key = _PATHS.setdefault(payload, BasisKey("path", payload))
-    return key
+    return intern(_PATHS, payload, "path", payload)
+
+
+register_constructor("path", path_key)
 
 
 def build_path_coalgebra(quiver: Quiver, max_length: int) -> CoalgebraSpec:
@@ -403,17 +409,17 @@ register_literal(
 )
 
 
-# Word and product keys by payload, looked up before a key is built.  A
-# word payload starts with a letter and a product payload with a word
-# payload, so one table holds both kinds.
+# Word and product keys by payload.  A word payload starts with a letter
+# and a product payload with a word payload, so one table holds both kinds.
 _WORDS: dict = {}
 
 
 def _word(tag: str, payload) -> BasisKey:
-    key = _WORDS.get(payload)
-    if key is None:
-        key = _WORDS.setdefault(payload, BasisKey(tag, payload))
-    return key
+    return intern(_WORDS, payload, tag, payload)
+
+
+register_constructor("word", lambda payload: _word("word", payload))
+register_constructor("wprod", lambda payload: _word("wprod", payload))
 
 
 def word_key(left: str, letters, right: str) -> BasisKey:

@@ -67,7 +67,7 @@ from functools import lru_cache
 
 from .errors import InputError, json_array
 from .linear import (
-    BasisKey, FormalSum, TensorSum, _encode_atom, register_constructor, register_literal,
+    BasisKey, FormalSum, TensorSum, intern, register_constructor, register_literal,
 )
 from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec, ValidationReport, _Memo
 
@@ -245,18 +245,6 @@ def graph_class_key(sizes, edges, blocks, mode: str) -> BasisKey:
     )
 
 
-class _GraphKey(BasisKey):
-    """A graph class key, interned by canonical payload and built without
-    bytes."""
-
-    __slots__ = ()
-
-    def _fill(self) -> bytes:
-        # b"ks5:graph" is b"k" + _encode_atom("graph")
-        self._enc = enc = b"ks5:graph" + _encode_atom(self.payload)
-        return enc
-
-
 # Canonical payload -> the one graph key with that payload.
 _INTERNED: dict = {}
 
@@ -265,8 +253,8 @@ _INTERNED: dict = {}
 def _class_key(sizes, edges, blocks, mode: str) -> BasisKey:
     """Check and canonicalise one labelled input (``lru_cache`` keeps no
     exception).  The sorted relabelling is looked up first, and searched
-    from only when no class has it as its payload.  ``setdefault`` is
-    atomic, so threads that race on one class still share one key."""
+    from only when no class has it as its payload; ``intern`` publishes a
+    new class, so threads that race on one class still share one key."""
     relabelled, attrs = _check_and_sort(sizes, edges, blocks)
     if mode == "c":
         comps = sorted(_components(len(sizes), edges))
@@ -276,12 +264,7 @@ def _class_key(sizes, edges, blocks, mode: str) -> BasisKey:
     if key is not None:
         return key
     payload = (mode,) + _canonical(*relabelled, attrs)
-    key = _INTERNED.get(payload)
-    if key is None:
-        new = object.__new__(_GraphKey)
-        new.tag, new.payload, new._enc = "graph", payload, None
-        key = _INTERNED.setdefault(payload, new)
-    return key
+    return intern(_INTERNED, payload, "graph", payload)
 
 
 def identity_class(sizes, mode: str) -> BasisKey:

@@ -187,9 +187,8 @@ def finite_convolution_inverse(f: ConvMap, B: BialgebraSpec) -> ConvMap:
     inv = ConvMap(C, T, lambda k: FormalSum.zero(), name=f"{f.name}^-1")
     for (a, m), idx in col_index.items():
         v = solution.get(idx, 0)
-        if v:  # a Fraction from linalg; integral values become int
-            inv._memo.setdefault(a, FormalSum.zero()).terms[m] = (
-                v.numerator if v.denominator == 1 else v)
+        if v:
+            inv._memo.setdefault(a, FormalSum.zero()).terms[m] = v
     eta_eps = convolution_unit(C, T)
     for side in (convolve(inv, f), convolve(f, inv)):
         for k in keys:

@@ -1,7 +1,8 @@
 """Exact sparse linear algebra over the ground field.
 
-Rows are dicts column-index -> coefficient; the solvers copy them with every
-entry made a ``Fraction``, so pivot division stays exact.  Used for the
+Rows are dicts column-index -> coefficient; the solvers copy them and divide
+through ``scalars.quotient``, so pivot division stays exact, and every value
+they return is an ``int`` where it is integral.  Used for the
 finite-dimensional convolution-inverse solve and for kernel computations
 (full skew-primitive subspaces on truncated coalgebras).  Elimination keeps
 rows sparse by always pivoting on the shortest available row.
@@ -9,7 +10,7 @@ rows sparse by always pivoting on the shortest available row.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from .scalars import quotient
 
 
 def _eliminate(rows: list[dict], rhs: list | None):
@@ -29,9 +30,9 @@ def _eliminate(rows: list[dict], rhs: list | None):
         piv_val = rows[best][piv_col]
         # normalize pivot row
         if piv_val != 1:
-            rows[best] = {c: v / piv_val for c, v in rows[best].items()}
+            rows[best] = {c: quotient(v, piv_val) for c, v in rows[best].items()}
             if rhs is not None:
-                rhs[best] = rhs[best] / piv_val
+                rhs[best] = quotient(rhs[best], piv_val)
         for i in range(nrows):
             if i == best:
                 continue
@@ -61,7 +62,7 @@ def solve_sparse(rows: list[dict], rhs: list):
 
     Free variables are set to zero.  Inconsistent systems return None.
     """
-    rows = [{c: Fraction(v) for c, v in r.items()} for r in rows]
+    rows = [dict(r) for r in rows]
     rhs = list(rhs)
     pivots = _eliminate(rows, rhs)
     pivot_rows = {i for i, _ in pivots}
@@ -72,14 +73,14 @@ def solve_sparse(rows: list[dict], rhs: list):
     for i, c in pivots:
         # after full (Jordan) elimination each pivot row has a single entry
         val = rhs[i]
-        extra = sum((v * solution.get(cc, 0) for cc, v in rows[i].items() if cc != c), Fraction(0))
-        solution[c] = val - extra
+        extra = sum(v * solution.get(cc, 0) for cc, v in rows[i].items() if cc != c)
+        solution[c] = quotient(val - extra, 1)
     return solution
 
 
 def nullspace_sparse(rows: list[dict], columns: list) -> list[dict]:
     """Basis of the kernel of the sparse matrix, over the given column set."""
-    rows = [{c: Fraction(v) for c, v in r.items()} for r in rows]
+    rows = [dict(r) for r in rows]
     pivots = _eliminate(rows, None)
     pivot_cols = {c for _, c in pivots}
     col_of_pivot = {c: i for i, c in pivots}
@@ -87,10 +88,10 @@ def nullspace_sparse(rows: list[dict], columns: list) -> list[dict]:
     for free in columns:
         if free in pivot_cols:
             continue
-        vec = {free: Fraction(1)}
+        vec = {free: 1}
         for c, i in col_of_pivot.items():
             coeff = rows[i].get(free)
             if coeff:
-                vec[c] = -coeff
+                vec[c] = -quotient(coeff, 1)
         basis.append(vec)
     return basis

@@ -8,17 +8,16 @@ induces the deterministic total order used everywhere (term sorting, golden
 rendering, sweep order).
 
 Keys are hash-consed (Filliatre and Conchon, 2006), so there is one key
-object per encoding.  Equal keys are identical, and keys hash and compare
-with the C-level identity defaults.  A family whose keys must hold its own
-interned parts registers its constructor (``register_constructor``), and
-``BasisKey(tag, payload)`` hands that tag's payloads to it: forest keys are
-interned by their interned trees (``trees._FORESTS``) and graph keys by
-their canonical payloads (``graphs._INTERNED``), and both carry no bytes
-until ``encoded()`` or the key order first asks for them.  Every other key
-is encoded once by ``intern_key`` and looked up in ``_KEYS``, filled with
-``dict.setdefault``, so threads that build the same key at once still share
-one object.  Family tables (``gallery._WORDS``, ``gallery._PATHS``) are
-caches in front of it that skip the encoding.
+object per key.  Equal keys are identical, and keys hash and compare with
+the C-level identity defaults.  ``intern`` is the one code that builds and
+publishes a key: it looks a signature up in a table and, on a miss, builds
+the key without bytes and publishes it with ``dict.setdefault``, so threads
+that build the same key at once still share one object.  A family that
+keeps its keys in a table of its own registers its constructor
+(``register_constructor``), and ``BasisKey(tag, payload)``, copies and
+unpickling hand that tag's payloads to it; its keys get their bytes on
+first use.  Every other tag is interned in ``_KEYS``, keyed by the
+encoding, so ``True`` and ``1`` stay distinct.
 
 One private core, ``_SparseSum``, underlies every sum type: a term dict that
 never stores a zero coefficient, so equality of sums is plain map equality
@@ -42,7 +41,7 @@ from .scalars import render_scalar
 
 Payload = object  # nested tuples of int/str
 
-# encoding -> the one BasisKey with those bytes, for keys built by intern_key
+# encoding -> the one key of a tag that no family constructor builds
 _KEYS: dict = {}
 # tag -> the family constructor that builds every key of that tag
 _CONSTRUCTORS: dict[str, Callable[[Payload], BasisKey]] = {}
@@ -54,14 +53,17 @@ class BasisKey:
     Keys are hash-consed: ``BasisKey(tag, payload)`` hands back the one
     object stored for that key, so equal keys are identical and compare and
     hash by identity.  A tag with a registered family constructor is built
-    by it; any other tag is interned by its encoding (``intern_key``).
+    by it; any other tag is interned in ``_KEYS`` by its encoding.
     """
 
     __slots__ = ("tag", "payload", "_enc")
 
     def __new__(cls, tag: str, payload=()):
         make = _CONSTRUCTORS.get(tag)
-        return intern_key(tag, payload) if make is None else make(payload)
+        if make is not None:
+            return make(payload)
+        enc = b"k" + _encode_atom(tag, payload)
+        return intern(_KEYS, enc, tag, payload, _enc=enc)
 
     def __reduce__(self):  # an unpickled key is the stored one
         return BasisKey, (self.tag, self.payload)
@@ -77,9 +79,9 @@ class BasisKey:
         return self._enc or self._fill()
 
     def _fill(self) -> bytes:
-        """The bytes of a key built without them, stored on first use.  A
-        family whose constructor defers them overrides this."""
-        raise NotImplementedError(self.tag)
+        """The bytes of a key built without them, stored on first use."""
+        self._enc = enc = b"k" + _encode_atom(self.tag, self.payload)
+        return enc
 
     def __lt__(self, other: "BasisKey") -> bool:
         return (self._enc or self._fill()) < (other._enc or other._fill())
@@ -94,30 +96,26 @@ class BasisKey:
         return key_literal(self)
 
 
-def intern_key(tag: str, payload) -> BasisKey:
-    """The one key with the encoding of ``(tag, payload)``, from ``_KEYS``."""
-    enc = b"k" + _encode_atom(tag) + _encode_atom(payload)
-    key = _KEYS.get(enc)
+def intern(table: dict, sig, tag: str, payload, cls=BasisKey, **slots) -> BasisKey:
+    """The key stored under ``sig`` in ``table``.  On a miss a ``cls`` key
+    is built without bytes, its other ``slots`` set, and published with
+    ``dict.setdefault``: racing threads all get the first one stored."""
+    key = table.get(sig)
     if key is None:
-        key = object.__new__(BasisKey)
-        key.tag, key.payload, key._enc = tag, payload, enc
-        key = _KEYS.setdefault(enc, key)
+        new = object.__new__(cls)
+        new.tag, new.payload, new._enc = tag, payload, None
+        for name, value in slots.items():
+            setattr(new, name, value)
+        key = table.setdefault(sig, new)
     return key
 
 
-def _encode_atom(x) -> bytes:
+def _encode_atom(*xs) -> bytes:
+    """The encodings of ``xs``, one after another.  Nested tuples are walked
+    with a stack of iterators instead of recursion, so a payload of any
+    depth encodes."""
     parts: list = []
-    _encode_into(x, parts)
-    # Every piece but a string's text is ASCII, and each string carries its
-    # UTF-8 byte length, so encoding the joined text once gives the bytes.
-    return "".join(parts).encode()
-
-
-def _encode_into(x, parts: list) -> None:
-    """Append the text pieces of ``x``.  Nested tuples are walked with a
-    stack of iterators instead of recursion, so a payload of any depth
-    encodes."""
-    stack = [iter((x,))]
+    stack = [iter(xs)]
     while stack:
         for v in stack[-1]:
             if isinstance(v, tuple):
@@ -135,6 +133,9 @@ def _encode_into(x, parts: list) -> None:
                 raise TypeError(f"unencodable payload atom {v!r}")
         else:
             stack.pop()
+    # Every piece but a string's text is ASCII, and each string carries its
+    # UTF-8 byte length, so encoding the joined text once gives the bytes.
+    return "".join(parts).encode()
 
 
 # Per-family literal renderers, registered by the modules that own each tag.

@@ -4,9 +4,10 @@ The target algebra is Laurent polynomials with exact rational coefficients
 (finite support; every character in scope produces finitely many terms per
 basis key, so no series truncation policy is needed).  ``LaurentPoly`` is a
 sparse sum on the shared core of :mod:`sweedler.linear`, keyed by exponent;
-it adds only the ``Fraction`` coercion of its coefficients, ``one``,
-``monomial``, the product (one exponent-convolution loop, shared with
-``LaurentTarget.accumulate``), units and the exponent rendering.
+it adds only ``one``, ``monomial``, the product (one exponent-convolution
+loop, shared with ``LaurentTarget.accumulate``), units and the exponent
+rendering.  Its coefficients follow :mod:`sweedler.scalars`: ``int`` until
+a division (a unit's inverse, a parsed ``p/q``) needs a rational.
 
 The pole-part projector keeps the strictly negative exponents and satisfies
 the weight -1 Rota-Baxter identity, which is checked by fuzzing rather than
@@ -26,12 +27,11 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from .errors import ConfigurationError, InputError, MathError, RuleNotFound, UnsupportedError
 from .linear import BasisKey, _SparseSum, _addto, _iadd
-from .scalars import render_scalar
+from .scalars import quotient, render_scalar
 from .specs import BialgebraSpec, ConvMap, ValidationReport, convolve
 from .structure import find_grouplikes
 from .inversion import convolution_inverse
@@ -44,18 +44,12 @@ class LaurentPoly(_SparseSum):
 
     __slots__ = ()
 
-    def __init__(self, terms: dict | None = None, _clean: bool = False):
-        # ``inverse`` computes ``1 / c``, so an int coefficient must not get in
-        if terms is not None and not _clean:
-            terms = {e: Fraction(c) for e, c in terms.items() if c}
-        super().__init__(terms, _clean=True)
-
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: Fraction(1)}, _clean=True)
+        return cls({0: 1}, _clean=True)
 
     @classmethod
-    def monomial(cls, exponent: int, coeff=Fraction(1)) -> "LaurentPoly":
+    def monomial(cls, exponent: int, coeff=1) -> "LaurentPoly":
         return cls({exponent: coeff})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -70,7 +64,7 @@ class LaurentPoly(_SparseSum):
         if not self.is_unit():
             raise ConfigurationError(f"{self.render()} is not a unit")
         (e, c), = self.terms.items()
-        return LaurentPoly({-e: 1 / c}, _clean=True)
+        return LaurentPoly({-e: quotient(1, c)}, _clean=True)
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -109,7 +103,11 @@ def parse_laurent(text: str) -> LaurentPoly:
         m = _TERM_RE.match(compact, pos)
         if not m or m.end() == pos or (m.group("coeff") is None and m.group("var") is None):
             raise InputError(f"bad Laurent literal {text!r} at offset {pos}")
-        c = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        num, _, den = (m.group("coeff") or "1").partition("/")
+        den = int(den or 1)
+        if not den:
+            raise InputError(f"zero denominator in Laurent literal {text!r}")
+        c = quotient(int(num), den)
         if m.group("sign") == "-":
             c = -c
         e = int(m.group("exp") or 1) if m.group("var") else 0
@@ -166,8 +164,8 @@ class RBOperator:
     """
 
     keep: Callable[[int], bool]
-    weight: Fraction
-    factor: Fraction = Fraction(1)
+    weight: object  # an exact scalar, as are factor and the scaling mu
+    factor: object = 1
     name: str = "T"
 
     def __call__(self, p: LaurentPoly) -> LaurentPoly:
@@ -183,13 +181,13 @@ class RBOperator:
         return self.factor == 1
 
     def scaled(self, mu) -> "RBOperator":
-        mu = Fraction(mu)
+        mu = quotient(mu, 1)
         return RBOperator(self.keep, self.weight * mu, self.factor * mu,
                           f"{mu}*{self.name}")
 
 
 def pole_part_operator() -> RBOperator:
-    return RBOperator(lambda e: e < 0, Fraction(-1), name="polepart")
+    return RBOperator(lambda e: e < 0, -1, name="polepart")
 
 
 def pole_part(p: LaurentPoly) -> LaurentPoly:
@@ -202,7 +200,7 @@ def random_laurent(rng: random.Random) -> LaurentPoly:
     out: dict = {}
     for _ in range(rng.randint(0, 4)):
         e = rng.randint(-6, 6)
-        c = Fraction(rng.randint(-127, 127))
+        c = rng.randint(-127, 127)
         if c:
             out[e] = out.get(e, 0) + c
     return LaurentPoly(out)
@@ -238,7 +236,7 @@ def check_rota_baxter(T: RBOperator, samples: int = 200, seed: int = 0) -> Valid
 
 def atkinson_split(T: RBOperator, samples: int = 100, seed: int = 0):
     """Subalgebra closure and unique-splitting checks for a weight -1 projector."""
-    if T.weight != Fraction(-1):
+    if T.weight != -1:
         raise UnsupportedError("subdirect splitting needs weight -1")
     if not T.is_projector:
         raise UnsupportedError("subdirect splitting needs a projector")
@@ -387,7 +385,7 @@ def birkhoff(phi, B: BialgebraSpec, T: RBOperator) -> BirkhoffPair:
             "take the normalized quotient first"
         )
     unit_key = unit_terms[0][0]
-    if T.weight != Fraction(-1):
+    if T.weight != -1:
         raise ConfigurationError("factorization needs a weight -1 operator")
     target = phi.target
     if phi(unit_key) != target.one():
@@ -404,7 +402,7 @@ def birkhoff(phi, B: BialgebraSpec, T: RBOperator) -> BirkhoffPair:
     def minus(key: BasisKey):
         if key == unit_key:
             return target.one()
-        return target.scale(Fraction(-1), T(prepared(key)))
+        return target.scale(-1, T(prepared(key)))
 
     def plus(key: BasisKey):
         if key == unit_key:

@@ -1,12 +1,12 @@
 """Exact ground-field scalars.
 
 The engine works over the rationals.  Coefficients are ``int`` until a
-division needs a :class:`fractions.Fraction`: every division of coefficients
-goes through :func:`quotient`, which keeps an integral quotient an ``int``.
-Only ``renorm.LaurentPoly``, parsed user rationals and :mod:`sweedler.linalg`
-hold ``Fraction`` throughout.  The engine is not field-agnostic: structure
-maps, :mod:`sweedler.linalg` and inversion are rational.  Floating point is
-deliberately unsupported.
+division needs a :class:`fractions.Fraction`: every division of coefficients,
+Laurent coefficients, parsed user rationals and :mod:`sweedler.linalg`
+included, goes through :func:`quotient`, which keeps an integral quotient an
+``int``.  No other module imports :mod:`fractions`.  The engine is not
+field-agnostic: structure maps, :mod:`sweedler.linalg` and inversion are
+rational.  Floating point is deliberately unsupported.
 """
 
 from __future__ import annotations

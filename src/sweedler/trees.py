@@ -54,7 +54,7 @@ import itertools
 
 from .errors import InputError
 from .linear import (
-    BasisKey, FormalSum, TensorSum, register_constructor, register_literal,
+    BasisKey, FormalSum, TensorSum, intern, register_constructor, register_literal,
 )
 from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec
 
@@ -210,10 +210,7 @@ def _forest(mode: str, trees) -> BasisKey:
     sig = (mode, *map(id, trees))
     key = _FORESTS.get(sig)
     if key is None:
-        new = object.__new__(_ForestKey)
-        new.tag, new.payload, new._enc = "forest", (mode,) + tuple(trees), None
-        new._lit = None
-        key = _FORESTS.setdefault(sig, new)
+        key = intern(_FORESTS, sig, "forest", (mode, *trees), _ForestKey, _lit=None)
     return key
 
 

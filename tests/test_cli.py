@@ -139,16 +139,58 @@ def test_deep_inputs_are_input_errors(argv):
     ["coproduct", "--word", '{"left":"a","letters":"bc","right":"d"}'],
     ["structure", "--quiver", '{"vertices":"uv","edges":[]}'],
     ["coproduct", "--graph", '{"corollas":[{"name":"u","flags":"xy"}]}'],
+    ["inverse", "--character", '{"rules":{"vertex":"1/0"}}'],
 ], ids=["rules-not-object", "rule-not-string", "cover-singleton",
         "cover-triple", "word-name-not-string", "element-number",
         "element-null", "element-float", "elements-string", "letters-string",
-        "vertices-string", "flags-string"])
+        "vertices-string", "flags-string", "rule-zero-denominator"])
 def test_bad_document_fields_are_input_errors(argv):
     code, out, err = _run_cli_stderr(argv)
     assert code == 2
     assert out == b""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite,unknown", [("antipod", "'antipod'"), ("", "''"),
+                                           ("coassoc,nonesuch", "'nonesuch'")])
+def test_unknown_suite_is_an_input_error(suite, unknown):
+    code, out, err = _run_cli_stderr(["check", "--suite", suite])
+    assert code == 2 and out == b""
+    assert err == (f"error: unknown suite {unknown}; valid suites: all, coassoc, "
+                   "bialgebra, antipode, relations, rb, birkhoff\n")
+
+
+def test_closed_stdout_ends_the_table_quietly():
+    # the reader takes one line of a 240 KB table and closes the pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sweedler.cli", "antipode", "--bialgebra", "trees",
+         "--quotient", "normalized", "--truncation", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"S(1) = 1*1\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_closed_stdout_keeps_the_exit_code(monkeypatch):
+    # a failed check written into a pipe whose reader is gone still exits 1
+    from contextlib import redirect_stderr
+
+    monkeypatch.setattr(cli, "check_rota_baxter", _failing_report)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    old, err = sys.stdout, io.StringIO()
+    sys.stdout = io.TextIOWrapper(io.FileIO(write_end, "w"))
+    try:
+        with redirect_stderr(err):
+            code = cli.main(["check", "--suite", "rb"])
+    finally:
+        sys.stdout.close()
+        sys.stdout = old
+    assert code == 1 and err.getvalue() == ""
 
 
 @pytest.mark.parametrize("doc,kind", [("[1]", "an array"), ('"x"', "a string"),

@@ -1,12 +1,14 @@
 """Coefficients are ``int`` until a division needs a ``Fraction``.
 
 Every structure constant of the combinatorial families is an integer, and
-so is every connected antipode; each must come out as an exact ``int``, so
-a ``Fraction(1)`` default anywhere on the way fails here.  Division goes
-through ``scalars.quotient``, and ``linalg`` works over ``Fraction``, so no
-division of integer input yields a float.
+so is every connected antipode, every Laurent value of the Birkhoff and
+Rota-Baxter checks and every integral ``linalg`` value; each must come out
+as an exact ``int``, so a ``Fraction(1)`` default anywhere on the way fails
+here.  Division goes through ``scalars.quotient``, so no division of
+integer input yields a float.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from sweedler.gallery import (
 )
 from sweedler.inversion import antipode
 from sweedler.linalg import nullspace_sparse, solve_sparse
+from sweedler.renorm import CharacterSpec, birkhoff, pole_part_operator, random_laurent
 from sweedler.scalars import quotient
 from sweedler.specs import BialgebraSpec, RationalTarget
 
@@ -108,7 +111,7 @@ def test_rational_target_inverse_is_exact():
 def test_nullspace_of_int_rows_is_rational():
     basis = nullspace_sparse([{0: 2, 1: -1}], [0, 1])
     assert basis == [{1: 1, 0: Fraction(1, 2)}]
-    assert all(type(c) is Fraction for vec in basis for c in vec.values())
+    assert type(basis[0][1]) is int and type(basis[0][0]) is Fraction
 
 
 def test_solve_of_int_rows_is_rational():
@@ -119,3 +122,33 @@ def test_solve_of_int_rows_is_rational():
     solution = solve_sparse([{0: 2, 1: 1}, {0: 1, 1: 3}], [1, 1])
     assert solution == {0: Fraction(2, 5), 1: Fraction(1, 5)}
     assert all(type(c) is Fraction for c in solution.values())
+
+
+def test_integral_solve_is_int():
+    # 2x + y = 3, x + y = 2: the elimination passes through halves, and
+    # x = 1 comes out of Fraction arithmetic as Fraction(1, 1)
+    solution = solve_sparse([{0: 2, 1: 1}, {0: 1, 1: 1}], [3, 2])
+    assert solution == {0: 1, 1: 1}
+    _assert_ints(solution.values(), "solution")
+
+
+def test_birkhoff_table_is_int(trees_sym4_normalized):
+    # the check-all factorization: phi(vertex) = z^-1 on trees(4,4,s)
+    Q = trees_sym4_normalized.bialgebra
+    phi = CharacterSpec.from_doc({"rules": {"vertex": "z^-1"}})
+    pair = birkhoff(phi, Q, pole_part_operator())
+    for part in (pair.minus, pair.plus):
+        _assert_ints((c for k in Q.keys for _, c in part(k)), part.name)
+
+
+def test_rota_baxter_samples_are_int():
+    # the values check_rota_baxter compares for its 200 samples of seed 0
+    T = pole_part_operator()
+    assert type(T.weight) is int and type(T.factor) is int
+    rng = random.Random(0)
+    for _ in range(200):
+        x, y = random_laurent(rng), random_laurent(rng)
+        lhs = T(x) * T(y)
+        rhs = T(T(x) * y) + T(x * T(y)) + T(x * y).scale(T.weight)
+        for value in (x, y, lhs, rhs, T.complement(x) * T.complement(y)):
+            _assert_ints((c for _, c in value), "Rota-Baxter")

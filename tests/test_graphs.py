@@ -743,12 +743,13 @@ def test_graph_keys_copy_and_pickle_to_the_stored_key(graphs_c33, graphs_n33):
     import subprocess
     import sys
 
-    from sweedler.graphs import _GraphKey, _INTERNED
-    from sweedler.linear import _KEYS, BasisKey
+    from sweedler.graphs import _INTERNED
+    from sweedler.linear import _KEYS, BasisKey, _encode_atom
 
     keys = list(graphs_c33.keys) + list(graphs_n33.keys)
     for key in keys:
-        assert type(key) is _GraphKey and _INTERNED[key.payload] is key
+        assert type(key) is BasisKey and _INTERNED[key.payload] is key
+        assert key.encoded() == b"ks5:graph" + _encode_atom(key.payload)
         assert BasisKey("graph", key.payload) is key
         assert copy.copy(key) is key and copy.deepcopy(key) is key
         assert pickle.loads(pickle.dumps(key)) is key

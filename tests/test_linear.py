@@ -200,14 +200,13 @@ def test_copied_keys_are_the_stored_key():
     assert pickle.loads(pickle.dumps(key)) is key
 
 
-def test_keys_interned_across_threads():
-    # four threads build the same never-seen keys of a family no module
-    # interns for itself, in rounds that start together; each encoding must
-    # give all of them one object
+def _race(build, payloads, rounds=6):
+    """Four threads build the keys of ``payloads`` in rounds that start
+    together; returns each thread's keys, in payload order."""
     import sys
     import threading
 
-    payloads = [(r, i, ("x",) * (i % 5)) for r in range(6) for i in range(500)]
+    size = len(payloads) // rounds
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -217,10 +216,9 @@ def test_keys_interned_across_threads():
 
         def work(t):
             try:
-                for r in range(6):
+                for r in range(rounds):
                     barrier.wait()
-                    batch = payloads[r * 500:(r + 1) * 500]
-                    results[t].extend(BasisKey("thr", p) for p in batch)
+                    results[t].extend(map(build, payloads[r * size:(r + 1) * size]))
             except Exception as exc:  # any error fails the test
                 errors.append(exc)
 
@@ -233,9 +231,54 @@ def test_keys_interned_across_threads():
     finally:
         sys.setswitchinterval(old_interval)
     assert not errors
+    return results
+
+
+def test_keys_interned_across_threads():
+    # four threads build the same never-seen keys of a family no module
+    # interns for itself; each encoding must give all of them one object
+    payloads = [(r, i, ("x",) * (i % 5)) for r in range(6) for i in range(500)]
+    results = _race(lambda p: BasisKey("thr", p), payloads)
     for i, p in enumerate(payloads):
         key = BasisKey("thr", p)
         assert all(r[i] is key for r in results)
+
+
+def test_family_keys_interned_across_threads():
+    # the same race on never-seen path and word keys, which their family
+    # tables publish through linear.intern
+    from sweedler.gallery import path_key, word_key
+
+    names = [f"race{r}_{i}" for r in range(6) for i in range(300)]
+    for build in (lambda n: path_key(("e", n, n)), lambda n: word_key("a", (n,), "b")):
+        results = _race(build, names)
+        for i, n in enumerate(names):
+            key = build(n)
+            assert all(r[i] is key for r in results)
+
+
+def test_family_keys_live_once_and_encode_on_first_use():
+    # BasisKey, copies and unpickling of a path, word or product key give
+    # the family's key; it is stored in its family table alone and has no
+    # bytes until the key order asks for them
+    import copy
+    import pickle
+
+    from sweedler.gallery import _PATHS, _WORDS, path_key, word_key, word_product_key
+    from sweedler.linear import _KEYS
+
+    w1, w2 = word_key("a", ("fresh1",), "b"), word_key("b", ("fresh2",), "a")
+    keys = [path_key(("fresh1", "fresh2")), w1, word_product_key([w1, w2])]
+    assert [k.tag for k in keys] == ["path", "word", "wprod"]
+    assert keys[0] is _PATHS[keys[0].payload]
+    assert all(_WORDS[k.payload] is k for k in keys[1:])
+    for key in keys:
+        assert BasisKey(key.tag, key.payload) is key
+        assert copy.copy(key) is key and copy.deepcopy(key) is key
+        assert pickle.loads(pickle.dumps(key)) is key
+        assert key not in _KEYS.values() and key._enc is None
+    assert sorted(keys) == sorted(keys, key=_reference_bytes)
+    assert all(k._enc == _reference_bytes(k) for k in keys)
 
 
 def test_encoding_injective_bulk():
