@@ -321,6 +321,7 @@ def q_deform(B: BialgebraSpec, laurent: bool = False,
 
     alg = AlgebraSpec(name, product, unit, key_inverse=key_inverse)
     hooks = dict(B.hooks)
+    hooks.pop("factors", None)  # it splits B's keys, not the q keys
     hooks["graded_filtration"] = True
     hooks["strip_grouplikes"] = lambda k: (k, {})
     bialg = BialgebraSpec(coalg, alg, hooks)

@@ -24,6 +24,18 @@ finite solve.  Before either route it checks that the map sends each
 (semi)grouplike basis key to an invertible value, the only obstruction in
 scope.  Targets are those of :mod:`sweedler.specs`; for formal sums the
 :class:`~sweedler.specs.AlgebraSpec` itself.
+
+The antipode, the inverse of a bialgebra's identity, takes the recursion
+with two changes.  A term adds -c a S(b) by key, so no identity sum is
+built.  And an antipode is an algebra antihomomorphism, S(xy) = S(y) S(x)
+(Connes & Kreimer 1998 for forests), so a key that the bialgebra's
+``factors`` hook splits into x_1 ... x_n (a forest into its trees) is
+evaluated as S(x_n) ... S(x_1), and the recursion proper runs only on keys
+it does not split.  :func:`validate_antipode` still checks both identities
+on every key, and those are what verify the factored values; its
+antihomomorphism samples hold by construction on factored keys.  Character
+inverses and the Birkhoff recursion keep the plain recursion, and
+:func:`invert_character` checks both inverse identities on every key.
 """
 
 from __future__ import annotations
@@ -78,7 +90,7 @@ def _grouplike_inverse(f: ConvMap, key: BasisKey):
     return inv
 
 
-def _colored_inverse(f: ConvMap) -> ConvMap:
+def _colored_inverse(f: ConvMap, bialgebra: BialgebraSpec | None = None) -> ConvMap:
     """The colored recursion, evaluated bottom-up from an explicit stack.
 
     For a key x with left flank g the two-sided inverse h satisfies
@@ -92,36 +104,56 @@ def _colored_inverse(f: ConvMap) -> ConvMap:
     walk state is local to the call; values, h(g) included, live only in the
     map's memo, which only gains complete, equal values, so threads race
     harmlessly.
+
+    ``bialgebra`` is given when f is its identity and h its antipode: each
+    term then adds -c a h(b) by key, and a key the ``factors`` hook splits
+    depends on its factors alone and is their values' reversed product.
     """
     C, T = f.source, f.target
+    factors = bialgebra.hooks.get("factors") if bialgebra is not None else None
 
     def frame(key):
-        """(key, its left flank or None for a grouplike, the right factors)."""
+        """(key, its left flank or None, its factors or None, what it needs)."""
         if is_grouplike(C, key):
-            return key, None, iter(())
+            return key, None, None, iter(())
+        parts = factors(key) if factors is not None else None
+        if parts is not None:
+            return key, None, parts, iter(parts)
         pair = flanks(C, key)
         if pair is None:
             raise ConfigurationError(f"key {key} has no well-defined flanks")
         g = pair[0]
-        return key, g, iter([b for (a, b), _ in C.delta(key) if not (a == g and b == key)])
+        return key, g, None, iter(
+            [b for (a, b), _ in C.delta(key) if not (a == g and b == key)]
+        )
 
-    def evaluate(key, g):
+    def evaluate(key, g, parts):
+        if parts is not None:
+            value = memo[parts[-1]]
+            for x in parts[-2::-1]:
+                value = T.mul(value, memo[x])
+            return value
         if g is None:
             return _grouplike_inverse(f, key)
         inv_g = h(g)
         # eps(x) 1 - sum c f(a) h(b), accumulated in place
         acc = T.accumulate(T.zero(), C.counit(key), T.one())
-        for (a, b), c in C.delta(key):
-            if a == g and b == key:
-                continue
-            acc = T.accumulate(acc, -c, f(a), memo[b])
+        if bialgebra is None:
+            for (a, b), c in C.delta(key):
+                if not (a == g and b == key):
+                    acc = T.accumulate(acc, -c, f(a), memo[b])
+        else:  # f(a) is a itself: no one-term sum is built
+            terms = acc.terms
+            for (a, b), c in C.delta(key):
+                if not (a == g and b == key):
+                    T.key_mul_into(terms, -c, a, memo[b])
         return acc if inv_g == T.one() else T.mul(inv_g, acc)
 
     def h_fn(key: BasisKey):
         stack = [frame(key)]
         on_path = {key}
         while stack:
-            k, g, todo = stack[-1]
+            k, g, parts, todo = stack[-1]
             for b in todo:
                 if b in memo:
                     continue
@@ -134,7 +166,7 @@ def _colored_inverse(f: ConvMap) -> ConvMap:
                 stack.pop()
                 on_path.discard(k)
                 if k not in memo:  # racing threads keep the first value
-                    memo.setdefault(k, evaluate(k, g))
+                    memo.setdefault(k, evaluate(k, g, parts))
         return memo[key]
 
     h = ConvMap(C, T, h_fn, name=f"{f.name}^-1")
@@ -215,6 +247,8 @@ def convolution_inverse(f: ConvMap, bialgebra: BialgebraSpec | None = None) -> C
     else:
         filt = bivariate_filtration(f.source)
     if filt.exhaustive:
+        if bialgebra is not None and getattr(f, "identity_of", None) is bialgebra:
+            return _colored_inverse(f, bialgebra)  # the antipode
         return _colored_inverse(f)
     if (
         bialgebra is not None
@@ -290,7 +324,8 @@ def validate_antipode(B: BialgebraSpec, S: ConvMap,
 
 
 def invert_character(phi: ConvMap, B: BialgebraSpec) -> ConvMap:
-    """Convolution inverse of a character, after a multiplicativity spot-check."""
+    """Convolution inverse of a character, after a multiplicativity
+    spot-check; both inverse identities are checked on every key."""
     rng = random.Random(0)
     keys = list(B.keys)
     T = phi.target
@@ -304,4 +339,15 @@ def invert_character(phi: ConvMap, B: BialgebraSpec) -> ConvMap:
             )
     if phi.evaluate(B.unit) != T.one():
         raise ConfigurationError("character does not preserve the unit")
-    return convolution_inverse(phi, bialgebra=B)
+    inv = convolution_inverse(phi, bialgebra=B)
+    C = B.coalgebra
+    for k in keys:  # phi * inv = eta.eps = inv * phi
+        left, right = T.zero(), T.zero()
+        for (a, b), c in C.delta(k):
+            left = T.accumulate(left, c, phi(a), inv(b))
+            right = T.accumulate(right, c, inv(a), phi(b))
+        expected = T.scale(C.counit(k), T.one())
+        for side, value in (("phi*inv", left), ("inv*phi", right)):
+            if value != expected:
+                raise MathError(f"character inverse fails {side} = eta.eps at {k}")
+    return inv

@@ -259,7 +259,8 @@ class BialgebraSpec:
 
     ``hooks`` carries instance-specific structure used by the universal
     constructions (grouplike stripping for quotients, commutative reordering,
-    q-exponent bookkeeping); engines must work without them.
+    q-exponent bookkeeping) and by the antipode (a key's ``factors``);
+    engines must work without them.
     """
 
     def __init__(
@@ -385,8 +386,21 @@ def convolution_unit(C: CoalgebraSpec, target, name: str = "eta.eps") -> ConvMap
     return ConvMap(C, target, lambda k: target.scale(C.counit(k), target.one()), name)
 
 
+class _IdentityMap(ConvMap):
+    """The identity of a bialgebra into its own algebra.  Each call builds
+    the one-term sum of its key and nothing is memoised; the antipode
+    recursion reads keys and calls it only at grouplikes."""
+
+    def __init__(self, B: BialgebraSpec):
+        super().__init__(B.coalgebra, B.algebra, FormalSum.basis, "id")
+        self.identity_of = B
+
+    def __call__(self, key: BasisKey) -> FormalSum:
+        return FormalSum.basis(key)
+
+
 def identity_map(B: BialgebraSpec) -> ConvMap:
-    return ConvMap(B.coalgebra, B.algebra, FormalSum.basis, "id")
+    return _IdentityMap(B)
 
 
 def conv_maps_equal(f: ConvMap, g: ConvMap, keys=None) -> bool:

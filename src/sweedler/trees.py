@@ -550,6 +550,16 @@ def strip_lines(key: BasisKey):
     return _forest(payload[0], kept), {"q": count}
 
 
+def forest_factors(key: BasisKey):
+    """The single-tree keys of a forest of two or more trees, in the
+    forest's order; None for the unit and a single tree.  Their product is
+    the key."""
+    mode, *trees = key.payload
+    if len(trees) < 2:
+        return None
+    return tuple([_forest(mode, (t,)) for t in trees])
+
+
 def build_tree_bialgebra(max_vertices: int, max_leaves: int | None = None,
                          mode: str = "s") -> BialgebraSpec:
     """The forest bialgebra truncated to the given vertex and leaf budgets.
@@ -586,5 +596,6 @@ def build_tree_bialgebra(max_vertices: int, max_leaves: int | None = None,
         "commutator_sort": commutator_sort,
         "central_sort": central_sort,
         "generator_weights": {"q": 1},
+        "factors": forest_factors,
     }
     return BialgebraSpec(coalg, alg, hooks)

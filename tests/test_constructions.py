@@ -232,6 +232,38 @@ def test_localize_central_rejects_planar(trees_planar4):
     assert c == -1
 
 
+def test_deformations_drop_the_factors_hook(trees_sym4, trees_planar4):
+    # the hook splits forest keys; q keys are not forests
+    assert "factors" in trees_sym4.hooks
+    deformed = [q_deform(trees_sym4), q_deform(trees_sym4, laurent=True),
+                localize_central(trees_sym4),
+                localize_central(abelianized_quotient(trees_planar4, "central").bialgebra)]
+    for D in deformed:
+        assert "factors" not in D.bialgebra.hooks
+
+
+@pytest.mark.parametrize("kind", ["normalized", "commutator", "central"])
+def test_quotients_keep_the_factors_hook(trees_planar4, kind):
+    # a quotient key is the quotient product of its factors, in their order
+    q = (normalized_quotient(trees_planar4) if kind == "normalized"
+         else abelianized_quotient(trees_planar4, kind))
+    Q = q.bialgebra
+    factors = Q.hooks["factors"]
+    split = 0
+    for k in Q.keys:
+        parts = factors(k)
+        if parts is None:
+            assert len(k.payload) <= 2
+            continue
+        split += 1
+        assert len(parts) >= 2 and all(len(x.payload) == 2 for x in parts)
+        product = parts[0]
+        for x in parts[1:]:
+            product = Q.algebra.key_product(product, x)
+        assert product is k
+    assert split > 0
+
+
 def test_localized_graph_merger_antipode():
     B = build_graph_bialgebra(2, 2, 4, connected=False)
     loc = localize_central(B, exponent_window=1)

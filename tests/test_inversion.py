@@ -7,6 +7,7 @@ from sweedler.errors import (
     ConfigurationError,
     FiltrationNotExhaustive,
     GrouplikeNotInvertible,
+    MathError,
 )
 from sweedler.gallery import (
     boolean_poset,
@@ -22,7 +23,7 @@ from sweedler.gallery import (
     symmetric_group_3,
     vertex_key,
 )
-from sweedler.constructions import normalized_quotient, q_deform
+from sweedler.constructions import abelianized_quotient, normalized_quotient, q_deform
 from sweedler.inversion import (
     antipode,
     convolution_inverse,
@@ -34,6 +35,7 @@ from sweedler.linear import BasisKey, FormalSum, TensorSum
 from sweedler.renorm import LAURENT, CharacterSpec, LaurentPoly, parse_laurent
 from sweedler.specs import (
     AlgebraSpec,
+    BialgebraSpec,
     CoalgebraSpec,
     ConvMap,
     RationalTarget,
@@ -190,6 +192,87 @@ def test_antipode_involutive_on_commutative_quotient():
         assert S(k).map_keys(S) == FormalSum.basis(k)
 
 
+# ---------------------------------------------------------------------------
+# the factor route: a forest's antipode is its trees' values in reverse order
+
+
+def _trees5(mode, kind):
+    """The connected quotient of trees(5), or its commutator quotient."""
+    Q = normalized_quotient(build_tree_bialgebra(5, 5, mode)).bialgebra
+    return Q if kind == "normalized" else abelianized_quotient(Q, kind).bialgebra
+
+
+@pytest.mark.parametrize("mode,kind", [("s", "normalized"), ("p", "normalized"),
+                                       ("p", "commutator")])
+def test_factor_route_matches_the_series(mode, kind):
+    B = _trees5(mode, kind)
+    assert B.hooks.get("factors") is not None
+    ident = identity_map(B)
+    S = antipode(B, validate=False)
+    expected = takeuchi_inverse(ident, filtration_from_grading(B.coalgebra))
+    assert conv_maps_equal(S, expected)
+
+
+@pytest.mark.parametrize("broken", ["forward", "drops-a-tree"])
+def test_validator_catches_a_broken_factors_hook(trees_planar4, broken):
+    # negative controls: a planar forest's trees multiplied in forward
+    # order, or one tree left out, give values both identities reject
+    Q = normalized_quotient(trees_planar4).bialgebra
+    factors = Q.hooks["factors"]
+
+    def hook(key):
+        parts = factors(key)
+        if parts is None:
+            return None
+        return parts[::-1] if broken == "forward" else parts[1:]
+
+    assert validate_antipode(Q, antipode(Q, validate=False)).ok
+    B = BialgebraSpec(Q.coalgebra, Q.algebra, dict(Q.hooks, factors=hook))
+    report = validate_antipode(B, antipode(B, validate=False))
+    assert not report.ok
+    with pytest.raises(MathError):
+        antipode(B)
+
+
+@pytest.mark.parametrize("mode", ["s", "p"])
+def test_recursion_runs_on_trees_only(mode, monkeypatch):
+    # work guard: every forest of two or more trees is a product of values,
+    # and the flank-peeling recursion evaluates each tree once
+    import sweedler.inversion as inversion
+
+    B = _trees5(mode, "normalized")
+    peeled = []
+    real = inversion.flanks
+    monkeypatch.setattr(inversion, "flanks",
+                        lambda C, key: peeled.append(key) or real(C, key))
+    S = antipode(B, validate=False)
+    for k in B.keys:
+        S(k)
+    trees = [k for k in B.keys if len(k.payload) == 2]
+    assert len(peeled) == len(set(peeled)) == len(trees)
+    assert set(peeled) == set(trees)
+
+
+def test_antipode_builds_no_identity_sums(trees_sym4_normalized, monkeypatch):
+    # the recursion multiplies by keys: past the unit (the one grouplike),
+    # evaluating S builds no one-term sum, and the identity keeps none
+    B = trees_sym4_normalized.bialgebra
+    ident = identity_map(B)
+    for k in B.keys:
+        assert ident(k) == FormalSum.basis(k)
+    assert not ident._memo
+    S = antipode(B, validate=False)
+    unit_key, = B.unit.terms
+    S(unit_key)
+    built = []
+    real = FormalSum.basis
+    monkeypatch.setattr(FormalSum, "basis", classmethod(
+        lambda cls, key, coeff=1: built.append(key) or real(key, coeff)))
+    for k in B.keys:
+        S(k)
+    assert built == []
+
+
 def _distinct_values(C):
     """A rational map with its own value on every key, so that a mix-up of
     two keys changes the inverse."""
@@ -317,6 +400,67 @@ def test_invert_character_monomial(trees_sym4):
     for a in keys:
         for b in keys:
             assert inv.evaluate(B.product(a, b)) == inv(a) * inv(b)
+
+
+class _OneMinusC:
+    """A target whose ``accumulate`` adds (1 - c) a b where the recursion
+    asks for -c a b with c != 1: a wrong recursion for negative controls."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def __getattr__(self, name):
+        return getattr(self.target, name)
+
+    def accumulate(self, acc, c, a, b=None):
+        if b is not None and c != -1:
+            c = 1 + c
+        return self.target.accumulate(acc, c, a, b)
+
+
+def _one_minus_c(real):
+    """``_colored_inverse`` running the 1 - c recursion."""
+    def recursion(f, bialgebra=None):
+        return real(ConvMap(f.source, _OneMinusC(f.target), f, f.name), bialgebra)
+
+    return recursion
+
+
+def test_invert_character_checks_both_identities(trees_sym4_normalized, monkeypatch):
+    # negative control: the 1 - c recursion is refused at the first key
+    # where phi * inv or inv * phi is not eta.eps
+    import sweedler.inversion as inversion
+
+    B = trees_sym4_normalized.bialgebra
+    pm = CharacterSpec(LAURENT, {"vertex": parse_laurent("z^-1")}).as_conv_map(B)
+    invert_character(pm, B)
+    monkeypatch.setattr(inversion, "_colored_inverse",
+                        _one_minus_c(inversion._colored_inverse))
+    wrong = ConvMap(B.coalgebra, LAURENT, inversion.convolution_inverse(pm, bialgebra=B))
+    eta = convolution_unit(B.coalgebra, LAURENT)
+    left, right = convolve(pm, wrong), convolve(wrong, pm)
+    bad = [k for k in B.keys if left(k) != eta(k) or right(k) != eta(k)]
+    assert bad
+    with pytest.raises(MathError) as err:
+        invert_character(pm, B)
+    assert str(err.value).endswith(f" at {bad[0]}")
+
+
+def test_wrong_character_inverse_prints_nothing(monkeypatch):
+    # the same control through the CLI: exit 1 and an empty stdout
+    import io
+
+    import sweedler.inversion as inversion
+    from cli_cases import CHAR_VERTEX, run_cli
+
+    monkeypatch.setattr(inversion, "_colored_inverse",
+                        _one_minus_c(inversion._colored_inverse))
+    err = io.StringIO()
+    code, out = run_cli(["inverse", "--bialgebra", "trees", "--quotient", "normalized",
+                         "--truncation", "4", "--character", CHAR_VERTEX], stderr=err)
+    assert code == 1
+    assert out == b""
+    assert err.getvalue().startswith("mathematical obstruction: character inverse fails")
 
 
 def test_invert_character_rejects_nonmultiplicative(trees_sym4):

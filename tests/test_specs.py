@@ -361,7 +361,7 @@ def test_module_caches_are_the_documented_two():
         for value in vars(module).values():
             if hasattr(value, "cache_info"):
                 caches.add(f"{value.__module__.rpartition('.')[2]}.{value.__name__}")
-    assert caches == {"graphs._class_key", "gallery._word_cuts"}
+    assert caches == {"gallery._word_cuts"}
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     note = readme[readme.index("- Caches live at module level"):]
     note = note[:note.index("\n- ")] if "\n- " in note else note
