@@ -21,10 +21,8 @@ table graph keys live in: it maps each canonical payload, and each labelled
 input already checked, to the key of its class, so an input that is met
 again, or is a canonical payload already, needs no check.  A relabelling is
 an isomorph, so when the sorted one is a key of ``_INTERNED`` it names the
-class and the search runs only otherwise: about 6,950 times for the 29,685
-labelled inputs of the graphs(4,4,3,n) build, of which about 25,700 are
-checked (both counts depend on the order the inputs are met in).  Equal
-classes are the same ``BasisKey`` object.
+class and the search runs only otherwise.  Equal classes are the same
+``BasisKey`` object.
 A graph key carries no bytes until ``encoded()`` or the key order first
 asks for them, so product and factor classes that nothing sorts are never
 encoded.
@@ -436,9 +434,7 @@ def graph_coproduct(key: BasisKey) -> TensorSum:
             tgt_sizes.append(total)
         left = (mode, sizes, chosen, groups)
         right = (mode, tuple(tgt_sizes), res_edges, res_groups)
-        # nearly every factor is a hit, which needs no Python call
-        pair = (_INTERNED.get(left) or _class_key(left),
-                _INTERNED.get(right) or _class_key(right))
+        pair = (_class_key(left), _class_key(right))
         terms[pair] = terms.get(pair, 0) + coef
     return TensorSum(terms, _clean=True)
 

@@ -340,14 +340,10 @@ def invert_character(phi: ConvMap, B: BialgebraSpec) -> ConvMap:
     if phi.evaluate(B.unit) != T.one():
         raise ConfigurationError("character does not preserve the unit")
     inv = convolution_inverse(phi, bialgebra=B)
-    C = B.coalgebra
-    for k in keys:  # phi * inv = eta.eps = inv * phi
-        left, right = T.zero(), T.zero()
-        for (a, b), c in C.delta(k):
-            left = T.accumulate(left, c, phi(a), inv(b))
-            right = T.accumulate(right, c, inv(a), phi(b))
-        expected = T.scale(C.counit(k), T.one())
-        for side, value in (("phi*inv", left), ("inv*phi", right)):
-            if value != expected:
+    eta_eps = convolution_unit(B.coalgebra, T)
+    sides = (("phi*inv", convolve(phi, inv)), ("inv*phi", convolve(inv, phi)))
+    for k in keys:
+        for side, g in sides:
+            if g(k) != eta_eps(k):
                 raise MathError(f"character inverse fails {side} = eta.eps at {k}")
     return inv

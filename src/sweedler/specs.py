@@ -386,21 +386,13 @@ def convolution_unit(C: CoalgebraSpec, target, name: str = "eta.eps") -> ConvMap
     return ConvMap(C, target, lambda k: target.scale(C.counit(k), target.one()), name)
 
 
-class _IdentityMap(ConvMap):
-    """The identity of a bialgebra into its own algebra.  Each call builds
-    the one-term sum of its key and nothing is memoised; the antipode
-    recursion reads keys and calls it only at grouplikes."""
-
-    def __init__(self, B: BialgebraSpec):
-        super().__init__(B.coalgebra, B.algebra, FormalSum.basis, "id")
-        self.identity_of = B
-
-    def __call__(self, key: BasisKey) -> FormalSum:
-        return FormalSum.basis(key)
-
-
 def identity_map(B: BialgebraSpec) -> ConvMap:
-    return _IdentityMap(B)
+    """The identity of a bialgebra into its own algebra.  The antipode
+    recursion reads keys and calls it only at grouplikes, so its memo holds
+    those alone."""
+    ident = ConvMap(B.coalgebra, B.algebra, FormalSum.basis, "id")
+    ident.identity_of = B
+    return ident
 
 
 def conv_maps_equal(f: ConvMap, g: ConvMap, keys=None) -> bool:
