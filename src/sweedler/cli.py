@@ -206,7 +206,7 @@ def _cmd_antipode(args) -> int:
     if args.qdeform:
         deformed = q_deform(B, laurent=args.laurent, exponent_window=1)
         B = deformed.bialgebra
-    S = antipode(B, validate=not args.no_validate)
+    S = antipode(B)
     keys = [k for k in B.keys if B.grading(k) <= args.truncation
             and (args.key is None or str(k) == args.key)]
     for k in keys:  # every value, so an obstruction comes before any output
@@ -298,7 +298,7 @@ def _build_coalgebra_for_analysis(args):
         return build_incidence_coalgebra(Poset.from_doc(_load_doc(args.poset)))
     if args.words is not None:
         alphabet = tuple(args.words.split(","))
-        return build_word_coalgebra(alphabet, args.truncation)
+        return build_word_coalgebra(alphabet, args.truncation, closed=True)
     if args.bialgebra is not None:
         return _build_bialgebra(args).coalgebra
     raise InputError("need one of --quiver/--poset/--words/--bialgebra")
@@ -410,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qdeform", action="store_true")
     p.add_argument("--laurent", action="store_true")
     p.add_argument("--key")
-    p.add_argument("--no-validate", action="store_true")
     p.set_defaults(fn=_cmd_antipode)
 
     p = sub.add_parser("inverse", help="convolution inverse of a character")

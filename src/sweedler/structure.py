@@ -1,12 +1,12 @@
 """Grouplike/skew-primitive detection and the filtration machinery.
 
 Basis-level analysis of a truncated coalgebra: which basis keys are
-(semi)grouplike, which are skew primitive between a pair of grouplikes, the
-color block of every key read off from the flanking terms of its coproduct,
-and the inductive two-sided filtration built from reduced coproducts.  An
-exhaustive filtration is what makes inversion possible: a key of degree r is
-annihilated by any (r+1)-fold product of maps vanishing on the degree-0
-base, so the geometric series for the inverse truncates, and
+(semi)grouplike, the color block of every key read off from the flanking
+terms of its coproduct, the skew primitives taken from those blocks, and the
+inductive two-sided filtration.  Each analysis reads a key's coproduct once,
+as its term dict.  An exhaustive filtration is what makes inversion possible:
+a key of degree r is annihilated by any (r+1)-fold product of maps vanishing
+on the degree-0 base, so the geometric series for the inverse truncates, and
 :func:`~sweedler.inversion.convolution_inverse` takes the colored recursion
 exactly when the filtration is exhaustive.
 
@@ -39,7 +39,7 @@ def find_grouplikes(C: CoalgebraSpec):
     grouplikes = set()
     semigrouplikes = set()
     for k in C.keys:
-        if C.delta(k) == TensorSum.pure(k, k):
+        if C.delta(k).terms == {(k, k): 1}:
             semigrouplikes.add(k)
             if C.counit(k) == 1:
                 grouplikes.add(k)
@@ -55,7 +55,7 @@ def is_grouplike(C: CoalgebraSpec, key: BasisKey) -> bool:
     """
     if key in C._key_set:
         return key in find_grouplikes(C)[0]
-    return C.counit(key) == 1 and C.delta(key) == TensorSum.pure(key, key)
+    return C.counit(key) == 1 and C.delta(key).terms == {(key, key): 1}
 
 
 def flanks(C: CoalgebraSpec, key: BasisKey):
@@ -87,13 +87,8 @@ def find_skew_primitives(C: CoalgebraSpec, g: BasisKey, h: BasisKey) -> set:
     gpl, _ = find_grouplikes(C)
     if g not in gpl or h not in gpl:
         raise ConfigurationError(f"flanks must be grouplike basis keys: {g}, {h}")
-    out = set()
-    for k in C.keys:
-        if k in (g, h):
-            continue
-        if reduced_coproduct(C, k, g, h).is_zero():
-            out.add(k)
-    return out
+    return {k for k in C.keys
+            if k not in (g, h) and C.delta(k).terms == {(g, k): 1, (k, h): 1}}
 
 
 def skew_primitive_space(C: CoalgebraSpec, g: BasisKey, h: BasisKey,
@@ -163,59 +158,46 @@ def filtration_from_grading(C: CoalgebraSpec) -> FiltrationTable:
     return FiltrationTable(degrees, C.max_degree(), frozenset(), fallback=C.grading)
 
 
-def bivariate_filtration(C: CoalgebraSpec, max_n: int | None = None) -> FiltrationTable:
+def bivariate_filtration(C: CoalgebraSpec) -> FiltrationTable:
     """Inductive sweep assigning each basis key its two-sided reduction depth.
 
     Degree 0 is the semigrouplike base.  A key enters degree n when for some
     pair of semigrouplike flanks every term of its reduced coproduct has both
-    tensor factors already at degree <= n-1.
+    tensor factors already at degree <= n-1.  A flank pair qualifies only when
+    g (x) key and key (x) h (coefficient 1) are the only pairs naming the key,
+    so a key has at most one candidate: its other pairs.  The sweep ends at
+    the first round that settles nothing.
     """
-    if max_n is None:
-        max_n = max(C.max_degree(), 1)
-    gpl, sgpl = find_grouplikes(C)
+    _, sgpl = find_grouplikes(C)
     degrees = {k: 0 for k in sgpl}
-    pending = [k for k in C.keys if k not in sgpl]
+    pending: dict = {}
+    for k in C.keys:
+        if k in sgpl:
+            continue
+        terms = C.delta(k).terms
+        named = [p for p in terms if k in p]
+        lefts = [a for a, b in named if b == k and a in sgpl and terms[a, b] == 1]
+        rights = [b for a, b in named if a == k and b in sgpl and terms[a, b] == 1]
+        if len(named) == 2 and len(lefts) == 1 and len(rights) == 1:
+            pending[k] = tuple(p for p in terms if k not in p)
 
-    # Only flank pairs whose reduction removes every term involving the key
-    # itself can ever assign it a degree; precompute those and the reduced
-    # terms once per key.
-    candidates: dict = {}
-    for k in pending:
-        delta = C.delta(k)
-        lefts = [a for (a, b), c in delta if b == k and a in sgpl and c == 1]
-        rights = [b for (a, b), c in delta if a == k and b in sgpl and c == 1]
-        cand = []
-        for g in lefts:
-            for h in rights:
-                reduced = reduced_coproduct(C, k, g, h)
-                if any(a == k or b == k for (a, b), _ in reduced):
-                    continue
-                cand.append(tuple(reduced.terms))
-        candidates[k] = cand
-
-    for n in range(1, max_n + 1):
-        new = []
-        for k in pending:
-            assigned = False
-            for terms in candidates[k]:
-                ok = True
-                for a, b in terms:
-                    da = degrees.get(a)
-                    db = degrees.get(b)
-                    if da is None or db is None or da > n - 1 or db > n - 1:
-                        ok = False
-                        break
-                if ok:
-                    assigned = True
+    n = 0
+    while True:
+        n += 1
+        settled = []
+        for k, pairs in pending.items():
+            for a, b in pairs:
+                if a not in degrees or b not in degrees:
                     break
-            if assigned:
-                new.append(k)
-        for k in new:
-            degrees[k] = n
-        pending = [k for k in pending if k not in degrees]
-        if not pending:
+            else:
+                settled.append(k)
+        if not settled:
             break
-    return FiltrationTable(degrees, max_n, frozenset(pending))
+        for k in settled:
+            degrees[k] = n
+            del pending[k]
+    unreached = frozenset(k for k in C.keys if k not in degrees)
+    return FiltrationTable(degrees, max(C.max_degree(), 1), unreached)
 
 
 @dataclass
@@ -232,18 +214,18 @@ class PathlikeVerdict:
         return "\n".join(lines)
 
 
-def verify_pathlike(C: CoalgebraSpec, max_n: int | None = None) -> PathlikeVerdict:
+def verify_pathlike(C: CoalgebraSpec) -> PathlikeVerdict:
     """Check the two pathlike conditions on the truncated basis.
 
     (1) every semigrouplike basis key is grouplike; (2) the filtration based
-    on the grouplikes reaches every basis key within the bound, so that its
-    degree-0 part is exactly the span of the grouplikes.
+    on the grouplikes reaches every basis key, so that its degree-0 part is
+    exactly the span of the grouplikes.
     """
     gpl, sgpl = find_grouplikes(C)
     witnesses = []
     for k in sorted(sgpl - gpl):
         witnesses.append(f"semigrouplike {k} has counit {C.counit(k)} != 1")
-    table = bivariate_filtration(C, max_n)
+    table = bivariate_filtration(C)
     for k in sorted(table.unreached):
         witnesses.append(f"key {k} not reached by the filtration (bound {table.bound})")
     return PathlikeVerdict(not witnesses, witnesses)
@@ -307,12 +289,14 @@ def color_decompose(C: CoalgebraSpec):
 
 
 def analyze_structure(C: CoalgebraSpec) -> StructureReport:
+    """The report; a skew primitive between grouplikes g and h of the
+    universe has the flank pair (g, h), so it is read off that color block."""
     gpl, sgpl = find_grouplikes(C)
-    skew: dict = {}
-    for g in sorted(gpl):
-        for h in sorted(gpl):
-            found = find_skew_primitives(C, g, h)
-            if found:
-                skew[(g, h)] = found
     blocks, uncolorable = color_decompose(C)
+    skew: dict = {}
+    for (g, h), keys in blocks.items():
+        found = {k for k in keys if k not in (g, h)
+                 and C.delta(k).terms == {(g, k): 1, (k, h): 1}}
+        if found and g in gpl and h in gpl:
+            skew[(g, h)] = found
     return StructureReport(gpl, sgpl, skew, blocks, uncolorable)

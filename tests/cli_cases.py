@@ -83,6 +83,8 @@ CASES = [
      ["filtration", "--quiver", QUIVER, "--truncation", "4"]),
     ("filtration-trees",
      ["filtration", "--bialgebra", "trees", "--truncation", "3"]),
+    ("filtration-words",
+     ["filtration", "--words", "a,b", "--truncation", "3"]),
     ("structure-quiver", ["structure", "--quiver", QUIVER, "--truncation", "3"]),
     ("structure-poset", ["structure", "--poset", POSET]),
     ("coproduct-json",

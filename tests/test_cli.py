@@ -41,6 +41,14 @@ def test_golden(name, argv):
     assert code2 == 0 and out2 == out
 
 
+def test_word_universe_is_closed_under_the_coproduct():
+    # the right flanks of words are products of empty words, which the open
+    # universe does not hold
+    code, out = run_cli(["structure", "--words", "a,b", "--truncation", "2"])
+    assert code == 0
+    assert out.endswith(b"pathlike: yes\n")
+
+
 def test_exit_code_math_obstruction():
     code, _ = run_cli(["antipode", "--bialgebra", "trees", "--truncation", "3"])
     assert code == 1
@@ -288,8 +296,8 @@ def test_obstruction_in_the_last_value_prints_nothing(monkeypatch):
 
     real = sweedler.cli.antipode
 
-    def failing_last(B, validate=True):
-        S = real(B, validate=validate)
+    def failing_last(B):
+        S = real(B, validate=False)
         last = [k for k in B.keys if B.grading(k) <= 3][-1]
         fn = S._memo.fn
 
@@ -303,7 +311,7 @@ def test_obstruction_in_the_last_value_prints_nothing(monkeypatch):
 
     monkeypatch.setattr(sweedler.cli, "antipode", failing_last)
     code, out, err = _run_cli_stderr(["antipode", "--bialgebra", "trees", "--quotient",
-                                      "normalized", "--truncation", "3", "--no-validate"])
+                                      "normalized", "--truncation", "3"])
     assert code == 1
     assert out == b""
     assert err.startswith("mathematical obstruction: no value at ")

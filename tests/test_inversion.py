@@ -46,6 +46,7 @@ from sweedler.specs import (
     validate_coalgebra,
 )
 from sweedler.structure import (
+    FiltrationTable,
     analyze_structure,
     bivariate_filtration,
     filtration_from_grading,
@@ -125,10 +126,13 @@ def test_takeuchi_unit_is_self_inverse(single_edge_paths):
 
 
 def test_series_truncates_at_degree_plus_one(two_vertex_complete_paths):
-    # the inverse only consults filtration degrees; a too-small bound fails
+    # the inverse only consults filtration degrees; a table cut after two
+    # rounds fails on a key of degree 3
     C = two_vertex_complete_paths
     f = path_letters(C)
-    table = bivariate_filtration(C, max_n=2)
+    full = bivariate_filtration(C)
+    kept = {k: d for k, d in full.degrees.items() if d <= 2}
+    table = FiltrationTable(kept, 2, frozenset(full.degrees.keys() - kept.keys()))
     assert not table.exhaustive
     inv = takeuchi_inverse(f, table)
     with pytest.raises(FiltrationNotExhaustive):

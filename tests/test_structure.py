@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sweedler.errors import ConfigurationError
+from sweedler.constructions import normalized_quotient, q_deform
 from sweedler.gallery import (
     boolean_poset,
     build_incidence_coalgebra,
@@ -10,6 +11,7 @@ from sweedler.gallery import (
     build_setlike_coalgebra,
     build_word_coalgebra,
     chain_poset,
+    complete_quiver,
     interval_key,
     path_key,
     setlike_key,
@@ -27,6 +29,7 @@ from sweedler.structure import (
     find_skew_primitives,
     flanks,
     is_grouplike,
+    reduced_coproduct,
     skew_primitive_space,
     verify_pathlike,
 )
@@ -95,27 +98,36 @@ def test_bivariate_degrees_on_paths(two_vertex_complete_paths):
 
 
 def test_bivariate_degree_single_key(single_edge_paths):
-    table = bivariate_filtration(single_edge_paths, 3)
+    table = bivariate_filtration(single_edge_paths)
     assert table.degree(vertex_key("v")) == 0
     assert table.degree(path_key(("e",))) == 1
 
 
 def test_degree_not_reached_on_corrupted():
-    # a key whose reduced coproduct always refers to itself never enters
+    # a key whose reduced coproduct always refers to itself never enters,
+    # nor does a key that needs it
+    C = _stuck()
     k = BasisKey("x", (0,))
-    g = BasisKey("x", (1,))
+    table = bivariate_filtration(C)
+    assert table.degree(k) is None
+    assert k in table.unreached
+    assert BasisKey("x", (2,)) in table.unreached
+    assert not verify_pathlike(C).is_pathlike
+
+
+def _stuck():
+    # x(0) needs itself, and x(2) needs x(0) as a right factor
+    k, g, m = (BasisKey("x", (i,)) for i in range(3))
 
     def delta(key):
         if key == g:
             return TensorSum.pure(g, g)
+        if key == m:
+            return TensorSum.of([(g, m), (m, g), (g, k)])
         return TensorSum.of([(g, k), (k, g), (k, k)])
 
-    C = CoalgebraSpec("stuck", [g, k], delta,
-                      lambda key: Fraction(1 if key == g else 0), lambda key: 1)
-    table = bivariate_filtration(C, max_n=5)
-    assert table.degree(k) is None
-    assert k in table.unreached
-    assert not verify_pathlike(C, 5).is_pathlike
+    return CoalgebraSpec("stuck", [g, k, m], delta,
+                         lambda key: Fraction(1 if key == g else 0), lambda key: 1)
 
 
 def test_bivariate_degree_bounded_by_grading(trees_sym4, graphs_c33):
@@ -217,8 +229,6 @@ def test_grading_filtration_requires_grouplike_base(single_edge_paths):
 
 def test_reduced_coproduct_coassociative_on_diagonal(trees_sym4):
     # the one-flank reduction at (g, g) is coassociative, for every grouplike
-    from sweedler.structure import reduced_coproduct
-
     C = trees_sym4.coalgebra
     gpl, _ = find_grouplikes(C)
     keys = [k for k in C.keys if C.grading(k) <= 2]
@@ -227,8 +237,6 @@ def test_reduced_coproduct_coassociative_on_diagonal(trees_sym4):
 
 
 def _check_diagonal_reduction(C, g, keys):
-    from sweedler.structure import reduced_coproduct
-
     for k in keys:
         left = {}
         for (a, b), c in reduced_coproduct(C, k, g, g):
@@ -241,3 +249,103 @@ def _check_diagonal_reduction(C, g, keys):
         left = {t: c for t, c in left.items() if c}
         right = {t: c for t, c in right.items() if c}
         assert left == right
+
+
+# ---------------------------------------------------------------------------
+# One reading per key, against the per-pair definitions
+
+def _skew_oracle(C):
+    """Every pair (g, h) of universe grouplikes and every other key k with
+    reduced_coproduct(C, k, g, h) == 0.  A pair whose g is not a left factor
+    or h not a right factor of delta(k) leaves -g (x) k or -k (x) h behind,
+    so only the factor pairs are tried."""
+    gpl, _ = find_grouplikes(C)
+    out: dict = {}
+    for k in C.keys:
+        lefts = gpl & {a for (a, _), _ in C.delta(k)}
+        rights = gpl & {b for (_, b), _ in C.delta(k)}
+        for g in lefts:
+            for h in rights:
+                if k not in (g, h) and reduced_coproduct(C, k, g, h).is_zero():
+                    out.setdefault((g, h), set()).add(k)
+    return out
+
+
+def _filtration_oracle(C):
+    """Round n settles a key when, at some semigrouplike flank pair with
+    coefficient-1 flank terms, every factor of its reduced coproduct has
+    degree < n; rounds run up to the grading's top degree."""
+    _, sgpl = find_grouplikes(C)
+    bound = max(C.max_degree(), 1)
+    reductions = {}
+    for k in C.keys:
+        delta = C.delta(k)
+        lefts = [a for (a, b), c in delta if b == k and c == 1 and a in sgpl]
+        rights = [b for (a, b), c in delta if a == k and c == 1 and b in sgpl]
+        reductions[k] = [reduced_coproduct(C, k, g, h) for g in lefts for h in rights]
+    degrees = {k: 0 for k in sgpl}
+    for n in range(1, bound + 1):
+        new = [k for k in C.keys if k not in degrees and any(
+            all(degrees.get(a, n) < n and degrees.get(b, n) < n for (a, b), _ in r)
+            for r in reductions[k])]
+        degrees.update((k, n) for k in new)
+    return degrees, bound, frozenset(k for k in C.keys if k not in degrees)
+
+
+_SKEW_UNIVERSES = {
+    "trees(4,s)": lambda: build_tree_bialgebra(4, 4, "s").coalgebra,
+    "trees(4,p)": lambda: build_tree_bialgebra(4, 4, "p").coalgebra,
+    "trees(4)/normalized": lambda: normalized_quotient(
+        build_tree_bialgebra(4, 4, "s")).bialgebra.coalgebra,
+    # flanks of q keys and of open words lie outside the universe
+    "q(trees(3))": lambda: q_deform(build_tree_bialgebra(3, 3, "s"), laurent=True,
+                                    exponent_window=1).bialgebra.coalgebra,
+    "words(ab,2),closed": lambda: build_word_coalgebra("ab", 2, closed=True),
+    "words(ab,3)": lambda: build_word_coalgebra("ab", 3),
+    "quiver(3)": lambda: build_path_coalgebra(complete_quiver(("0", "1", "2")), 3),
+    "boolean(3)": lambda: build_incidence_coalgebra(boolean_poset(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SKEW_UNIVERSES))
+def test_skew_primitives_from_color_blocks(name):
+    C = _SKEW_UNIVERSES[name]()
+    assert analyze_structure(C).skew_primitive_pairs == _skew_oracle(C)
+
+
+def test_skew_primitives_from_color_blocks_on_graphs(graphs_c33, graphs_n33):
+    for B in (graphs_c33, graphs_n33):
+        C = B.coalgebra
+        assert analyze_structure(C).skew_primitive_pairs == _skew_oracle(C)
+
+
+def test_structure_reduces_each_key_at_most_once(graphs_n33, monkeypatch):
+    # a skew scan per grouplike pair reduced every key at each of 53 x 53 pairs
+    import sweedler.structure
+
+    calls = []
+
+    def counting(C, key, g, h):
+        calls.append(key)
+        return reduced_coproduct(C, key, g, h)
+
+    monkeypatch.setattr(sweedler.structure, "reduced_coproduct", counting)
+    C = graphs_n33.coalgebra
+    report = analyze_structure(C)
+    assert len(find_grouplikes(C)[0]) == 53 and len(C.keys) == 672
+    assert len(calls) <= len(C.keys)
+    assert sum(map(len, report.skew_primitive_pairs.values())) == 116
+
+
+@pytest.mark.parametrize("name", ["graphs-n", "graphs-c", "trees(5,p)", "words(ab,3)",
+                                  "quiver(2)", "stuck"])
+def test_filtration_matches_round_by_round_reference(name, graphs_c33, graphs_n33,
+                                                     two_vertex_complete_paths):
+    C = {"graphs-n": lambda: graphs_n33.coalgebra,
+         "graphs-c": lambda: graphs_c33.coalgebra,
+         "trees(5,p)": lambda: build_tree_bialgebra(5, 5, "p").coalgebra,
+         "words(ab,3)": lambda: build_word_coalgebra("ab", 3, closed=True),
+         "quiver(2)": lambda: two_vertex_complete_paths,
+         "stuck": _stuck}[name]()
+    table = bivariate_filtration(C)
+    assert (table.degrees, table.bound, table.unreached) == _filtration_oracle(C)
