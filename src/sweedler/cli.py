@@ -27,6 +27,7 @@ from .constructions import (
     brown_coaction,
     normalized_quotient,
     q_deform,
+    split_q_key,
     validate_coaction,
     validate_coideal,
 )
@@ -40,18 +41,24 @@ from .gallery import (
     build_path_coalgebra,
     build_word_coalgebra,
     cyclic_group,
+    goncharov_coproduct,
     interval_key,
     path_key,
     symmetric_group_3,
     vertex_key,
     word_key,
 )
-from .graphs import GraphMorphism, build_graph_bialgebra, check_graph_relations
+from .graphs import (
+    GraphMorphism,
+    build_graph_bialgebra,
+    check_graph_relations,
+    graph_coproduct,
+)
 from .inversion import antipode, invert_character, validate_antipode
 from .renorm import CharacterSpec, birkhoff, check_rota_baxter, pole_part_operator
 from .specs import validate_bialgebra, validate_coalgebra
 from .structure import analyze_structure, bivariate_filtration, verify_pathlike
-from .trees import build_tree_bialgebra, parse_forest
+from .trees import build_tree_bialgebra, parse_forest, tree_coproduct
 
 
 _JSON_TYPES = {list: "an array", str: "a string", int: "a number",
@@ -103,13 +110,19 @@ def _build_bialgebra(args):
     raise InputError(f"unknown bialgebra {name!r}")
 
 
-def _maybe_quotient(B, args):
-    kind = getattr(args, "quotient", None)
-    if not kind:
-        return B
+_QUOTIENTS = ("normalized", "commutator", "central")
+
+
+def _quotient(B, kind: str):
+    """The ``QuotientSpec`` of B named ``kind``, one of ``_QUOTIENTS``."""
     if kind == "normalized":
-        return normalized_quotient(B).bialgebra
-    return abelianized_quotient(B, kind).bialgebra
+        return normalized_quotient(B)
+    return abelianized_quotient(B, kind)
+
+
+def _keys(B, degree: int) -> list:
+    """B's keys of degree at most ``degree``, in universe order."""
+    return [k for k in B.keys if B.grading(k) <= degree]
 
 
 def _emit(lines, fmt: str):
@@ -141,21 +154,13 @@ def _emit(lines, fmt: str):
 
 
 def _cmd_coproduct(args) -> int:
-    lines = []
     if args.tree is not None:
-        mode = "s" if args.mode == "symmetric" else "p"
-        key = parse_forest(args.tree, mode)
-        from .trees import tree_coproduct
-
-        lines.append(f"delta({key}) = {tree_coproduct(key).render()}")
+        key = parse_forest(args.tree, "s" if args.mode == "symmetric" else "p")
+        delta = tree_coproduct(key)
     elif args.graph is not None:
-        doc = _load_doc(args.graph)
-        morphism = GraphMorphism.from_doc(doc)
-        gmode = "n" if args.nonconnected else "c"
-        key = morphism.class_key(gmode)
-        from .graphs import graph_coproduct
-
-        lines.append(f"delta({key}) = {graph_coproduct(key).render()}")
+        morphism = GraphMorphism.from_doc(_load_doc(args.graph))
+        key = morphism.class_key("n" if args.nonconnected else "c")
+        delta = graph_coproduct(key)
     elif args.word is not None:
         doc = _load_doc(args.word)
         try:
@@ -166,9 +171,7 @@ def _cmd_coproduct(args) -> int:
         for name in (left, *letters, right):
             _check_name(name, "letter")
         key = word_key(left, letters, right)
-        from .gallery import goncharov_coproduct
-
-        lines.append(f"delta({key}) = {goncharov_coproduct(key).render()}")
+        delta = goncharov_coproduct(key)
     elif args.quiver is not None:
         quiver = Quiver.from_doc(_load_doc(args.quiver))
         C = build_path_coalgebra(quiver, args.truncation)
@@ -183,7 +186,7 @@ def _cmd_coproduct(args) -> int:
             if not edges or any(e not in emap for e in edges):
                 raise InputError(f"unknown path literal {args.path!r}")
             key = path_key(edges)
-        lines.append(f"delta({key}) = {C.delta(key).render()}")
+        delta = C.delta(key)
     elif args.poset is not None:
         poset = Poset.from_doc(_load_doc(args.poset))
         C = build_incidence_coalgebra(poset)
@@ -193,22 +196,21 @@ def _cmd_coproduct(args) -> int:
         if x not in poset.leq or not poset.le(x, y):
             raise InputError(f"{args.interval!r} is not an interval of the poset")
         key = interval_key(x, y)
-        lines.append(f"delta({key}) = {C.delta(key).render()}")
+        delta = C.delta(key)
     else:
         raise InputError("coproduct needs one of --tree/--graph/--word/--quiver/--poset")
-    _emit(lines, args.format)
+    _emit([f"delta({key}) = {delta.render()}"], args.format)
     return 0
 
 
 def _cmd_antipode(args) -> int:
     B = _build_bialgebra(args)
-    B = _maybe_quotient(B, args)
+    if args.quotient:
+        B = _quotient(B, args.quotient).bialgebra
     if args.qdeform:
-        deformed = q_deform(B, laurent=args.laurent, exponent_window=1)
-        B = deformed.bialgebra
+        B = q_deform(B, laurent=args.laurent, exponent_window=1).bialgebra
     S = antipode(B)
-    keys = [k for k in B.keys if B.grading(k) <= args.truncation
-            and (args.key is None or str(k) == args.key)]
+    keys = [k for k in _keys(B, args.truncation) if args.key is None or str(k) == args.key]
     for k in keys:  # every value, so an obstruction comes before any output
         S(k)
     _emit((f"S({k}) = {S(k).render()}" for k in keys), args.format)
@@ -217,10 +219,11 @@ def _cmd_antipode(args) -> int:
 
 def _cmd_inverse(args) -> int:
     B = _build_bialgebra(args)
-    B = _maybe_quotient(B, args)
+    if args.quotient:
+        B = _quotient(B, args.quotient).bialgebra
     phi = CharacterSpec.from_doc(_load_doc(args.character))
     inv = invert_character(phi.as_conv_map(B), B)
-    keys = [k for k in B.keys if B.grading(k) <= args.truncation]
+    keys = _keys(B, args.truncation)
     for k in keys:  # every value, so an obstruction comes before any output
         inv(k)
     render = inv.target.render
@@ -229,35 +232,22 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_birkhoff(args) -> int:
-    B = _build_bialgebra(args)
-    quotient = normalized_quotient(B)
+    B = _quotient(_build_bialgebra(args), "normalized").bialgebra
     phi = CharacterSpec.from_doc(_load_doc(args.character))
-    pair = birkhoff(phi, quotient.bialgebra, pole_part_operator())
-    lines = []
-    for k in quotient.bialgebra.keys:
-        if quotient.bialgebra.grading(k) > args.truncation:
-            continue
-        minus = pair.minus.target.render(pair.minus(k))
-        plus = pair.plus.target.render(pair.plus(k))
-        lines.append(f"{k} | {minus} | {plus}")
-    _emit(lines, args.format)
+    pair = birkhoff(phi, B, pole_part_operator())
+    minus, plus = pair.minus.target.render, pair.plus.target.render
+    _emit([f"{k} | {minus(pair.minus(k))} | {plus(pair.plus(k))}"
+           for k in _keys(B, args.truncation)], args.format)
     return 0
 
 
 def _cmd_quotient(args) -> int:
     B = _build_bialgebra(args)
-    if args.kind == "normalized":
-        q = normalized_quotient(B)
-    else:
-        q = abelianized_quotient(B, args.kind)
+    q = _quotient(B, args.kind)
     report = validate_coideal(q, seed=args.seed)
     lines = [report.render()]
-    for k in B.keys:
-        if B.grading(k) > args.truncation:
-            continue
-        nf = q.normal_form(k)
-        if nf != k:
-            lines.append(f"{k} -> {nf}")
+    lines += [f"{k} -> {nf}" for k in _keys(B, args.truncation)
+              if (nf := q.normal_form(k)) != k]
     _emit(lines, args.format)
     return 0 if report.ok else 1
 
@@ -265,28 +255,19 @@ def _cmd_quotient(args) -> int:
 def _cmd_qdeform(args) -> int:
     B = _build_bialgebra(args)
     deformed = q_deform(B, laurent=args.laurent, exponent_window=1)
-    lines = []
-    for k in B.keys:
-        if B.grading(k) > args.truncation:
-            continue
-        lines.append(f"{k} -> {deformed.reduce_key(k)}")
-    _emit(lines, args.format)
+    _emit([f"{k} -> {deformed.reduce_key(k)}" for k in _keys(B, args.truncation)],
+          args.format)
     return 0
 
 
 def _cmd_coaction(args) -> int:
-    B = _build_bialgebra(args)
-    deformed = q_deform(B, laurent=True, exponent_window=1)
+    deformed = q_deform(_build_bialgebra(args), laurent=True, exponent_window=1)
     coaction = brown_coaction(deformed)
     report = validate_coaction(coaction, max_degree=args.truncation)
     lines = [report.render()]
-    for k in deformed.bialgebra.keys:
-        if deformed.bialgebra.grading(k) > min(args.truncation, 2):
-            continue
-        base, exps = k.payload[1], k.payload[2]
-        if exps:
-            continue
-        lines.append(f"coaction({k}) = {coaction(k).render()}")
+    lines += [f"coaction({k}) = {coaction(k).render()}"
+              for k in _keys(deformed.bialgebra, min(args.truncation, 2))
+              if not split_q_key(k)[1]]
     _emit(lines, args.format)
     return 0 if report.ok else 1
 
@@ -386,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, bialgebra=True):
         p.add_argument("--truncation", type=int, default=4)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mode", choices=("planar", "symmetric"), default="symmetric")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if bialgebra:
             p.add_argument("--bialgebra", default="trees")
@@ -406,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("antipode", help="antipode table")
     common(p)
-    p.add_argument("--quotient", choices=("normalized", "commutator", "central"))
+    p.add_argument("--quotient", choices=_QUOTIENTS)
     p.add_argument("--qdeform", action="store_true")
     p.add_argument("--laurent", action="store_true")
     p.add_argument("--key")
@@ -415,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inverse", help="convolution inverse of a character")
     common(p)
     p.add_argument("--character", required=True)
-    p.add_argument("--quotient", choices=("normalized", "commutator", "central"))
+    p.add_argument("--quotient", choices=_QUOTIENTS)
     p.set_defaults(fn=_cmd_inverse)
 
     p = sub.add_parser("birkhoff", help="factorization table (key | minus | plus)")
@@ -425,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quotient", help="normal-form table of a quotient")
     common(p)
-    p.add_argument("--kind", choices=("normalized", "commutator", "central"),
-                   required=True)
+    p.add_argument("--kind", choices=_QUOTIENTS, required=True)
     p.set_defaults(fn=_cmd_quotient)
 
     p = sub.add_parser("qdeform", help="deformation classes of basis keys")
@@ -438,33 +416,32 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_cmd_coaction)
 
-    p = sub.add_parser("filtration", help="filtration degree histogram")
-    common(p, bialgebra=False)
-    p.add_argument("--bialgebra")
-    p.add_argument("--quiver")
-    p.add_argument("--poset")
-    p.add_argument("--words")
-    p.set_defaults(fn=_cmd_filtration)
-
-    p = sub.add_parser("structure", help="grouplike/skew-primitive report")
-    common(p, bialgebra=False)
-    p.add_argument("--bialgebra")
-    p.add_argument("--quiver")
-    p.add_argument("--poset")
-    p.add_argument("--words")
-    p.set_defaults(fn=_cmd_structure)
+    for name, fn, text in (("filtration", _cmd_filtration, "filtration degree histogram"),
+                           ("structure", _cmd_structure, "grouplike/skew-primitive report")):
+        p = sub.add_parser(name, help=text)
+        common(p, bialgebra=False)
+        for option in ("--bialgebra", "--quiver", "--poset", "--words"):
+            p.add_argument(option)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("check", help="run validation suites")
     common(p, bialgebra=False)
     p.add_argument("--suite", default="all")
     p.set_defaults(fn=_cmd_check)
 
+    # only check and quotient draw random samples, and check builds only
+    # symmetric trees
+    for name, p in sub.choices.items():
+        if name in ("check", "quotient"):
+            p.add_argument("--seed", type=int, default=0)
+        if name != "check":
+            p.add_argument("--mode", choices=("planar", "symmetric"), default="symmetric")
     return parser
 
 
 def _check_ranges(args) -> None:
     for option in ("truncation", "seed"):
-        value = getattr(args, option)
+        value = getattr(args, option, 0)
         if value < 0:
             raise InputError(f"--{option} must be a non-negative integer, got {value}")
 

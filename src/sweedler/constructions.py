@@ -220,9 +220,7 @@ class QDeformedBialgebra:
     """
 
     parent: BialgebraSpec
-    laurent: bool
     bialgebra: BialgebraSpec
-    exponent_window: int
 
     def reduce_key(self, key: BasisKey) -> BasisKey:
         """Image of a parent basis key under the deformation quotient."""
@@ -325,7 +323,7 @@ def q_deform(B: BialgebraSpec, laurent: bool = False,
     hooks["graded_filtration"] = True
     hooks["strip_grouplikes"] = lambda k: (k, {})
     bialg = BialgebraSpec(coalg, alg, hooks)
-    return QDeformedBialgebra(B, laurent, bialg, exponent_window)
+    return QDeformedBialgebra(B, bialg)
 
 
 def localize_central(B: BialgebraSpec, exponent_window: int = 2) -> QDeformedBialgebra:

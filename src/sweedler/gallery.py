@@ -471,8 +471,10 @@ def build_word_coalgebra(alphabet, max_length: int, closed: bool = False) -> Coa
     filtration sweeps; this blows up quickly, keep the bounds small.
     """
     alphabet = tuple(alphabet)
-    for a in alphabet:
+    for i, a in enumerate(alphabet):
         _check_name(a, "letter")
+        if a in alphabet[:i]:
+            raise InputError(f"duplicate letter {a!r}")
     by_length = [[word_key(a0, letters, a1)
                   for a0 in alphabet for a1 in alphabet
                   for letters in itertools.product(alphabet, repeat=n)]

@@ -318,26 +318,6 @@ def degree_of(key: BasisKey) -> DegreeTriple:
     return DegreeTriple(drop, len(edges), drop + len(edges))
 
 
-def ghost_invariants(key: BasisKey) -> dict:
-    """Component/cycle counts of the ghost graph, with the Euler identity.
-
-    components - cycles always equals vertices - edges; both sides are
-    reported so the relation can be asserted exactly.
-    """
-    _, sizes, edges, blocks = key.payload
-    n = len(sizes)
-    comps = _components(n, edges)
-    b0 = len(comps)
-    b1 = len(edges) - n + b0
-    return {
-        "vertices": n,
-        "edges": len(edges),
-        "components": b0,
-        "cycles": b1,
-        "chi": b0 - b1,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Coproduct
 

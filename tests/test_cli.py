@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,33 @@ def test_negative_integer_options_are_input_errors(argv):
     assert err.startswith("error: --") and err.count("\n") == 1
 
 
+_SEEDLESS = ["coproduct", "antipode", "inverse", "birkhoff", "qdeform", "coaction",
+             "filtration", "structure"]
+
+
+@pytest.mark.parametrize("argv,accepted", [([command, "--seed", "1"], False)
+                                           for command in _SEEDLESS] + [
+    (["check", "--mode", "planar"], False),
+    (["check", "--seed", "1"], True),
+    (["quotient", "--kind", "normalized", "--seed", "1"], True),
+])
+def test_each_command_takes_only_the_options_it_reads(argv, accepted):
+    # only check and quotient draw samples, and check builds symmetric trees
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            seed = cli.build_parser().parse_args(argv).seed
+        except SystemExit as exc:
+            seed = f"exit {exc.code}"
+    assert (seed, out.getvalue()) == (1 if accepted else "exit 2", "")
+
+
+def test_repeated_word_letter_is_input_error():
+    code, out, err = _run_cli_stderr(["filtration", "--words", "a,a", "--truncation", "2"])
+    assert (code, out) == (2, b"")
+    assert err == "error: duplicate letter 'a'\n"
+
+
 @pytest.mark.parametrize("interval", ["1,0", "0,2", "x,1"])
 def test_poset_non_interval_is_input_error(interval):
     poset = json.dumps({"elements": ["0", "1"], "covers": [["0", "1"]]})
@@ -185,8 +213,6 @@ def test_closed_stdout_ends_the_table_quietly():
 
 def test_closed_stdout_keeps_the_exit_code(monkeypatch):
     # a failed check written into a pipe whose reader is gone still exits 1
-    from contextlib import redirect_stderr
-
     monkeypatch.setattr(cli, "check_rota_baxter", _failing_report)
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -256,10 +282,9 @@ def test_internal_error_exits_3_without_traceback(monkeypatch):
 
 
 def test_float_coefficient_exits_3(monkeypatch):
-    import sweedler.trees
     from sweedler.linear import TensorSum
 
-    monkeypatch.setattr(sweedler.trees, "tree_coproduct",
+    monkeypatch.setattr(cli, "tree_coproduct",
                         lambda key: TensorSum.pure(key, key, 0.5))
     code, out, err = _run_cli_stderr(["coproduct", "--tree", "v(.)"])
     assert code == 3
@@ -271,8 +296,6 @@ def test_float_coefficient_exits_3(monkeypatch):
 def test_stdout_without_buffer_gets_the_golden_text(name):
     # a text stream with no .buffer (redirect_stdout to a StringIO) gets
     # the same text the golden file holds
-    from contextlib import redirect_stderr, redirect_stdout
-
     from sweedler.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -374,25 +397,26 @@ _small = st.integers(-1, 2).map(str)
 _bialgebra = st.sampled_from(["trees", "graphs", "graphs-nc", "double-z2", "double-z3",
                               "nonesuch"])
 _quotient = st.sampled_from(["normalized", "commutator", "central", "nonesuch"])
-_common = {"--truncation": _small, "--seed": _small,
-           "--format": st.sampled_from(["text", "json"]),
-           "--mode": st.sampled_from(["planar", "symmetric"])}
+_common = {"--truncation": _small, "--format": st.sampled_from(["text", "json"])}
+_mode = {"--mode": st.sampled_from(["planar", "symmetric"])}
 _universe = {"--bialgebra": _bialgebra, "--quiver": _doc_text, "--poset": _doc_text,
-             "--words": _literal}
+             "--words": _literal, **_mode}
+# the options each subcommand's parser takes besides _common
 _OPTIONS = {
     "coproduct": {"--tree": _literal, "--graph": _doc_text, "--nonconnected": None,
                   "--word": _doc_text, "--quiver": _doc_text, "--path": _literal,
-                  "--poset": _doc_text, "--interval": _literal},
+                  "--poset": _doc_text, "--interval": _literal, **_mode},
     "antipode": {"--bialgebra": _bialgebra, "--quotient": _quotient, "--qdeform": None,
-                 "--laurent": None, "--key": _literal},
-    "inverse": {"--bialgebra": _bialgebra, "--character": _doc_text, "--quotient": _quotient},
-    "birkhoff": {"--bialgebra": _bialgebra, "--character": _doc_text},
-    "quotient": {"--bialgebra": _bialgebra, "--kind": _quotient},
-    "qdeform": {"--bialgebra": _bialgebra, "--laurent": None},
-    "coaction": {"--bialgebra": _bialgebra},
+                 "--laurent": None, "--key": _literal, **_mode},
+    "inverse": {"--bialgebra": _bialgebra, "--character": _doc_text, "--quotient": _quotient,
+                **_mode},
+    "birkhoff": {"--bialgebra": _bialgebra, "--character": _doc_text, **_mode},
+    "quotient": {"--bialgebra": _bialgebra, "--kind": _quotient, "--seed": _small, **_mode},
+    "qdeform": {"--bialgebra": _bialgebra, "--laurent": None, **_mode},
+    "coaction": {"--bialgebra": _bialgebra, **_mode},
     "filtration": _universe,
     "structure": _universe,
-    "check": {"--suite": st.sampled_from(["coassoc", "rb", "nonesuch", ""])},
+    "check": {"--suite": st.sampled_from(["coassoc", "rb", "nonesuch", ""]), "--seed": _small},
 }
 
 

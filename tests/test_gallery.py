@@ -309,6 +309,13 @@ def test_closed_word_universe_matches_scanning_loop(letters, max_length, size):
     assert C.keys == _closed_words_by_scan(alphabet, max_length)
 
 
+@pytest.mark.parametrize("closed", [False, True])
+def test_word_alphabet_rejects_a_repeated_letter(closed):
+    # ("a", "a") would list every word four times over
+    with pytest.raises(InputError, match="duplicate letter 'a'"):
+        build_word_coalgebra(("a", "b", "a"), 2, closed=closed)
+
+
 # ---------------------------------------------------------------------------
 # the double and its dual
 
