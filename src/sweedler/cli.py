@@ -185,6 +185,10 @@ def _cmd_coproduct(args) -> int:
             edges = tuple(p for p in name.split(".") if p)
             if not edges or any(e not in emap for e in edges):
                 raise InputError(f"unknown path literal {args.path!r}")
+            for e, f in zip(edges, edges[1:]):
+                if emap[e][1] != emap[f][0]:
+                    raise InputError(f"edges {e} and {f} of {args.path!r} do not compose: "
+                                     f"{e} ends at {emap[e][1]}, {f} starts at {emap[f][0]}")
             key = path_key(edges)
         delta = C.delta(key)
     elif args.poset is not None:
@@ -209,6 +213,9 @@ def _cmd_antipode(args) -> int:
         B = _quotient(B, args.quotient).bialgebra
     if args.qdeform:
         B = q_deform(B, laurent=args.laurent, exponent_window=1).bialgebra
+    if args.key is not None and args.key not in map(str, _keys(B, args.truncation)):
+        raise InputError(f"--key {args.key!r} names no key of the table "
+                         f"(degree <= {args.truncation})")
     S = antipode(B)
     keys = [k for k in _keys(B, args.truncation) if args.key is None or str(k) == args.key]
     for k in keys:  # every value, so an obstruction comes before any output

@@ -15,20 +15,24 @@ equal relabelings, so the search enumerates only the distinct orders of
 each attribute cell's twin classes; the tests keep the full search as the
 oracle.
 
-``graph_class_key`` checks each distinct labelled input at most once and
-relabels it by a stable sort of the attributes.  ``_INTERNED`` is the only
-table graph keys live in: it maps each canonical payload, and each labelled
-input already checked, to the key of its class, so an input that is met
-again, or is a canonical payload already, needs no check.  A relabelling is
-an isomorph, so when the sorted one is a key of ``_INTERNED`` it names the
-class and the search runs only otherwise.  Equal classes are the same
+The input checks run at the boundary only: ``graph_class_key`` checks a
+labelled input that ``_INTERNED`` does not hold yet, and
+``BasisKey("graph", payload)``, copies, unpickling and documents go through
+it.  Inputs that fail a check raise every time and are never memoised.  The
+module's own callers build their inputs from classes or by enumeration
+(coproduct factors, products, stripped keys, the universe), so they skip
+the checks.  An input is relabelled by a stable sort of the attributes.
+``_INTERNED`` is the only table graph keys live in: it maps each canonical
+payload, and each labelled input met outside a product, to the key of its
+class.  A product's disjoint union is not kept there, because the spec's
+product memo already holds the pair.  A relabelling is an isomorph, so when
+the sorted one is a key of ``_INTERNED`` it names the class.  Otherwise,
+when no two corollas share an attribute, the sorted relabelling is the
+canonical payload; only the rest are searched.  Equal classes are the same
 ``BasisKey`` object.
 A graph key carries no bytes until ``encoded()`` or the key order first
 asks for them, so product and factor classes that nothing sorts are never
 encoded.
-``BasisKey("graph", payload)``, copies and unpickling go through
-``graph_class_key``.  Inputs that fail a check raise every time and are
-never memoised.
 
 In connected mode every target group must be connected by its ghost edges
 (mergers are forbidden) and the partition is forced to the edge components;
@@ -141,23 +145,20 @@ def _cell_orders(classes) -> list:
         labels[i + 1:] = labels[:i:-1]
 
 
-def _check_and_sort(sizes, edges, blocks):
-    """Check a labelled input, then relabel it by a stable sort of its
-    corollas' attributes (size, loops, degree, group size): the relabelled
-    payload and the attributes in the new order.  Attributes are
-    isomorphism-invariant, so every canonical payload is sorted this way.
-    Flags used (degree plus twice the loops) stand in for degree: loops
-    compare first, so the order and the cells are the same."""
+def _check(labelled: tuple) -> None:
+    """Raise ``InputError`` unless a labelled input ``(mode, sizes, edges,
+    blocks)`` is a morphism: edges in range, no corolla using more flags
+    than it has (a loop uses two), groups that partition the corollas with
+    no edge between two of them, and in connected mode groups that are the
+    edge components."""
+    mode, sizes, edges, blocks = labelled
     n = len(sizes)
-    loops = [0] * n
     used = [0] * n
     for a, b in edges:
         if not (0 <= a < n and 0 <= b < n):
             raise InputError(f"edge ({a},{b}) out of range")
         used[a] += 1
         used[b] += 1
-        if a == b:
-            loops[a] += 1
     for i in range(n):
         if used[i] > sizes[i]:
             raise InputError(f"corolla {i} has {sizes[i]} flags, {used[i]} used")
@@ -174,7 +175,32 @@ def _check_and_sort(sizes, edges, blocks):
     for a, b in edges:
         if block_of[a] != block_of[b]:
             raise InputError(f"ghost edge ({a},{b}) crosses target groups")
-    attrs = [(sizes[i], loops[i], used[i], len(blocks[block_of[i]])) for i in range(n)]
+    if mode == "c" and sorted(_components(n, edges)) != sorted(
+        tuple(sorted(blk)) for blk in blocks
+    ):
+        raise InputError("connected mode: target groups must be edge components")
+
+
+def _sort(sizes, edges, blocks):
+    """Relabel a morphism by a stable sort of its corollas' attributes
+    (size, loops, degree, group size): the relabelled payload and the
+    attributes in the new order.  Attributes are isomorphism-invariant, so
+    every canonical payload is sorted this way.  Flags used (degree plus
+    twice the loops) stand in for degree: loops compare first, so the order
+    and the cells are the same."""
+    n = len(sizes)
+    loops = [0] * n
+    used = [0] * n
+    for a, b in edges:
+        used[a] += 1
+        used[b] += 1
+        if a == b:
+            loops[a] += 1
+    group = [0] * n
+    for blk in blocks:
+        for c in blk:
+            group[c] = len(blk)
+    attrs = [(sizes[i], loops[i], used[i], group[i]) for i in range(n)]
     order = sorted(range(n), key=attrs.__getitem__)
     perm = [0] * n
     for new, old in enumerate(order):
@@ -194,12 +220,16 @@ def _check_and_sort(sizes, edges, blocks):
 def _canonical(sizes, edges, blocks, attrs=None):
     """The least relabelling among those that sort the corollas by attribute,
     one per twin-class sequence (McKay & Piperno 2014 prune with
-    automorphisms; twin swaps are the simplest).  A candidate whose edges
-    already lose is dropped before its groups sort.  ``attrs`` comes with
-    an input ``_check_and_sort`` returned; any other input is sorted first."""
+    automorphisms; twin swaps are the simplest).  When every attribute cell
+    holds one corolla the sorted relabelling is the only candidate, and it
+    comes back unsearched.  A candidate whose edges already lose is dropped
+    before its groups sort.  ``attrs`` comes with an input ``_sort``
+    returned; any other input is sorted first."""
     if attrs is None:
-        (sizes, edges, blocks), attrs = _check_and_sort(sizes, edges, blocks)
+        (sizes, edges, blocks), attrs = _sort(sizes, edges, blocks)
     n = len(sizes)
+    if len(set(attrs)) == n:
+        return sizes, edges, blocks
     mult = [[0] * n for _ in range(n)]
     for a, b in edges:
         if a != b:
@@ -236,46 +266,48 @@ def _canonical(sizes, edges, blocks, attrs=None):
 def graph_class_key(sizes, edges, blocks, mode: str) -> BasisKey:
     """Canonical class of a morphism given by sizes, ghost edges, groups.
 
-    Equal classes come back as the same interned object.
+    Equal classes come back as the same interned object.  An input not yet
+    in the intern table is checked first, and one that fails raises
+    ``InputError`` every time.
     """
     if mode not in ("c", "n"):
         raise InputError(f"graph mode must be 'c' or 'n', got {mode!r}")
-    return _class_key(
-        (mode, tuple(sizes), tuple(map(tuple, edges)), tuple(map(tuple, blocks)))
-    )
+    labelled = (mode, tuple(sizes), tuple(map(tuple, edges)), tuple(map(tuple, blocks)))
+    if labelled not in _INTERNED:
+        _check(labelled)
+    return _class_key(labelled)
 
 
 # (mode, sizes, edges, blocks) -> the one graph key of that class: every
-# canonical payload, and every labelled input checked so far.
+# canonical payload, and every labelled input met by ``_class_key``.
 _INTERNED: dict = {}
 
 
 def _class_key(labelled: tuple) -> BasisKey:
-    """The class of a labelled input ``(mode, sizes, edges, blocks)``.
-
-    An input is checked once and then kept in ``_INTERNED`` beside the
-    canonical payloads, which is sound because it is an isomorph of its
-    class; an input that is a canonical payload already needs no check, and
-    one that fails a check is never stored and raises every time.  The
-    sorted relabelling is looked up next, and searched from only when no
-    class has it as its payload; ``intern`` publishes a new class and every
-    store is a ``dict.setdefault``, so threads that race on one class share
-    one key.
-    """
+    """The class of a valid labelled input ``(mode, sizes, edges, blocks)``,
+    kept in ``_INTERNED`` beside the canonical payloads, which is sound
+    because it is an isomorph of its class.  Nothing here checks the input:
+    ``graph_class_key`` does, and the module's own callers pass morphisms
+    built from classes or by enumeration."""
     key = _INTERNED.get(labelled)
-    if key is not None:
-        return key
-    mode, sizes, edges, blocks = labelled
-    relabelled, attrs = _check_and_sort(sizes, edges, blocks)
-    if mode == "c":
-        comps = sorted(_components(len(sizes), edges))
-        if comps != sorted(tuple(sorted(blk)) for blk in blocks):
-            raise InputError("connected mode: target groups must be edge components")
+    if key is None:
+        key = _INTERNED.setdefault(labelled, _class_of(labelled))
+    return key
+
+
+def _class_of(labelled: tuple) -> BasisKey:
+    """The class of a valid labelled input, which is not stored: only a new
+    class's payload is.  The sorted relabelling is looked up, and searched
+    from only when no class has it as its payload; ``intern`` publishes a
+    new class with ``dict.setdefault``, so threads that race on one class
+    share one key."""
+    mode = labelled[0]
+    relabelled, attrs = _sort(*labelled[1:])
     key = _INTERNED.get((mode,) + relabelled)
     if key is None:
         payload = (mode,) + _canonical(*relabelled, attrs)
         key = intern(_INTERNED, payload, "graph", payload)
-    return _INTERNED.setdefault(labelled, key)
+    return key
 
 
 def identity_class(sizes, mode: str) -> BasisKey:
@@ -420,14 +452,16 @@ def graph_coproduct(key: BasisKey) -> TensorSum:
 
 
 def graph_product(k1: BasisKey, k2: BasisKey) -> BasisKey:
-    """The class of the disjoint union of both graphs: never zero."""
+    """The class of the disjoint union of both graphs: never zero.  The
+    union of two classes needs no check, and it is not kept in the intern
+    table: the product memo of the spec already holds the pair."""
     mode, s1, e1, b1 = k1.payload
     _, s2, e2, b2 = k2.payload
     off = len(s1)
     sizes = s1 + s2
     edges = list(e1) + [(a + off, b + off) for a, b in e2]
     blocks = list(b1) + [tuple(c + off for c in blk) for blk in b2]
-    return graph_class_key(sizes, edges, blocks, mode)
+    return _class_of((mode, sizes, edges, blocks))
 
 
 def graph_counit(key: BasisKey) -> int:
@@ -473,14 +507,14 @@ def _graph_universe(max_corollas: int, max_edges: int, max_flags: int, mode: str
                         continue
                     comps = _components(n, edges)
                     if mode == "c":
-                        keys.add(graph_class_key(sizes, edges, comps, mode))
+                        keys.add(_class_key((mode, sizes, edges, tuple(comps))))
                         continue
                     for part in _set_partitions(comps):
-                        blocks = [
+                        blocks = tuple(
                             tuple(sorted(c for comp in cell for c in comp))
                             for cell in part
-                        ]
-                        keys.add(graph_class_key(sizes, edges, blocks, mode))
+                        )
+                        keys.add(_class_key((mode, sizes, edges, blocks)))
     delta = _Memo(graph_coproduct)
     frontier = list(keys)
     while frontier:
@@ -673,14 +707,14 @@ def strip_identity_corollas(key: BasisKey):
         return key, {}
     keep = [c for c in range(len(sizes)) if c not in removable]
     remap = {c: i for i, c in enumerate(keep)}
-    new_sizes = [sizes[c] for c in keep]
-    new_edges = [(remap[a], remap[b]) for a, b in edges]
-    new_blocks = [
+    new_sizes = tuple(sizes[c] for c in keep)
+    new_edges = tuple((remap[a], remap[b]) for a, b in edges)
+    new_blocks = tuple(
         tuple(remap[c] for c in blk)
         for blk in blocks
         if blk[0] not in removable or len(blk) > 1
-    ]
-    return graph_class_key(new_sizes, new_edges, new_blocks, mode), exps
+    )
+    return _class_key((mode, new_sizes, new_edges, new_blocks)), exps
 
 
 def build_graph_bialgebra(max_corollas: int, max_edges: int,

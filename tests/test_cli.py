@@ -150,6 +150,29 @@ def test_poset_non_interval_is_input_error(interval):
     assert "not an interval" in err and err.count("\n") == 1
 
 
+def test_antipode_key_that_names_no_key_is_input_error():
+    argv = ["antipode", "--bialgebra", "double-z2", "--truncation", "2"]
+    code, out, err = _run_cli_stderr(argv + ["--key", "nonesuch"])
+    assert (code, out) == (2, b"")
+    assert err == "error: --key 'nonesuch' names no key of the table (degree <= 2)\n"
+    code, out, _ = _run_cli_stderr(argv + ["--key", "<e,r1>"])
+    assert (code, out) == (0, b"S(<e,r1>) = 1*<e,r1>\n")
+
+
+@pytest.mark.parametrize("path,pair", [("e.e", "e and e"), ("e.f.f", "f and f"),
+                                       ("f.e.e", "e and e")])
+def test_quiver_path_whose_edges_do_not_compose_is_input_error(path, pair):
+    quiver = json.dumps({"vertices": ["a", "b"],
+                         "edges": [{"name": "e", "src": "a", "tgt": "b"},
+                                   {"name": "f", "src": "b", "tgt": "a"}]})
+    code, out, err = _run_cli_stderr(["coproduct", "--quiver", quiver, "--path", path])
+    assert (code, out) == (2, b"")
+    assert err.startswith(f"error: edges {pair} of {path!r} do not compose: ")
+    assert err.count("\n") == 1
+    code, out, _ = _run_cli_stderr(["coproduct", "--quiver", quiver, "--path", "e.f.e"])
+    assert (code, out) == (0, b"delta(e.f.e) = 1*a(x)e.f.e + 1*e(x)f.e + 1*e.f(x)e + 1*e.f.e(x)b\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["coproduct", "--tree", "v(" * 400 + "." + ")" * 400],
     ["coproduct", "--quiver", '{"a":' * 100_000 + "1" + "}" * 100_000],

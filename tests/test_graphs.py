@@ -254,36 +254,87 @@ def test_interned_payloads_are_their_own_canonical_form(graphs_c33, graphs_n33):
 
 _SEARCH_COUNT_CHILD = """
 import sweedler.graphs as graphs
-search, calls = graphs._canonical, []
-graphs._canonical = lambda *args: calls.append(1) or search(*args)
-check, checked = graphs._check_and_sort, []
-graphs._check_and_sort = lambda *args: checked.append(args) or check(*args)
+canonical, check = graphs._canonical, graphs._check
+searches, checks = [], []
+def counted(sizes, edges, blocks, attrs):
+    if len(set(attrs)) < len(attrs):  # a cell with two corollas: a search
+        searches.append(1)
+    return canonical(sizes, edges, blocks, attrs)
+graphs._canonical = counted
+graphs._check = lambda labelled: checks.append(1) or check(labelled)
 graphs.build_graph_bialgebra(4, 4, 3, connected=False)
-table, once = graphs._INTERNED, set(checked)
+graphs._canonical, graphs._check = canonical, check
+table = graphs._INTERNED
 payloads = {k for k, key in table.items() if k == key.payload}
-print(len(calls), len(checked), len(once), len(table), len(payloads),
-      all(k in payloads for k in table if k[1:] not in once))
+named = all(check(k) is None and k[:1] + canonical(*k[1:]) == key.payload
+            for k, key in table.items())
+print(len(searches), len(checks), len(table), len(payloads), named)
 """
 
 
 def test_graph_build_searches_only_unseen_sorted_relabellings():
     # graphs(4,4,3,n) in a fresh interpreter: the intern table holds the
     # 29,685 distinct labelled inputs, the 6,439 classes' payloads among
-    # them.  No input is checked twice, an input left unchecked is a
-    # canonical payload, and most checked ones are found by the lookup of
-    # their sorted relabelling.  Which inputs are met first, and so the
-    # two counts, varies with the hash seed.
+    # them.  The build makes no input check: its inputs are enumerated or
+    # are coproduct factors of classes, and every one that it stored passes
+    # the check and has its key's payload as its canonical form.  Most are
+    # found by the lookup of their sorted relabelling, and of the rest only
+    # those with two corollas in one attribute cell are searched.  Which
+    # inputs are met first, and so the search count, varies with the hash
+    # seed.
     import subprocess
     import sys
 
     proc = subprocess.run([sys.executable, "-c", _SEARCH_COUNT_CHILD],
                           capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
-    searches, checks, distinct, entries, payloads, sound = proc.stdout.split()
+    searches, checks, entries, payloads, named = proc.stdout.split()
     assert (int(entries), int(payloads)) == (29_685, 6_439)
-    assert int(checks) == int(distinct) <= 29_685
-    assert sound == b"True"
-    assert int(searches) <= 7_200
+    assert int(checks) == 0
+    assert named == b"True"
+    assert int(searches) <= 3_200
+
+
+@pytest.mark.parametrize("mode", ["c", "n"])
+def test_internal_class_inputs_pass_the_check(mode, graphs_c33, graphs_n33, monkeypatch):
+    # the module's own callers skip the input check: every labelled input
+    # they pass, the coproduct factors of each universe key and the unions
+    # of two universe keys up to weight 2 (one order each), must pass it,
+    # name the key the checked constructor gives, and have that key's
+    # payload as its canonical form
+    import sweedler.graphs as graphs
+
+    B = graphs_c33 if mode == "c" else graphs_n33
+    met = {}
+
+    def recorder(name):
+        inner = getattr(graphs, name)
+
+        def record(labelled):
+            key = inner(labelled)
+            mode_, sizes, edges, blocks = labelled
+            met[mode_, sizes, tuple(map(tuple, edges)), tuple(map(tuple, blocks))] = key
+            return key
+
+        monkeypatch.setattr(graphs, name, record)
+
+    recorder("_class_key")
+    recorder("_class_of")
+    for key in B.keys:
+        graph_coproduct(key)
+    factors = len(met)
+    light = [k for k in B.keys if B.grading(k) <= 2]
+    for i, a in enumerate(light):
+        for b in light[i:]:
+            if B.grading(a) + B.grading(b) <= 2:
+                graph_product(a, b)
+    monkeypatch.undo()
+    assert factors > 400 and len(met) - factors > 3_000
+    for labelled, key in met.items():
+        graphs._check(labelled)
+        mode_, sizes, edges, blocks = labelled
+        assert graph_class_key(sizes, edges, blocks, mode_) is key
+        assert key.payload == (mode_,) + _reference_canonical(sizes, edges, blocks)
 
 
 @st.composite
@@ -332,8 +383,15 @@ def _untied_inputs(draw):
 @given(_untied_inputs())
 def test_untied_attributes_canonicalise_by_sorting(structure):
     # with every attribute cell a singleton the attribute sort alone is the
-    # relabelling, so it must carry every attribute the full search uses
-    assert _canonical(*structure) == _reference_canonical(*structure)
+    # relabelling, so it must carry every attribute the full search uses,
+    # and no search is made
+    from unittest import mock
+
+    import sweedler.graphs as graphs
+
+    with mock.patch.object(graphs, "_twin_classes", side_effect=AssertionError("searched")):
+        canonical = _canonical(*structure)
+    assert canonical == _reference_canonical(*structure)
 
 
 def test_many_equal_corollas_canonicalise_fast():
@@ -668,13 +726,34 @@ def test_equal_classes_are_one_object():
             assert graph_class_key(*_permuted(perm, sizes, edges, blocks), mode) is key
 
 
+_MALFORMED = [
+    (((2, 2), ((0, 2),), ((0, 1),), "c"), "edge (0,2) out of range"),
+    (((1,), ((0, 0),), ((0,),), "c"), "corolla 0 has 1 flags, 2 used"),
+    (((2, 2), (), ((0,),), "n"), "target groups must partition the corollas"),
+    (((2, 2), (), ((0, 2), (1,)), "n"), "target groups must partition the corollas"),
+    (((2, 2), (), ((0, 1), (1,)), "n"), "target groups overlap"),
+    (((2, 2), ((0, 1),), ((0,), (1,)), "n"), "ghost edge (0,1) crosses target groups"),
+    (((2, 2), (), ((0, 1),), "c"), "connected mode: target groups must be edge components"),
+    (((2,), (), ((0,),), "x"), "graph mode must be 'c' or 'n', got 'x'"),
+]
+
+
 def test_bad_input_raises_on_every_call():
-    # a failed check is never memoised
-    for _ in range(2):
-        with pytest.raises(InputError, match="crosses target groups"):
-            graph_class_key((2, 2), ((0, 1),), ((0,), (1,)), "n")
-        with pytest.raises(InputError, match="edge components"):
-            graph_class_key((2, 2), (), ((0, 1),), "c")
+    # every check runs at the public constructor and behind
+    # BasisKey("graph", ...), with its message, and a failed check is never
+    # memoised
+    import re
+
+    import sweedler.graphs as graphs
+    from sweedler.linear import BasisKey
+
+    for (sizes, edges, blocks, mode), message in _MALFORMED:
+        for _ in range(2):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                graph_class_key(sizes, edges, blocks, mode)
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                BasisKey("graph", (mode, sizes, edges, blocks))
+        assert (mode, sizes, edges, blocks) not in graphs._INTERNED
 
 
 def test_class_keys_interned_across_threads():
