@@ -31,7 +31,7 @@ from typing import Callable
 from .errors import ConfigurationError, UnsupportedError
 from .linear import (
     BasisKey, FormalSum, TensorSum, _addto, _encode_atom, intern, key_literal,
-    register_constructor, register_literal,
+    register_constructor, register_literal, register_rule_counts, rule_counts,
 )
 from .specs import (
     AlgebraSpec,
@@ -195,6 +195,8 @@ def _q_literal(key: BasisKey) -> str:
 
 register_literal("q", _q_literal)
 register_constructor("q", lambda payload: q_key(BasisKey(*payload[:2]), dict(payload[2])))
+register_rule_counts(  # the base's generators, then one grouplike per parameter unit
+    "q", lambda k: rule_counts(k.base) + (("grouplike", sum(e for _, e in k.payload[2])),))
 
 
 def split_q_key(key: BasisKey):

@@ -72,6 +72,7 @@ from dataclasses import dataclass
 from .errors import InputError, json_array
 from .linear import (
     BasisKey, FormalSum, TensorSum, intern, register_constructor, register_literal,
+    register_rule_counts,
 )
 from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec, ValidationReport, _Memo
 
@@ -348,6 +349,20 @@ def degree_of(key: BasisKey) -> DegreeTriple:
     _, sizes, edges, blocks = key.payload
     drop = len(sizes) - len(blocks)
     return DegreeTriple(drop, len(edges), drop + len(edges))
+
+
+def _rule_counts(key: BasisKey) -> tuple:
+    """A graph key's identity corollas (untouched singleton groups), non-loop
+    edges, loops and mergers (corollas minus groups), for characters."""
+    _, sizes, edges, blocks = key.payload
+    touched = {c for e in edges for c in e}
+    loops = sum(1 for a, b in edges if a == b)
+    idents = sum(1 for blk in blocks if len(blk) == 1 and blk[0] not in touched)
+    return (("grouplike", idents), ("edge", len(edges) - loops), ("loop", loops),
+            ("merger", len(sizes) - len(blocks)))
+
+
+register_rule_counts("graph", _rule_counts)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
 
+from .errors import RuleNotFound
 from .scalars import render_scalar
 
 Payload = object  # nested tuples of int/str
@@ -151,6 +152,24 @@ def register_constructor(tag: str, fn: Callable[[Payload], BasisKey]) -> None:
     made from a raw payload, or unpickled in another interpreter, holds the
     family's interned parts.  ``fn`` must not call ``BasisKey(tag, ...)``."""
     _CONSTRUCTORS[tag] = fn
+
+
+# Per-family character rule counts: tag -> fn(key) -> ((rule, count), ...).
+_RULE_COUNTS: dict[str, Callable[[BasisKey], tuple]] = {}
+
+
+def register_rule_counts(tag: str, fn: Callable[[BasisKey], tuple]) -> None:
+    """Name the generators of a ``tag`` key for characters: ``fn(key)``
+    gives ``(rule, count)`` pairs, and a character's value on the key is
+    the product of each rule's value to its count."""
+    _RULE_COUNTS[tag] = fn
+
+
+def rule_counts(key: BasisKey) -> tuple:
+    fn = _RULE_COUNTS.get(key.tag)
+    if fn is None:
+        raise RuleNotFound(key.tag)
+    return fn(key)
 
 
 def key_literal(key: BasisKey) -> str:

@@ -13,9 +13,9 @@ The pole-part projector keeps the strictly negative exponents and satisfies
 the weight -1 Rota-Baxter identity, which is checked by fuzzing rather than
 assumed.
 
-Characters are rule sets evaluated multiplicatively over the canonical
-factorization of a basis key (per vertex for forests, per edge/loop/merge
-for aggregates, per grouplike generator).  The factorization recursion is
+Characters are rule sets evaluated multiplicatively over the generators
+that a key's own family counts (``linear.register_rule_counts``), so this
+module reads no family's payloads.  The factorization recursion is
 the standard subtraction scheme: the counterterm is minus the projected
 preparation, and the identity phi = phi_minus^{-1} * phi_plus is always
 verified key by key, inverting phi_minus with ``convolution_inverse`` (the
@@ -30,13 +30,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ConfigurationError, InputError, MathError, RuleNotFound, UnsupportedError
-from .linear import BasisKey, _SparseSum, _addto, _iadd
+from .linear import BasisKey, _SparseSum, _addto, _iadd, rule_counts
 from .scalars import quotient, render_scalar
 from .specs import BialgebraSpec, ConvMap, ValidationReport, convolve
 from .structure import find_grouplikes
 from .inversion import convolution_inverse
-from .constructions import split_q_key
-from .graphs import degree_of
 
 
 class LaurentPoly(_SparseSum):
@@ -267,15 +265,19 @@ def atkinson_split(T: RBOperator, samples: int = 100, seed: int = 0):
 # Characters
 
 
+# the rule names a character document may give
+RULES = ("vertex", "edge", "loop", "merger", "grouplike")
+
+
 @dataclass
 class CharacterSpec:
-    """A multiplicative rule set assigning target values to generators.
-
-    Supported rules: ``vertex`` (per forest vertex), ``edge`` (per non-loop
-    ghost edge), ``loop`` (per ghost loop, defaults to the edge rule),
-    ``merger`` (per corolla-count drop, defaults to one), ``grouplike`` (per
-    grouplike generator: bare line, identity corolla, or deformation
-    parameter unit; defaults to one).
+    """A multiplicative rule set: a key's value is the product of each
+    rule's value to the count its family registers (``register_rule_counts``):
+    ``vertex`` per forest vertex, ``edge`` per non-loop ghost edge, ``loop``
+    per ghost loop, ``merger`` per corolla-count drop, ``grouplike`` per bare
+    line, identity corolla or parameter unit.  A missing ``grouplike`` or
+    ``merger`` is one, a missing ``loop`` the edge rule; any other missing
+    rule, or a family that counts none, raises ``RuleNotFound``.
     """
 
     target: object = field(default_factory=lambda: LAURENT)
@@ -288,14 +290,12 @@ class CharacterSpec:
         target_name = doc.get("target", "laurent")
         if target_name != "laurent":
             raise InputError(f"unsupported character target {target_name!r}")
-        rules = {name: parse_laurent(text) for name, text in doc["rules"].items()}
+        rules = {}
+        for name, text in doc["rules"].items():
+            if name not in RULES:
+                raise InputError(f"unknown character rule {name!r}; valid: {', '.join(RULES)}")
+            rules[name] = parse_laurent(text)
         return cls(LAURENT, rules)
-
-    def _rule(self, name: str, default=None):
-        value = self.rules.get(name, default)
-        if value is None:
-            raise RuleNotFound(name)
-        return value
 
     def _power(self, value, n: int):
         acc = self.target.one()
@@ -309,46 +309,15 @@ class CharacterSpec:
         return acc
 
     def __call__(self, key: BasisKey):
-        T = self.target
-        if key.tag == "q":
-            base, exps = split_q_key(key)
-            value = self(base)
-            total = sum(exps.values())
-            if total:
-                value = T.mul(value, self._power(self._rule("grouplike"), total))
-            return value
-        if key.tag == "forest":
-            from .trees import forest_grading, strip_lines
-
-            _, exps = strip_lines(key)
-            lines = exps.get("q", 0)
-            nvertices = forest_grading(key)
-            value = T.one()
-            if lines:
-                value = T.mul(value, self._power(self._rule("grouplike", T.one()), lines))
-            if nvertices:
-                value = T.mul(value, self._power(self._rule("vertex"), nvertices))
-            return value
-        if key.tag == "graph":
-            from .graphs import strip_identity_corollas
-
-            _, sizes, edges, blocks = key.payload
-            _, exps = strip_identity_corollas(key)
-            idents = sum(exps.values())
-            loops = sum(1 for a, b in edges if a == b)
-            plain = len(edges) - loops
-            drop = degree_of(key).word_drop
-            value = T.one()
-            if idents:
-                value = T.mul(value, self._power(self._rule("grouplike", T.one()), idents))
-            if plain:
-                value = T.mul(value, self._power(self._rule("edge"), plain))
-            if loops:
-                value = T.mul(value, self._power(self._rule("loop", self.rules.get("edge")), loops))
-            if drop:
-                value = T.mul(value, self._power(self._rule("merger", T.one()), drop))
-            return value
-        raise RuleNotFound(key.tag)
+        value = one = self.target.one()
+        defaults = {"grouplike": one, "merger": one, "loop": self.rules.get("edge")}
+        for name, n in rule_counts(key):
+            if n:
+                rule = self.rules.get(name, defaults.get(name))
+                if rule is None:
+                    raise RuleNotFound(name)
+                value = self.target.mul(value, self._power(rule, n))
+        return value
 
     def as_conv_map(self, B: BialgebraSpec, name: str = "phi") -> ConvMap:
         return ConvMap(B.coalgebra, self.target, self, name)

@@ -265,9 +265,9 @@ def color_decompose(C: CoalgebraSpec):
     """Assign each key its (left, right) grouplike flank pair.
 
     The flanks are read off by :func:`flanks`.  The reduced coproduct at
-    the flank pair must have both tensor factors outside the grouplike span;
-    keys violating this, or without a unique flank pair, are reported as
-    uncolorable.
+    the flank pair, the pairs of delta(k) other than g (x) k and k (x) h,
+    must have both tensor factors outside the grouplike span; keys violating
+    this, or without a unique flank pair, are reported as uncolorable.
     """
     blocks: dict = {}
     uncolorable = []
@@ -280,8 +280,9 @@ def color_decompose(C: CoalgebraSpec):
             uncolorable.append((k, "flanking grouplikes not unique"))
             continue
         g, h = pair
+        flanked = ((g, k), (k, h))
         if any(is_grouplike(C, a) or is_grouplike(C, b)
-               for (a, b), _ in reduced_coproduct(C, k, g, h)):
+               for a, b in C.delta(k).terms if (a, b) not in flanked):
             uncolorable.append((k, "reduced part touches the grouplike span"))
             continue
         blocks.setdefault((g, h), set()).add(k)

@@ -55,6 +55,7 @@ import itertools
 from .errors import InputError
 from .linear import (
     BasisKey, FormalSum, TensorSum, intern, register_constructor, register_literal,
+    register_rule_counts,
 )
 from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec
 
@@ -294,6 +295,8 @@ def _forest_literal(key: BasisKey) -> str:
 
 
 register_literal("forest", _forest_literal)
+register_rule_counts(
+    "forest", lambda k: (("grouplike", k.payload.count(LINE)), ("vertex", forest_grading(k))))
 register_constructor("forest", lambda payload: forest_key(payload[1:], payload[0]))
 
 

@@ -199,10 +199,12 @@ def test_deep_inputs_are_input_errors(argv):
     ["structure", "--quiver", '{"vertices":"uv","edges":[]}'],
     ["coproduct", "--graph", '{"corollas":[{"name":"u","flags":"xy"}]}'],
     ["inverse", "--character", '{"rules":{"vertex":"1/0"}}'],
+    ["inverse", "--bialgebra", "trees", "--truncation", "2",
+     "--character", '{"rules":{"vertex":"z^-1","grouplke":"z"}}'],
 ], ids=["rules-not-object", "rule-not-string", "cover-singleton",
         "cover-triple", "word-name-not-string", "element-number",
         "element-null", "element-float", "elements-string", "letters-string",
-        "vertices-string", "flags-string", "rule-zero-denominator"])
+        "vertices-string", "flags-string", "rule-zero-denominator", "rule-unknown-name"])
 def test_bad_document_fields_are_input_errors(argv):
     code, out, err = _run_cli_stderr(argv)
     assert code == 2

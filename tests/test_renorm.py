@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweedler.constructions import normalized_quotient, q_deform
+from sweedler.constructions import normalized_quotient, q_deform, q_key
 from sweedler.errors import (
     ConfigurationError, InputError, MathError, RuleNotFound, UnsupportedError,
 )
+from sweedler.gallery import path_key
 from sweedler.graphs import (
     build_graph_bialgebra,
     edge_contraction_class,
@@ -184,6 +185,35 @@ def test_character_missing_rule():
         phi(tau(1))
     with pytest.raises(RuleNotFound):
         phi(edge_contraction_class(2, 2))
+    # each missing rule is named, in the order its family counts them; the
+    # loop rule defaults to the edge rule, and a family that registers no
+    # rule counts names its tag
+    for key, missing in [
+        (tau(1), "vertex"),
+        (edge_contraction_class(2, 2), "edge"),
+        (loop_contraction_class(2), "loop"),
+        (graph_product(edge_contraction_class(2, 2), loop_contraction_class(2)), "edge"),
+        (q_key(tau(1), {"q": 1}), "vertex"),
+        (path_key(("e",)), "path"),
+    ]:
+        with pytest.raises(RuleNotFound) as info:
+            phi(key)
+        assert info.value.generator == missing
+
+
+@pytest.mark.parametrize("grouplike", [None, "z^3"], ids=["no-grouplike", "grouplike"])
+@pytest.mark.parametrize("family", ["trees_sym4", "trees_planar4", "graphs_c33", "graphs_n33"])
+def test_character_agrees_on_deformed_keys(request, family, grouplike):
+    # a key's grouplike generators become parameter units of its deformed
+    # image, and both count once per unit, whether the rule is given or one
+    B = request.getfixturevalue(family)
+    D = q_deform(B)
+    rules = {"vertex": "z^-1+2", "edge": "3z", "loop": "z^-2", "merger": "z+1"}
+    if grouplike is not None:
+        rules["grouplike"] = grouplike
+    phi = CharacterSpec(LAURENT, {n: parse_laurent(t) for n, t in rules.items()})
+    for k in B.keys:
+        assert phi(D.reduce_key(k)) == phi(k), k
 
 
 def test_character_multiplicative_fuzz(trees_sym4):
@@ -203,6 +233,8 @@ def test_character_document_parsing():
     assert phi(tau(1)) == parse_laurent("z^-1")
     with pytest.raises(InputError):
         CharacterSpec.from_doc({"target": "padic", "rules": {}})
+    with pytest.raises(InputError, match="'grouplke'"):
+        CharacterSpec.from_doc({"rules": {"vertex": "z^-1", "grouplke": "z"}})
 
 
 def test_character_on_deformation(trees_sym4):

@@ -346,6 +346,27 @@ def test_degree_zero_closure(trees_sym4):
     assert report.ok
 
 
+def test_renorm_reads_no_family_keys():
+    # characters reach a key only through the rule counts its family
+    # registers, so a new family adds no branch to renorm
+    import ast
+    from pathlib import Path
+
+    import sweedler.renorm
+
+    tree = ast.parse(Path(sweedler.renorm.__file__).read_text(encoding="utf-8"))
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert all(n in tree.body for n in imports)  # no in-function import
+    names = set()
+    for n in imports:
+        names.update(a.name.rpartition(".")[2] for a in n.names)
+        if isinstance(n, ast.ImportFrom) and n.module:
+            names.add(n.module.rpartition(".")[2])
+    assert not names & {"trees", "graphs", "constructions", "gallery"}
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not attrs & {"tag", "payload"}
+
+
 def test_module_caches_are_the_documented_two():
     # process-wide functools caches hold only pure, spec-free tables; every
     # structure-map value is memoised by the spec or map that serves it
