@@ -225,10 +225,10 @@ def _cmd_antipode(args) -> int:
 
 
 def _cmd_inverse(args) -> int:
+    phi = CharacterSpec.from_doc(_load_doc(args.character))  # before the build
     B = _build_bialgebra(args)
     if args.quotient:
         B = _quotient(B, args.quotient).bialgebra
-    phi = CharacterSpec.from_doc(_load_doc(args.character))
     inv = invert_character(phi.as_conv_map(B), B)
     keys = _keys(B, args.truncation)
     for k in keys:  # every value, so an obstruction comes before any output
@@ -239,8 +239,8 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_birkhoff(args) -> int:
+    phi = CharacterSpec.from_doc(_load_doc(args.character))  # before the build
     B = _quotient(_build_bialgebra(args), "normalized").bialgebra
-    phi = CharacterSpec.from_doc(_load_doc(args.character))
     pair = birkhoff(phi, B, pole_part_operator())
     minus, plus = pair.minus.target.render, pair.plus.target.render
     _emit([f"{k} | {minus(pair.minus(k))} | {plus(pair.plus(k))}"

@@ -91,15 +91,7 @@ def normalized_quotient(B: BialgebraSpec) -> QuotientSpec:
     def nf(key: BasisKey) -> BasisKey:
         return strip(key)[0]
 
-    unit_key, = B.unit.terms
-    name = f"{B.name}/norm"
-
-    def key_inverse(key: BasisKey):
-        return key if key == nf(unit_key) else None
-
-    quotient = _quotient_bialgebra(B, nf, name)
-    quotient.algebra.key_inverse = key_inverse
-    return QuotientSpec(B, "normalized", nf, quotient)
+    return QuotientSpec(B, "normalized", nf, _quotient_bialgebra(B, nf, f"{B.name}/norm"))
 
 
 def abelianized_quotient(B: BialgebraSpec, kind: str) -> QuotientSpec:

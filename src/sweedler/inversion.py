@@ -17,25 +17,24 @@ Two routes to the inverse of a map out of a coalgebra:
 
 :func:`convolution_inverse` is the one place that picks a filtration: the
 grading when the bialgebra has the ``graded_filtration`` hook, the bivariate
-sweep otherwise; antipodes, character inverses and the Birkhoff check all go
-through it.  The tests check the recursion against Takeuchi's geometric
-series over the filtration (``tests/series_oracle.py``) and against the
-finite solve.  Before either route it checks that the map sends each
-(semi)grouplike basis key to an invertible value, the only obstruction in
-scope.  Targets are those of :mod:`sweedler.specs`; for formal sums the
+sweep otherwise; antipodes and character inverses go through it.  The
+tests check the recursion against Takeuchi's geometric series over the
+filtration (``tests/series_oracle.py``) and against the finite solve.
+Before either route it checks that the map sends each (semi)grouplike basis
+key to an invertible value, the only obstruction in scope.  Targets are
+those of :mod:`sweedler.specs`; for formal sums the
 :class:`~sweedler.specs.AlgebraSpec` itself.
 
-The antipode, the inverse of a bialgebra's identity, takes the recursion
-with two changes.  A term adds -c a S(b) by key, so no identity sum is
-built.  And an antipode is an algebra antihomomorphism, S(xy) = S(y) S(x)
-(Connes & Kreimer 1998 for forests), so a key that the bialgebra's
-``factors`` hook splits into x_1 ... x_n (a forest into its trees) is
-evaluated as S(x_n) ... S(x_1), and the recursion proper runs only on keys
-it does not split.  :func:`validate_antipode` still checks both identities
-on every key, and those are what verify the factored values; its
-antihomomorphism samples hold by construction on factored keys.  Character
-inverses and the Birkhoff recursion keep the plain recursion, and
-:func:`invert_character` checks both inverse identities on every key.
+Every convolution sum here is :func:`~sweedler.specs.convolve_into`,
+which multiplies by the key where f is an identity map: the recursion's,
+and :func:`_inverse_failures`, the check of f * h and h * f against
+eta.eps on every key that :func:`validate_antipode`,
+:func:`invert_character` and the finite solve share.  The antipode, the
+inverse of a bialgebra's identity, is an algebra antihomomorphism,
+S(xy) = S(y) S(x) (Connes & Kreimer 1998 for forests), so a key that the
+bialgebra's ``factors`` hook splits into x_1 ... x_n (a forest into its
+trees) is evaluated as S(x_n) ... S(x_1); the recursion proper runs only
+on keys it does not split, and the two-sided check verifies the rest.
 """
 
 from __future__ import annotations
@@ -44,28 +43,15 @@ import bisect
 import random
 
 from .errors import (
-    ConfigurationError,
-    FiltrationNotExhaustive,
-    GrouplikeNotInvertible,
-    MathError,
+    ConfigurationError, FiltrationNotExhaustive, GrouplikeNotInvertible, MathError,
 )
 from .linalg import solve_sparse
 from .linear import BasisKey, FormalSum, _addto
 from .specs import (
-    AlgebraSpec,
-    BialgebraSpec,
-    ConvMap,
-    ValidationReport,
-    convolution_unit,
-    convolve,
-    identity_map,
+    AlgebraSpec, BialgebraSpec, ConvMap, ValidationReport, convolve_into, identity_map,
 )
 from .structure import (
-    bivariate_filtration,
-    filtration_from_grading,
-    find_grouplikes,
-    flanks,
-    is_grouplike,
+    bivariate_filtration, filtration_from_grading, find_grouplikes, flanks, is_grouplike,
 )
 
 
@@ -90,7 +76,24 @@ def _grouplike_inverse(f: ConvMap, key: BasisKey):
     return inv
 
 
-def _colored_inverse(f: ConvMap, bialgebra: BialgebraSpec | None = None) -> ConvMap:
+def _inverse_failures(f: ConvMap, h: ConvMap):
+    """Yield ``(key, side)``, in key order, for each side of
+    f * h = eta.eps = h * f that fails at a key; ``side`` is ``"f*h"`` or
+    ``"h*f"``, and f * h comes first."""
+    C, T = f.source, f.target
+    units: dict = {}  # eps(k) 1, one per counit value
+    for k in C.keys:
+        eps = C.counit(k)
+        unit = units.get(eps)
+        if unit is None:
+            unit = units[eps] = T.scale(eps, T.one())
+        if convolve_into(T.zero(), 1, f, h, k) != unit:
+            yield k, "f*h"
+        if convolve_into(T.zero(), 1, h, f, k) != unit:
+            yield k, "h*f"
+
+
+def _colored_inverse(f: ConvMap) -> ConvMap:
     """The colored recursion, evaluated bottom-up from an explicit stack.
 
     For a key x with left flank g the two-sided inverse h satisfies
@@ -105,12 +108,12 @@ def _colored_inverse(f: ConvMap, bialgebra: BialgebraSpec | None = None) -> Conv
     map's memo, which only gains complete, equal values, so threads race
     harmlessly.
 
-    ``bialgebra`` is given when f is its identity and h its antipode: each
-    term then adds -c a h(b) by key, and a key the ``factors`` hook splits
-    depends on its factors alone and is their values' reversed product.
+    When f is a bialgebra's identity (``identity_of``), h is its antipode,
+    and a key that bialgebra's ``factors`` hook splits depends on its
+    factors alone and is their values' reversed product.
     """
     C, T = f.source, f.target
-    factors = bialgebra.hooks.get("factors") if bialgebra is not None else None
+    factors = f.identity_of.hooks.get("factors") if f.identity_of is not None else None
 
     def frame(key):
         """(key, its left flank or None, its factors or None, what it needs)."""
@@ -136,17 +139,8 @@ def _colored_inverse(f: ConvMap, bialgebra: BialgebraSpec | None = None) -> Conv
         if g is None:
             return _grouplike_inverse(f, key)
         inv_g = h(g)
-        # eps(x) 1 - sum c f(a) h(b), accumulated in place
         acc = T.accumulate(T.zero(), C.counit(key), T.one())
-        if bialgebra is None:
-            for (a, b), c in C.delta(key):
-                if not (a == g and b == key):
-                    acc = T.accumulate(acc, -c, f(a), memo[b])
-        else:  # f(a) is a itself: no one-term sum is built
-            terms = acc.terms
-            for (a, b), c in C.delta(key):
-                if not (a == g and b == key):
-                    T.key_mul_into(terms, -c, a, memo[b])
+        acc = convolve_into(acc, -1, f, h, key, skip=(g, key))
         return acc if inv_g == T.one() else T.mul(inv_g, acc)
 
     def h_fn(key: BasisKey):
@@ -221,13 +215,9 @@ def finite_convolution_inverse(f: ConvMap, B: BialgebraSpec) -> ConvMap:
         v = solution.get(idx, 0)
         if v:
             inv._memo.setdefault(a, FormalSum.zero()).terms[m] = v
-    eta_eps = convolution_unit(C, T)
-    for side in (convolve(inv, f), convolve(f, inv)):
-        for k in keys:
-            if side(k) != eta_eps(k):
-                raise MathError(
-                    f"{f.name} is left- but not two-sided invertible at {k}"
-                )
+    bad = next(_inverse_failures(f, inv), None)
+    if bad is not None:
+        raise MathError(f"{f.name} is left- but not two-sided invertible at {bad[0]}")
     return inv
 
 
@@ -247,14 +237,8 @@ def convolution_inverse(f: ConvMap, bialgebra: BialgebraSpec | None = None) -> C
     else:
         filt = bivariate_filtration(f.source)
     if filt.exhaustive:
-        if bialgebra is not None and getattr(f, "identity_of", None) is bialgebra:
-            return _colored_inverse(f, bialgebra)  # the antipode
         return _colored_inverse(f)
-    if (
-        bialgebra is not None
-        and f.source.finite_universe
-        and isinstance(f.target, AlgebraSpec)
-    ):
+    if bialgebra is not None and f.source.finite_universe and isinstance(f.target, AlgebraSpec):
         return finite_convolution_inverse(f, bialgebra)
     raise FiltrationNotExhaustive(sorted(filt.unreached)[0])
 
@@ -280,23 +264,10 @@ def validate_antipode(B: BialgebraSpec, S: ConvMap,
     report = ValidationReport(f"antipode axioms for {B.name}")
     C = B.coalgebra
     T = B.algebra
-    # the term dict of counit(k) * unit, one per counit value
-    expected_of: dict = {}
-    for k in C.keys:
-        report.checked += 1
-        left: dict = {}
-        right: dict = {}
-        for (a, b), c in C.delta(k):
-            T.mul_key_into(left, c, S(a), b)
-            T.key_mul_into(right, c, a, S(b))
-        eps = C.counit(k)
-        expected = expected_of.get(eps)
-        if expected is None:
-            expected = expected_of[eps] = B.unit.scale(eps).terms
-        if left != expected:
-            report.fail(k, "S*id != unit.counit")
-        if right != expected:
-            report.fail(k, "id*S != unit.counit")
+    report.checked += len(C.keys)
+    detail = {"h*f": "S*id != unit.counit", "f*h": "id*S != unit.counit"}
+    for k, side in _inverse_failures(identity_map(B), S):
+        report.fail(k, detail[side])
     rng = random.Random(seed)
     keys = list(C.keys)
     # b is drawn among the keys whose grading leaves room for a's
@@ -340,10 +311,8 @@ def invert_character(phi: ConvMap, B: BialgebraSpec) -> ConvMap:
     if phi.evaluate(B.unit) != T.one():
         raise ConfigurationError("character does not preserve the unit")
     inv = convolution_inverse(phi, bialgebra=B)
-    eta_eps = convolution_unit(B.coalgebra, T)
-    sides = (("phi*inv", convolve(phi, inv)), ("inv*phi", convolve(inv, phi)))
-    for k in keys:
-        for side, g in sides:
-            if g(k) != eta_eps(k):
-                raise MathError(f"character inverse fails {side} = eta.eps at {k}")
+    bad = next(_inverse_failures(phi, inv), None)
+    if bad is not None:
+        side = {"f*h": "phi*inv", "h*f": "inv*phi"}[bad[1]]
+        raise MathError(f"character inverse fails {side} = eta.eps at {bad[0]}")
     return inv

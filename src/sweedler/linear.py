@@ -199,7 +199,7 @@ class _SparseSum:
 
     @classmethod
     def zero(cls):
-        return cls({}, _clean=True)
+        return cls({}, True)
 
     def is_zero(self) -> bool:
         return not self.terms

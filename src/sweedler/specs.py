@@ -33,9 +33,12 @@ surface: ``zero``, ``one``, ``scale``, ``mul``, ``accumulate``,
 ``accumulate(acc, c, a, b=None)`` adds ``c*a`` (or ``c*a*b``) into an
 accumulator that the caller obtained from ``zero()`` and has not yet
 shared; it returns the accumulator, which is the same object for the
-mutable sum types and a new value for plain rationals.  The convolution,
-inversion and validation loops sum through it, so none of them copies its
-accumulator once per term.  Inverses are taken by
+mutable sum types and a new value for plain rationals.  ``convolve_into``
+is the one sum of a convolution over a coproduct: ``convolve``, the
+inversion recursion and every inverse check call it.  It copies no
+accumulator per term, and it multiplies by the key on an identity map's
+side, the only use of ``key_mul_into`` and ``mul_key_into`` outside
+:class:`AlgebraSpec`.  Inverses are taken by
 ``inversion.convolution_inverse``, the one place that picks a filtration.
 Values are immutable and memo caches are pure, so concurrent reads of the
 same :class:`ConvMap` always return identical results.
@@ -334,6 +337,8 @@ class RationalTarget:
 class ConvMap:
     """A memoized linear map from a coalgebra into a target algebra."""
 
+    identity_of = None  # the bialgebra whose identity map this is, if any
+
     def __init__(self, source: CoalgebraSpec, target, fn, name: str = ""):
         self.source = source
         self.target = target
@@ -361,6 +366,35 @@ def _same_target(a, b) -> bool:
     return type(a) is type(b)
 
 
+def convolve_into(acc, c, f: ConvMap, g: ConvMap, key: BasisKey, skip=None):
+    """Add ``c * sum f(a) g(b)`` over ``delta(key)``, leaving out the term at
+    the pair ``skip``, into ``acc``, which is fresh from the target; returns
+    the accumulator, as ``accumulate`` does.
+
+    An identity map is never called: its side multiplies by the key,
+    ``key_mul_into`` on the left and ``mul_key_into`` on the right, so no
+    one-term sum is built; the other maps are read from their memos.
+    """
+    T = f.target
+    terms = f.source.delta(key).terms
+    if skip is not None:
+        terms = terms.copy()
+        del terms[skip]
+    if f.identity_of is not None:
+        out, key_mul, g_of = acc.terms, T.key_mul_into, g._memo
+        for (a, b), d in terms.items():
+            key_mul(out, c * d, a, g_of[b])
+    elif g.identity_of is not None:
+        out, mul_key, f_of = acc.terms, T.mul_key_into, f._memo
+        for (a, b), d in terms.items():
+            mul_key(out, c * d, f_of[a], b)
+    else:
+        accumulate, f_of, g_of = T.accumulate, f._memo, g._memo
+        for (a, b), d in terms.items():
+            acc = accumulate(acc, c * d, f_of[a], g_of[b])
+    return acc
+
+
 def convolve(f: ConvMap, g: ConvMap, name: str = "") -> ConvMap:
     """The convolution product: key -> sum of f(left) * g(right) over delta."""
     if f.source is not g.source:
@@ -371,15 +405,9 @@ def convolve(f: ConvMap, g: ConvMap, name: str = "") -> ConvMap:
         raise ConfigurationError(
             f"convolution targets differ: {f.target.name} vs {g.target.name}"
         )
-    C, T = f.source, f.target
-
-    def fn(key):
-        acc = T.zero()
-        for (a, b), c in C.delta(key):
-            acc = T.accumulate(acc, c, f(a), g(b))
-        return acc
-
-    return ConvMap(C, T, fn, name or f"({f.name}*{g.name})")
+    T = f.target
+    return ConvMap(f.source, T, lambda key: convolve_into(T.zero(), 1, f, g, key),
+                   name or f"({f.name}*{g.name})")
 
 
 def convolution_unit(C: CoalgebraSpec, target, name: str = "eta.eps") -> ConvMap:
@@ -387,9 +415,9 @@ def convolution_unit(C: CoalgebraSpec, target, name: str = "eta.eps") -> ConvMap
 
 
 def identity_map(B: BialgebraSpec) -> ConvMap:
-    """The identity of a bialgebra into its own algebra.  The antipode
-    recursion reads keys and calls it only at grouplikes, so its memo holds
-    those alone."""
+    """The identity of a bialgebra into its own algebra.  ``convolve_into``
+    reads keys instead of calling it, so the antipode recursion calls it
+    only at grouplikes and its memo holds those alone."""
     ident = ConvMap(B.coalgebra, B.algebra, FormalSum.basis, "id")
     ident.identity_of = B
     return ident

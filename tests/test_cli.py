@@ -201,16 +201,34 @@ def test_deep_inputs_are_input_errors(argv):
     ["inverse", "--character", '{"rules":{"vertex":"1/0"}}'],
     ["inverse", "--bialgebra", "trees", "--truncation", "2",
      "--character", '{"rules":{"vertex":"z^-1","grouplke":"z"}}'],
+    ["inverse", "--bialgebra", "graphs", "--truncation", "2",
+     "--character", '{"rules":{"vertex":"z^-1","edge":"z"}}'],
+    ["inverse", "--bialgebra", "trees", "--truncation", "2",
+     "--character", '{"rules":{"vertex":"z^-1","loop":"z"}}'],
 ], ids=["rules-not-object", "rule-not-string", "cover-singleton",
         "cover-triple", "word-name-not-string", "element-number",
         "element-null", "element-float", "elements-string", "letters-string",
-        "vertices-string", "flags-string", "rule-zero-denominator", "rule-unknown-name"])
+        "vertices-string", "flags-string", "rule-zero-denominator", "rule-unknown-name",
+        "rule-uncounted-graphs", "rule-uncounted-trees"])
 def test_bad_document_fields_are_input_errors(argv):
     code, out, err = _run_cli_stderr(argv)
     assert code == 2
     assert out == b""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["inverse", "birkhoff"])
+def test_character_document_is_read_before_the_build(command, monkeypatch):
+    # a bad document exits 2 at once, without building the universe first
+    def no_build(args):
+        raise RuntimeError("the bialgebra was built before the document was read")
+
+    monkeypatch.setattr(cli, "_build_bialgebra", no_build)
+    code, out, err = _run_cli_stderr([command, "--bialgebra", "graphs-nc", "--truncation", "4",
+                                      "--character", '{"rules":{"grouplke":"z"}}'])
+    assert (code, out) == (2, b"")
+    assert err.startswith("error: unknown character rule 'grouplke'")
 
 
 @pytest.mark.parametrize("suite,unknown", [("antipod", "'antipod'"), ("", "''"),

@@ -425,8 +425,8 @@ class _OneMinusC:
 
 def _one_minus_c(real):
     """``_colored_inverse`` running the 1 - c recursion."""
-    def recursion(f, bialgebra=None):
-        h = real(ConvMap(f.source, _OneMinusC(f.target), f, f.name), bialgebra)
+    def recursion(f):
+        h = real(ConvMap(f.source, _OneMinusC(f.target), f, f.name))
         h.target = f.target  # callers see the real target
         return h
 
@@ -546,6 +546,34 @@ def test_finite_solve_agrees_with_series():
     solved = finite_convolution_inverse(ident, B)
     assert conv_maps_equal(series, solved)
     assert solved(setlike_key("r1")) == FormalSum.basis(setlike_key("r3"))
+
+
+def test_finite_solve_checks_both_sides(monkeypatch):
+    # negative control: one solved value off fails the two-sided check
+    import sweedler.inversion as inversion
+
+    real = inversion.solve_sparse
+
+    def one_value_off(rows, rhs):
+        solution = real(rows, rhs)
+        solution[min(solution)] += 1
+        return solution
+
+    D = build_drinfeld_double(cyclic_group(3))
+    finite_convolution_inverse(identity_map(D), D)
+    monkeypatch.setattr(inversion, "solve_sparse", one_value_off)
+    with pytest.raises(MathError, match="is left- but not two-sided invertible at "):
+        finite_convolution_inverse(identity_map(D), D)
+
+
+def test_gate_refuses_a_semigrouplike_that_is_not_grouplike():
+    # negative control: delta(k) = k (x) k with counit 2 has no degree-0 inverse
+    k = vertex_key("k")
+    C = CoalgebraSpec("k", [k], lambda key: TensorSum.pure(key, key),
+                      lambda key: 2, lambda key: 0)
+    f = ConvMap(C, RationalTarget(), lambda key: 1, "f")
+    with pytest.raises(ConfigurationError, match=f"semigrouplike {k} is not grouplike"):
+        convolution_inverse(f)
 
 
 def test_finite_solve_rejects_open_truncation():

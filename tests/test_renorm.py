@@ -237,6 +237,19 @@ def test_character_document_parsing():
         CharacterSpec.from_doc({"rules": {"vertex": "z^-1", "grouplke": "z"}})
 
 
+@pytest.mark.parametrize("family,rules,rule", [
+    ("trees_sym4", {"vertex": "z^-1", "loop": "z"}, "loop"),
+    ("graphs_c33", {"vertex": "z^-1", "edge": "z"}, "vertex"),
+], ids=["trees-loop", "graphs-vertex"])
+def test_uncounted_rule_is_refused(request, family, rules, rule):
+    # a rule that no key of the universe counts would be silently ignored
+    B = request.getfixturevalue(family)
+    phi = CharacterSpec(LAURENT, {n: parse_laurent(t) for n, t in rules.items()})
+    with pytest.raises(InputError) as err:
+        phi.as_conv_map(B)
+    assert str(err.value) == f"character rule {rule!r} counts nothing in {B.name}"
+
+
 def test_character_on_deformation(trees_sym4):
     D = q_deform(trees_sym4, laurent=True)
     phi = CharacterSpec(LAURENT, {"vertex": parse_laurent("z^-1"),
@@ -326,6 +339,25 @@ def test_failed_factorization_is_a_math_error(trees_sym4_normalized, monkeypatch
     phi = CharacterSpec(LAURENT, {"vertex": parse_laurent("z^-1")})
     with pytest.raises(MathError, match="factorization verification failed"):
         birkhoff(phi, trees_sym4_normalized.bialgebra, pole_part_operator())
+
+
+def test_birkhoff_names_a_wrong_counterterm(trees_sym4_normalized, monkeypatch):
+    # negative control: phi- one off at one tree fails phi- * phi = phi+ at
+    # that tree alone, since the keys above it read the wrong value alike
+    import sweedler.renorm as renorm
+
+    bad, real = ladder(2), renorm.ConvMap
+
+    def conv_map(C, T, fn, name=""):
+        if name == "phi-":
+            fn = (lambda k, fn=fn: fn(k) + LaurentPoly.one() if k == bad else fn(k))
+        return real(C, T, fn, name)
+
+    monkeypatch.setattr(renorm, "ConvMap", conv_map)
+    phi = CharacterSpec(LAURENT, {"vertex": parse_laurent("z^-1")})
+    with pytest.raises(MathError) as err:
+        birkhoff(phi, trees_sym4_normalized.bialgebra, pole_part_operator())
+    assert str(err.value).splitlines()[2:] == [f"  {bad}: phi- * phi != phi+"]
 
 
 def test_birkhoff_requires_connected(trees_sym4):

@@ -367,6 +367,31 @@ def test_renorm_reads_no_family_keys():
     assert not attrs & {"tag", "payload"}
 
 
+def test_one_convolution_sum():
+    # renorm checks its factorization without the inversion code, and only
+    # specs, whose convolve_into is the one sum over a coproduct, multiplies
+    # a key by a sum
+    import ast
+    from pathlib import Path
+
+    import sweedler
+
+    package = Path(sweedler.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        if path.name != "specs.py":
+            assert not attrs & {"key_mul_into", "mul_key_into"}, path.name
+        if path.name == "renorm.py":
+            names = set()
+            for n in ast.walk(tree):
+                if isinstance(n, ast.ImportFrom) and n.module:
+                    names.add(n.module.rpartition(".")[2])
+                if isinstance(n, (ast.Import, ast.ImportFrom)):
+                    names.update(a.name.rpartition(".")[2] for a in n.names)
+            assert "inversion" not in names
+
+
 def test_module_caches_are_the_documented_two():
     # process-wide functools caches hold only pure, spec-free tables; every
     # structure-map value is memoised by the spec or map that serves it
