@@ -43,6 +43,7 @@ from .gallery import (
     cyclic_group,
     goncharov_coproduct,
     interval_key,
+    path_coproduct,
     path_key,
     symmetric_group_3,
     vertex_key,
@@ -154,6 +155,9 @@ def _emit(lines, fmt: str):
 
 
 def _cmd_coproduct(args) -> int:
+    for option, source in (("path", "quiver"), ("interval", "poset"), ("nonconnected", "graph")):
+        if getattr(args, option) not in (None, False) and getattr(args, source) is None:
+            raise InputError(f"--{option} needs --{source}")
     if args.tree is not None:
         key = parse_forest(args.tree, "s" if args.mode == "symmetric" else "p")
         delta = tree_coproduct(key)
@@ -174,7 +178,6 @@ def _cmd_coproduct(args) -> int:
         delta = goncharov_coproduct(key)
     elif args.quiver is not None:
         quiver = Quiver.from_doc(_load_doc(args.quiver))
-        C = build_path_coalgebra(quiver, args.truncation)
         if args.path is None:
             raise InputError("--quiver needs --path EDGE.EDGE... or --path VERTEX")
         name = args.path.replace(" ", "")
@@ -190,8 +193,8 @@ def _cmd_coproduct(args) -> int:
                     raise InputError(f"edges {e} and {f} of {args.path!r} do not compose: "
                                      f"{e} ends at {emap[e][1]}, {f} starts at {emap[f][0]}")
             key = path_key(edges)
-        delta = C.delta(key)
-    elif args.poset is not None:
+        delta = path_coproduct(emap, key)
+    else:
         poset = Poset.from_doc(_load_doc(args.poset))
         C = build_incidence_coalgebra(poset)
         if args.interval is None:
@@ -201,13 +204,13 @@ def _cmd_coproduct(args) -> int:
             raise InputError(f"{args.interval!r} is not an interval of the poset")
         key = interval_key(x, y)
         delta = C.delta(key)
-    else:
-        raise InputError("coproduct needs one of --tree/--graph/--word/--quiver/--poset")
     _emit([f"delta({key}) = {delta.render()}"], args.format)
     return 0
 
 
 def _cmd_antipode(args) -> int:
+    if args.laurent and not args.qdeform:
+        raise InputError("--laurent needs --qdeform")
     B = _build_bialgebra(args)
     if args.quotient:
         B = _quotient(B, args.quotient).bialgebra
@@ -287,9 +290,7 @@ def _build_coalgebra_for_analysis(args):
     if args.words is not None:
         alphabet = tuple(args.words.split(","))
         return build_word_coalgebra(alphabet, args.truncation, closed=True)
-    if args.bialgebra is not None:
-        return _build_bialgebra(args).coalgebra
-    raise InputError("need one of --quiver/--poset/--words/--bialgebra")
+    return _build_bialgebra(args).coalgebra
 
 
 def _cmd_filtration(args) -> int:
@@ -378,16 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
         if bialgebra:
             p.add_argument("--bialgebra", default="trees")
 
+    # a command reads one source: two exit 2 with usage, as does none
     p = sub.add_parser("coproduct", help="coproduct of one basis element")
     common(p, bialgebra=False)
-    p.add_argument("--tree")
-    p.add_argument("--graph")
+    source = p.add_mutually_exclusive_group(required=True)
+    for option in ("--tree", "--graph", "--word", "--quiver", "--poset"):
+        source.add_argument(option)
+    for option in ("--path", "--interval"):
+        p.add_argument(option)
     p.add_argument("--nonconnected", action="store_true")
-    p.add_argument("--word")
-    p.add_argument("--quiver")
-    p.add_argument("--path")
-    p.add_argument("--poset")
-    p.add_argument("--interval")
     p.set_defaults(fn=_cmd_coproduct)
 
     p = sub.add_parser("antipode", help="antipode table")
@@ -427,8 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
                            ("structure", _cmd_structure, "grouplike/skew-primitive report")):
         p = sub.add_parser(name, help=text)
         common(p, bialgebra=False)
+        source = p.add_mutually_exclusive_group(required=True)
         for option in ("--bialgebra", "--quiver", "--poset", "--words"):
-            p.add_argument(option)
+            source.add_argument(option)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("check", help="run validation suites")

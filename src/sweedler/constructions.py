@@ -30,15 +30,11 @@ from typing import Callable
 
 from .errors import ConfigurationError, UnsupportedError
 from .linear import (
-    BasisKey, FormalSum, TensorSum, _addto, _encode_atom, intern, key_literal,
+    BasisKey, FormalSum, TensorSum, _addto, _encode_atom, _iadd, intern, key_literal,
     register_constructor, register_literal, register_rule_counts, rule_counts,
 )
 from .specs import (
-    AlgebraSpec,
-    BialgebraSpec,
-    CoalgebraSpec,
-    ValidationReport,
-    _Memo,
+    AlgebraSpec, BialgebraSpec, CoalgebraSpec, ValidationReport, _comodule_laws, _Memo,
 )
 from .structure import find_grouplikes
 
@@ -107,10 +103,13 @@ def abelianized_quotient(B: BialgebraSpec, kind: str) -> QuotientSpec:
 
 
 def validate_coideal(q: QuotientSpec, sample_budget: int = 40, seed: int = 0) -> ValidationReport:
-    """Check eps(I) = 0 and delta(I) in I (x) B + B (x) I on ideal generators."""
+    """Check eps(I) = 0 and delta(I) in I (x) B + B (x) I on ideal generators:
+    the quotient's coproduct, which pushes both legs through the normal
+    form, sends each generator to zero."""
     report = ValidationReport(f"coideal check for {q.bialgebra.name}")
     B = q.parent
     C = B.coalgebra
+    quotient_delta = q.bialgebra.coalgebra.raw_delta
     rng = random.Random(seed)
     gpl, _ = find_grouplikes(C)
     unit_key, = B.unit.terms
@@ -137,9 +136,8 @@ def validate_coideal(q: QuotientSpec, sample_budget: int = 40, seed: int = 0) ->
             report.fail(f"generator {i}", "counit does not vanish")
         image: dict = {}
         for k, c in gen:
-            for (a, b), c2 in C.delta(k):
-                _addto(image, (nf(a), nf(b)), c * c2)
-        if TensorSum(image, _clean=True) != TensorSum.zero():
+            _iadd(image, quotient_delta(k).terms, c)
+        if image:
             report.fail(f"generator {i}", "coproduct not inside I(x)B + B(x)I")
     return report
 
@@ -359,31 +357,20 @@ def brown_coaction(deformed: QDeformedBialgebra) -> CoactionMap:
 
 
 def validate_coaction(coaction: CoactionMap, max_degree: int | None = None) -> ValidationReport:
-    """Both coassociativity iterates and the counit collapse, exactly."""
+    """Both coassociativity iterates and the counit collapse, exactly (the
+    comodule laws over the reduced quotient, checked as ``validate_coalgebra``
+    checks a coalgebra over itself), and a parameter-free right factor."""
     report = ValidationReport("coaction axioms")
     D = coaction.deformed.bialgebra
-    R = coaction.reduced
     for key in D.keys:
         if max_degree is not None and D.grading(key) > max_degree:
             continue
         report.checked += 1
-        left: dict = {}
-        for (a, b), c in coaction(key):
-            for (x, y), c2 in coaction(a):
-                _addto(left, (x, y, b), c * c2)
-        right: dict = {}
-        for (a, b), c in coaction(key):
-            for (x, y), c2 in R.delta(b):
-                _addto(right, (a, x, y), c * c2)
-        if left != right:
+        image, coassociative, counital = _comodule_laws(key, coaction, coaction.reduced)
+        if not coassociative:
             report.fail(key, "coaction iterates disagree")
-        collapsed: dict = {}
-        for (a, b), c in coaction(key):
-            eb = R.counit(b)
-            if eb:
-                _addto(collapsed, a, c * eb)
-        if collapsed != {key: 1}:
+        if not counital:
             report.fail(key, "counit collapse fails")
-        if any(b.tag == "q" for (_, b), _c in coaction(key)):
+        if any(b.tag == "q" for (_, b), _c in image):
             report.fail(key, "right factor carries a deformation parameter")
     return report

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import InputError, UnsupportedError, json_array
 from .linear import (
@@ -91,6 +91,20 @@ def path_key(edge_names) -> BasisKey:
 register_constructor("path", path_key)
 
 
+def path_coproduct(emap: dict, key: BasisKey) -> TensorSum:
+    """Deconcatenation of a vertex or path key, given the quiver's
+    ``edge_map``: a path needs no universe to split."""
+    if key.tag == "vx":
+        return TensorSum.pure(key, key)
+    edges = key.payload
+    src = vertex_key(emap[edges[0]][0])
+    tgt = vertex_key(emap[edges[-1]][1])
+    terms = [(src, key), (key, tgt)]
+    for i in range(1, len(edges)):
+        terms.append((path_key(edges[:i]), path_key(edges[i:])))
+    return TensorSum.of(terms)
+
+
 def build_path_coalgebra(quiver: Quiver, max_length: int) -> CoalgebraSpec:
     """Deconcatenation coalgebra on paths of length <= max_length."""
     if max_length < 0:
@@ -113,17 +127,6 @@ def build_path_coalgebra(quiver: Quiver, max_length: int) -> CoalgebraSpec:
         frontier = nxt
         length += 1
 
-    def delta(key: BasisKey) -> TensorSum:
-        if key.tag == "vx":
-            return TensorSum.pure(key, key)
-        edges = key.payload
-        src = vertex_key(emap[edges[0]][0])
-        tgt = vertex_key(emap[edges[-1]][1])
-        terms = [(src, key), (key, tgt)]
-        for i in range(1, len(edges)):
-            terms.append((path_key(edges[:i]), path_key(edges[i:])))
-        return TensorSum.of(terms)
-
     def counit(key: BasisKey) -> int:
         return 1 if key.tag == "vx" else 0
 
@@ -131,7 +134,7 @@ def build_path_coalgebra(quiver: Quiver, max_length: int) -> CoalgebraSpec:
         return 0 if key.tag == "vx" else len(key.payload)
 
     return CoalgebraSpec(f"paths({len(quiver.vertices)}v,{len(quiver.edges)}e)<= {max_length}",
-                         keys, delta, counit, grading)
+                         keys, partial(path_coproduct, emap), counit, grading)
 
 
 def complete_quiver(vertices) -> Quiver:

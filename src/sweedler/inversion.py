@@ -64,9 +64,7 @@ def _gate_grouplikes(f: ConvMap) -> None:
             f"semigrouplike {bad} is not grouplike; degree-0 inversion undefined"
         )
     for g in sorted(sgpl):
-        value = f(g)
-        if f.target.try_inverse(value) is None:
-            raise GrouplikeNotInvertible(g, value)
+        _grouplike_inverse(f, g)
 
 
 def _grouplike_inverse(f: ConvMap, key: BasisKey):

@@ -173,6 +173,47 @@ def test_quiver_path_whose_edges_do_not_compose_is_input_error(path, pair):
     assert (code, out) == (0, b"delta(e.f.e) = 1*a(x)e.f.e + 1*e(x)f.e + 1*e.f(x)e + 1*e.f.e(x)b\n")
 
 
+def test_path_coproduct_builds_no_path_universe(monkeypatch):
+    # a path's coproduct needs only the quiver's edge map
+    def no_universe(quiver, max_length):
+        raise RuntimeError("the path universe was built")
+
+    monkeypatch.setattr(cli, "build_path_coalgebra", no_universe)
+    for name in ("coproduct-path", "coproduct-vertex"):
+        code, out = run_cli(dict(CASES)[name])
+        assert (code, out) == (0, (GOLDEN_DIR / f"{name}.txt").read_bytes())
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["antipode", "--quotient", "normalized", "--truncation", "2", "--laurent"],
+     "error: --laurent needs --qdeform"),
+    (["coproduct", "--tree", "v(.)", "--nonconnected"], "error: --nonconnected needs --graph"),
+    (["coproduct", "--tree", "v(.)", "--path", "e1"], "error: --path needs --quiver"),
+    (["coproduct", "--tree", "v(.)", "--interval", "0,1"], "error: --interval needs --poset"),
+    (["coproduct", "--tree", "v(.)", "--poset", "x"],
+     "error: argument --poset: not allowed with argument --tree"),
+    (["filtration", "--bialgebra", "trees", "--words", "a,b"],
+     "error: argument --words: not allowed with argument --bialgebra"),
+    (["structure", "--quiver", QUIVER, "--poset", POSET],
+     "error: argument --poset: not allowed with argument --quiver"),
+    (["coproduct"], "error: one of the arguments --tree --graph --word --quiver --poset "
+                    "is required"),
+], ids=["laurent-without-qdeform", "nonconnected-without-graph", "path-without-quiver",
+        "interval-without-poset", "tree-and-poset", "bialgebra-and-words",
+        "quiver-and-poset", "no-source"])
+def test_options_that_would_be_ignored_are_input_errors(argv, message):
+    # an option the command would not read exits 2 and names it
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: with usage
+            code = exc.code
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().splitlines()[-1].endswith(message)
+    assert "Traceback" not in err.getvalue()
+
+
 @pytest.mark.parametrize("argv", [
     ["coproduct", "--tree", "v(" * 400 + "." + ")" * 400],
     ["coproduct", "--quiver", '{"a":' * 100_000 + "1" + "}" * 100_000],
@@ -205,11 +246,14 @@ def test_deep_inputs_are_input_errors(argv):
      "--character", '{"rules":{"vertex":"z^-1","edge":"z"}}'],
     ["inverse", "--bialgebra", "trees", "--truncation", "2",
      "--character", '{"rules":{"vertex":"z^-1","loop":"z"}}'],
+    ["inverse", "--bialgebra", "double-z3", "--character", '{"rules":{"vertex":"z"}}'],
+    ["inverse", "--bialgebra", "double-z3", "--character", '{"rules":{}}'],
 ], ids=["rules-not-object", "rule-not-string", "cover-singleton",
         "cover-triple", "word-name-not-string", "element-number",
         "element-null", "element-float", "elements-string", "letters-string",
         "vertices-string", "flags-string", "rule-zero-denominator", "rule-unknown-name",
-        "rule-uncounted-graphs", "rule-uncounted-trees"])
+        "rule-uncounted-graphs", "rule-uncounted-trees", "rule-on-uncounting-family",
+        "no-rules-on-uncounting-family"])
 def test_bad_document_fields_are_input_errors(argv):
     code, out, err = _run_cli_stderr(argv)
     assert code == 2

@@ -2,6 +2,8 @@
 import pytest
 
 from sweedler.constructions import (
+    CoactionMap,
+    QuotientSpec,
     abelianized_quotient,
     brown_coaction,
     localize_central,
@@ -13,7 +15,7 @@ from sweedler.constructions import (
     validate_coideal,
 )
 from sweedler.errors import UnsupportedError
-from sweedler.gallery import build_drinfeld_double, cyclic_group
+from sweedler.gallery import build_drinfeld_double, coopposite, cyclic_group
 from sweedler.graphs import build_graph_bialgebra, merger_class
 from sweedler.inversion import antipode, validate_antipode
 from sweedler.linear import FormalSum, TensorSum
@@ -54,6 +56,16 @@ def test_normalized_tau_primitive(trees_sym4_normalized):
 
 def test_normalized_coideal(trees_sym4_normalized):
     assert validate_coideal(trees_sym4_normalized).ok
+
+
+def test_coideal_check_reports_generators_outside_the_kernel(trees_sym4):
+    # a normal form that identifies nothing leaves every 1 - g outside its
+    # kernel, except generator 0, 1 - 1 = 0
+    q = QuotientSpec(trees_sym4, "normalized", lambda k: k, trees_sym4)
+    report = validate_coideal(q)
+    assert report.checked == 5
+    assert report.failures == [(f"generator {i}", "not in the kernel of the normal form")
+                               for i in range(1, 5)]
 
 
 def test_normalized_quotient_hopf(trees_sym4_normalized):
@@ -208,6 +220,17 @@ def test_brown_coaction_coassociative(trees_sym4):
     coaction = brown_coaction(D)
     report = validate_coaction(coaction, max_degree=4)
     assert report.ok, report.render()
+
+
+def test_coaction_check_reports_a_wrong_right_coproduct(trees_sym4):
+    # over the coopposite of the reduced quotient the iterates disagree
+    D = q_deform(trees_sym4, laurent=True, exponent_window=1)
+    honest = brown_coaction(D)
+    bad = CoactionMap(D, coopposite(honest.reduced.coalgebra))
+    report = validate_coaction(bad, max_degree=4)
+    assert {detail for _, detail in report.failures} == {"coaction iterates disagree"}
+    assert len(report.failures) == 381
+    assert validate_coaction(honest, max_degree=4).ok
 
 
 def test_localize_central_symmetric(trees_sym4):

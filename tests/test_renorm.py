@@ -9,7 +9,7 @@ from sweedler.constructions import normalized_quotient, q_deform, q_key
 from sweedler.errors import (
     ConfigurationError, InputError, MathError, RuleNotFound, UnsupportedError,
 )
-from sweedler.gallery import path_key
+from sweedler.gallery import build_drinfeld_double, cyclic_group, path_key
 from sweedler.graphs import (
     build_graph_bialgebra,
     edge_contraction_class,
@@ -152,6 +152,15 @@ def test_corrupted_projector_reported():
     assert not report.ok
 
 
+def test_atkinson_split_reports_a_projector_that_is_not_closed():
+    # the same projector splits A, but its parts are not subalgebras
+    bad = RBOperator(lambda e: e in (-1, 2), Fraction(-1), name="bad")
+    _, _, report = atkinson_split(bad, samples=120, seed=4)
+    assert not report.ok
+    assert "image of T not closed" in {detail for _, detail in report.failures}
+    assert atkinson_split(pole_part_operator(), samples=120, seed=4)[2].ok
+
+
 # ---------------------------------------------------------------------------
 # characters
 
@@ -248,6 +257,16 @@ def test_uncounted_rule_is_refused(request, family, rules, rule):
     with pytest.raises(InputError) as err:
         phi.as_conv_map(B)
     assert str(err.value) == f"character rule {rule!r} counts nothing in {B.name}"
+
+
+@pytest.mark.parametrize("rules", [{"vertex": "z"}, {}], ids=["vertex", "no-rules"])
+def test_family_that_counts_no_generators_is_named(rules):
+    # the doubles register no rule counts, so no character reads them
+    B = build_drinfeld_double(cyclic_group(3))
+    phi = CharacterSpec(LAURENT, {n: parse_laurent(t) for n, t in rules.items()})
+    with pytest.raises(InputError) as err:
+        phi.as_conv_map(B)
+    assert str(err.value) == "no key of double(3) counts a character generator"
 
 
 def test_character_on_deformation(trees_sym4):

@@ -392,6 +392,47 @@ def test_one_convolution_sum():
             assert "inversion" not in names
 
 
+def test_one_check_per_law():
+    # each law has one implementation, which every other check calls: the
+    # comodule laws in specs, the projector laws in check_rota_baxter, the
+    # convolution sum in convolve_into and a grouplike's inverse in
+    # _grouplike_inverse
+    import ast
+    from pathlib import Path
+
+    import sweedler
+
+    package = Path(sweedler.__file__).parent
+    trees = {name: ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+             for name in ("specs", "constructions", "renorm", "inversion")}
+
+    def function(module, name):
+        found = [n for n in ast.walk(trees[module])
+                 if isinstance(n, ast.FunctionDef) and n.name == name]
+        assert len(found) <= 1, name
+        return found[0] if found else None
+
+    def called(node):
+        names = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Call):
+                f = n.func
+                names.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+        return names
+
+    assert function("specs", "_triple_left") is None
+    assert function("specs", "_triple_right") is None
+    assert "_comodule_laws" in called(function("specs", "validate_coalgebra"))
+    coaction = function("constructions", "validate_coaction")
+    assert "_comodule_laws" in called(coaction)
+    assert not [inner for outer in ast.walk(coaction) if isinstance(outer, ast.For)
+                for inner in ast.walk(outer) if inner is not outer and isinstance(inner, ast.For)]
+    split = called(function("renorm", "atkinson_split"))
+    assert "check_rota_baxter" in split and not split & {"random_laurent", "Random"}
+    assert "delta" not in called(trees["renorm"])
+    assert "try_inverse" not in called(function("inversion", "_gate_grouplikes"))
+
+
 def test_module_caches_are_the_documented_two():
     # process-wide functools caches hold only pure, spec-free tables; every
     # structure-map value is memoised by the spec or map that serves it
