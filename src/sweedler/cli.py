@@ -379,9 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
         if bialgebra:
             p.add_argument("--bialgebra", default="trees")
 
-    # a command reads one source: two exit 2 with usage, as does none
+    # a command reads one source: two exit 2 with usage, as does none; the
+    # coproduct of one element builds no universe, so it takes no truncation
     p = sub.add_parser("coproduct", help="coproduct of one basis element")
-    common(p, bialgebra=False)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     source = p.add_mutually_exclusive_group(required=True)
     for option in ("--tree", "--graph", "--word", "--quiver", "--poset"):
         source.add_argument(option)

@@ -23,13 +23,15 @@ module's own callers build their inputs from classes or by enumeration
 (coproduct factors, products, stripped keys, the universe), so they skip
 the checks.  An input is relabelled by a stable sort of the attributes.
 ``_INTERNED`` is the only table graph keys live in: it maps each canonical
-payload, and each labelled input met outside a product, to the key of its
-class.  A product's disjoint union is not kept there, because the spec's
-product memo already holds the pair.  A relabelling is an isomorph, so when
-the sorted one is a key of ``_INTERNED`` it names the class.  Otherwise,
-when no two corollas share an attribute, the sorted relabelling is the
-canonical payload; only the rest are searched.  Equal classes are the same
-``BasisKey`` object.
+payload, and each labelled input met outside a product and the universe
+enumeration, to the key of its class.  A product's disjoint union is not
+kept there, because the spec's product memo already holds the pair.  A
+relabelling is an isomorph, so when the sorted one is a key of
+``_INTERNED`` it names the class.  Otherwise, when no two corollas share an
+attribute, the sorted relabelling is the canonical payload; only the rest
+are searched.  The universe enumeration makes only labellings that are
+already sorted, so it skips the sort and keeps none of them.  Equal classes
+are the same ``BasisKey`` object.
 A graph key carries no bytes until ``encoded()`` or the key order first
 asks for them, so product and factor classes that nothing sorts are never
 encoded.
@@ -280,7 +282,8 @@ def graph_class_key(sizes, edges, blocks, mode: str) -> BasisKey:
 
 
 # (mode, sizes, edges, blocks) -> the one graph key of that class: every
-# canonical payload, and every labelled input met by ``_class_key``.
+# canonical payload, and every labelled input met by ``_class_key`` (the
+# universe enumeration and products go to ``_class_of`` and store none).
 _INTERNED: dict = {}
 
 
@@ -289,21 +292,24 @@ def _class_key(labelled: tuple) -> BasisKey:
     kept in ``_INTERNED`` beside the canonical payloads, which is sound
     because it is an isomorph of its class.  Nothing here checks the input:
     ``graph_class_key`` does, and the module's own callers pass morphisms
-    built from classes or by enumeration."""
+    built from classes (coproduct factors and stripped keys)."""
     key = _INTERNED.get(labelled)
     if key is None:
         key = _INTERNED.setdefault(labelled, _class_of(labelled))
     return key
 
 
-def _class_of(labelled: tuple) -> BasisKey:
+def _class_of(labelled: tuple, attrs=None) -> BasisKey:
     """The class of a valid labelled input, which is not stored: only a new
     class's payload is.  The sorted relabelling is looked up, and searched
     from only when no class has it as its payload; ``intern`` publishes a
     new class with ``dict.setdefault``, so threads that race on one class
-    share one key."""
+    share one key.  ``attrs`` comes with an input already in ``_sort``'s
+    order; any other input is sorted first."""
     mode = labelled[0]
-    relabelled, attrs = _sort(*labelled[1:])
+    relabelled = labelled[1:]
+    if attrs is None:
+        relabelled, attrs = _sort(*relabelled)
     key = _INTERNED.get((mode,) + relabelled)
     if key is None:
         payload = (mode,) + _canonical(*relabelled, attrs)
@@ -396,7 +402,9 @@ def _cut_table(n: int, edges, blocks, mode: str) -> tuple:
     groups, then every sub-multiset of the edges inside G's parts.  A row
     holds the chosen edges, the sorted left groups, the flags each group's
     chosen edges contract, the residue edges and groups on the left factor's
-    target corollas, and the coefficient.
+    target corollas, and the coefficient.  Residue edges are sorted, each
+    pair and then the multiset, so residues that are one multigraph are one
+    labelled input.
     """
     skeleton = (n, edges, blocks, mode)
     table = _CUTS.get(skeleton)
@@ -420,7 +428,7 @@ def _cut_table(n: int, edges, blocks, mode: str) -> tuple:
         # per distinct edge: j chosen copies, m - j residue copies, C(m, j)
         options = []
         for i, (e, m) in enumerate(distinct):
-            ga, gb = tgt_index[e[0]], tgt_index[e[1]]
+            ga, gb = sorted((tgt_index[e[0]], tgt_index[e[1]]))
             js = range(m + 1 if ga == gb else 1) if on is None else range(on[i], on[i] * m + 1)
             options.append([((e,) * j, ((ga, gb),) * (m - j), math.comb(m, j)) for j in js])
         for picks in itertools.product(*options):
@@ -433,7 +441,7 @@ def _cut_table(n: int, edges, blocks, mode: str) -> tuple:
             drops = [0] * len(groups)
             for a, _ in chosen:
                 drops[tgt_index[a]] += 2
-            row = (chosen, groups, tuple(drops), res_edges, res_groups)
+            row = (chosen, groups, tuple(drops), tuple(sorted(res_edges)), res_groups)
             rows.append(tuple(_CUTS.setdefault(part, part) for part in row) + (coef,))
     return _CUTS.setdefault(skeleton, tuple(rows))
 
@@ -496,6 +504,14 @@ def _graph_universe(max_corollas: int, max_edges: int, max_flags: int, mode: str
     """The sorted classes within the budgets, closed under coproduct factors,
     and the coproduct memo the closure filled: one entry per class.
 
+    The enumeration is orderly (Read 1978; McKay 1998): it keeps only the
+    labellings whose corolla attributes (size, loops, flags used, group
+    size) are already nondecreasing, testing the first three before it
+    walks the groupings.  Every class has one, its sorted relabelling: that
+    has nondecreasing sizes, a sorted edge multiset and groups made of edge
+    components.  A kept labelling is what ``_sort`` returns for it, so it
+    goes to ``_class_of`` with its attributes and is not stored.
+
     Residue factors merge corollas, so their targets can exceed the flag
     budget; the closure pass adds those keys (mostly identity aggregates) to
     keep the enumerated universe an honest subcoalgebra.
@@ -509,27 +525,25 @@ def _graph_universe(max_corollas: int, max_edges: int, max_flags: int, mode: str
             # Each ghost edge takes two flags, so larger multisets all fail.
             for count in range(min(max_edges, sum(sizes) // 2) + 1):
                 for edges in itertools.combinations_with_replacement(pairs, count):
+                    loops = [0] * n
                     used = [0] * n
-                    ok = True
                     for a, b in edges:
                         used[a] += 1
                         used[b] += 1
-                    for i in range(n):
-                        if used[i] > sizes[i]:
-                            ok = False
-                            break
-                    if not ok:
+                        if a == b:
+                            loops[a] += 1
+                    attrs = list(zip(sizes, loops, used))
+                    if attrs != sorted(attrs) or any(map(int.__gt__, used, sizes)):
                         continue
                     comps = _components(n, edges)
-                    if mode == "c":
-                        keys.add(_class_key((mode, sizes, edges, tuple(comps))))
-                        continue
-                    for part in _set_partitions(comps):
-                        blocks = tuple(
-                            tuple(sorted(c for comp in cell for c in comp))
-                            for cell in part
-                        )
-                        keys.add(_class_key((mode, sizes, edges, blocks)))
+                    parts = [[[comp] for comp in comps]] if mode == "c" else _set_partitions(comps)
+                    for part in parts:
+                        blocks = tuple(sorted(
+                            tuple(sorted(itertools.chain(*cell))) for cell in part))
+                        group = {c: len(blk) for blk in blocks for c in blk}
+                        full = [attrs[i] + (group[i],) for i in range(n)]
+                        if full == sorted(full):
+                            keys.add(_class_of((mode, sizes, edges, blocks), full))
     delta = _Memo(graph_coproduct)
     frontier = list(keys)
     while frontier:

@@ -340,8 +340,9 @@ def birkhoff(phi, B: BialgebraSpec, T: RBOperator) -> BirkhoffPair:
     -T(phibar) and the renormalized part is (1-T)(phibar).  phibar(x) is the
     ``convolve_into`` sum (phi_minus * phi)(x) less its phi_minus(x) phi(1)
     term, as phi_minus(1) = 1, reading phi_minus from the returned ``minus``
-    map's memo.  phi_minus * phi = phi_plus is checked on every key with
-    ``convolve``.
+    map's memo.  phibar has a memo of its own, so each key is prepared once
+    for both projections.  phi_minus * phi = phi_plus is checked on every
+    key with ``convolve``.
     """
     if isinstance(phi, CharacterSpec):
         phi = phi.as_conv_map(B)
@@ -360,7 +361,7 @@ def birkhoff(phi, B: BialgebraSpec, T: RBOperator) -> BirkhoffPair:
     if phi(unit_key) != target.one():
         raise ConfigurationError("character must send the unit to one")
 
-    def prepared(key: BasisKey):
+    def prepare(key: BasisKey):
         return convolve_into(target.zero(), 1, minus_map, phi, key, skip=(key, unit_key))
 
     def minus(key: BasisKey):
@@ -373,6 +374,7 @@ def birkhoff(phi, B: BialgebraSpec, T: RBOperator) -> BirkhoffPair:
             return target.one()
         return T.complement(prepared(key))
 
+    prepared = ConvMap(C, target, prepare, "phibar")
     minus_map = ConvMap(C, target, minus, "phi-")
     plus_map = ConvMap(C, target, plus, "phi+")
     report = ValidationReport(f"factorization of {phi.name} on {B.name}")

@@ -103,7 +103,7 @@ def _run_cli_stderr(argv):
 
 @pytest.mark.parametrize("argv", [
     ["antipode", "--truncation", "-1"],
-    ["coproduct", "--tree", "v(.)", "--truncation", "-3"],
+    ["filtration", "--words", "a,b", "--truncation", "-3"],
     ["check", "--suite", "rb", "--seed", "-1"],
 ])
 def test_negative_integer_options_are_input_errors(argv):
@@ -122,9 +122,11 @@ _SEEDLESS = ["coproduct", "antipode", "inverse", "birkhoff", "qdeform", "coactio
     (["check", "--mode", "planar"], False),
     (["check", "--seed", "1"], True),
     (["quotient", "--kind", "normalized", "--seed", "1"], True),
+    (["coproduct", "--tree", "v(.)", "--truncation", "1"], False),
 ])
 def test_each_command_takes_only_the_options_it_reads(argv, accepted):
-    # only check and quotient draw samples, and check builds symmetric trees
+    # only check and quotient draw samples, check builds symmetric trees,
+    # and coproduct builds no universe to truncate
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         try:
@@ -484,26 +486,29 @@ _small = st.integers(-1, 2).map(str)
 _bialgebra = st.sampled_from(["trees", "graphs", "graphs-nc", "double-z2", "double-z3",
                               "nonesuch"])
 _quotient = st.sampled_from(["normalized", "commutator", "central", "nonesuch"])
-_common = {"--truncation": _small, "--format": st.sampled_from(["text", "json"])}
+_common = {"--format": st.sampled_from(["text", "json"])}
 _mode = {"--mode": st.sampled_from(["planar", "symmetric"])}
+_truncation = {"--truncation": _small}
+_bialgebra_options = {"--bialgebra": _bialgebra, **_truncation, **_mode}
 _universe = {"--bialgebra": _bialgebra, "--quiver": _doc_text, "--poset": _doc_text,
-             "--words": _literal, **_mode}
-# the options each subcommand's parser takes besides _common
+             "--words": _literal, **_truncation, **_mode}
+# the options each subcommand's parser takes besides _common; every one but
+# coproduct reads a truncation
 _OPTIONS = {
     "coproduct": {"--tree": _literal, "--graph": _doc_text, "--nonconnected": None,
                   "--word": _doc_text, "--quiver": _doc_text, "--path": _literal,
                   "--poset": _doc_text, "--interval": _literal, **_mode},
-    "antipode": {"--bialgebra": _bialgebra, "--quotient": _quotient, "--qdeform": None,
-                 "--laurent": None, "--key": _literal, **_mode},
-    "inverse": {"--bialgebra": _bialgebra, "--character": _doc_text, "--quotient": _quotient,
-                **_mode},
-    "birkhoff": {"--bialgebra": _bialgebra, "--character": _doc_text, **_mode},
-    "quotient": {"--bialgebra": _bialgebra, "--kind": _quotient, "--seed": _small, **_mode},
-    "qdeform": {"--bialgebra": _bialgebra, "--laurent": None, **_mode},
-    "coaction": {"--bialgebra": _bialgebra, **_mode},
+    "antipode": {"--quotient": _quotient, "--qdeform": None, "--laurent": None,
+                 "--key": _literal, **_bialgebra_options},
+    "inverse": {"--character": _doc_text, "--quotient": _quotient, **_bialgebra_options},
+    "birkhoff": {"--character": _doc_text, **_bialgebra_options},
+    "quotient": {"--kind": _quotient, "--seed": _small, **_bialgebra_options},
+    "qdeform": {"--laurent": None, **_bialgebra_options},
+    "coaction": _bialgebra_options,
     "filtration": _universe,
     "structure": _universe,
-    "check": {"--suite": st.sampled_from(["coassoc", "rb", "nonesuch", ""]), "--seed": _small},
+    "check": {"--suite": st.sampled_from(["coassoc", "rb", "nonesuch", ""]), "--seed": _small,
+              **_truncation},
 }
 
 

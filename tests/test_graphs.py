@@ -274,14 +274,15 @@ print(len(searches), len(checks), len(table), len(payloads), named)
 
 def test_graph_build_searches_only_unseen_sorted_relabellings():
     # graphs(4,4,3,n) in a fresh interpreter: the intern table holds the
-    # 29,685 distinct labelled inputs, the 6,439 classes' payloads among
-    # them.  The build makes no input check: its inputs are enumerated or
-    # are coproduct factors of classes, and every one that it stored passes
-    # the check and has its key's payload as its canonical form.  Most are
-    # found by the lookup of their sorted relabelling, and of the rest only
-    # those with two corollas in one attribute cell are searched.  Which
-    # inputs are met first, and so the search count, varies with the hash
-    # seed.
+    # 19,953 distinct labelled coproduct factors and payloads, the 6,439
+    # classes' payloads among them; the enumerated labellings are already
+    # sorted and are not stored.  The build makes no input check: its
+    # inputs are enumerated or are coproduct factors of classes, and every
+    # one that it stored passes the check and has its key's payload as its
+    # canonical form.  Most are found by the lookup of their sorted
+    # relabelling, and of the rest only those with two corollas in one
+    # attribute cell are searched.  Which inputs are met first, and so the
+    # search count, varies with the hash seed.
     import subprocess
     import sys
 
@@ -289,10 +290,80 @@ def test_graph_build_searches_only_unseen_sorted_relabellings():
                           capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     searches, checks, entries, payloads, named = proc.stdout.split()
-    assert (int(entries), int(payloads)) == (29_685, 6_439)
+    assert (int(entries), int(payloads)) == (19_953, 6_439)
     assert int(checks) == 0
     assert named == b"True"
     assert int(searches) <= 3_200
+
+
+def _reference_universe(max_corollas, max_edges, max_flags, mode, keep=None):
+    # the labelled enumeration through the checked constructor: every
+    # labelling with nondecreasing sizes, a sorted edge multiset and groups
+    # made of edge components, or only those whose attributes ``keep``
+    # accepts, closed under coproduct factors
+    from sweedler.graphs import _components, _set_partitions
+
+    keys = set()
+    for n in range(max_corollas + 1):
+        for sizes in itertools.combinations_with_replacement(range(max_flags + 1), n):
+            pairs = [(i, j) for i in range(n) for j in range(i, n)]
+            for count in range(min(max_edges, sum(sizes) // 2) + 1):
+                for edges in itertools.combinations_with_replacement(pairs, count):
+                    loops, used = [0] * n, [0] * n
+                    for a, b in edges:
+                        used[a] += 1
+                        used[b] += 1
+                        loops[a] += a == b
+                    if any(used[i] > sizes[i] for i in range(n)):
+                        continue
+                    comps = _components(n, edges)
+                    parts = _set_partitions(comps) if mode == "n" else [[[c] for c in comps]]
+                    for part in parts:
+                        blocks = [tuple(sorted(c for comp in cell for c in comp))
+                                  for cell in part]
+                        group = {c: len(blk) for blk in blocks for c in blk}
+                        attrs = [(sizes[i], loops[i], used[i], group[i]) for i in range(n)]
+                        if keep is None or keep(attrs):
+                            keys.add(graph_class_key(sizes, edges, blocks, mode))
+    frontier = list(keys)
+    while frontier:
+        new = {f for k in frontier for pair, _ in graph_coproduct(k) for f in pair} - keys
+        keys |= new
+        frontier = list(new)
+    return {key.payload for key in keys}
+
+
+def _fresh_payloads(build, *args):
+    # the payloads a build makes into an empty intern table, so each class is
+    # searched as in a fresh interpreter
+    import sweedler.graphs as graphs
+
+    saved, graphs._INTERNED = graphs._INTERNED, {}
+    try:
+        return build(*args)
+    finally:
+        graphs._INTERNED = saved
+
+
+def _strictly_increasing(attrs):
+    return all(a < b for a, b in zip(attrs, attrs[1:]))
+
+
+@pytest.mark.parametrize("mode", ["c", "n"])
+@pytest.mark.parametrize("budgets", [(3, 3, 3), (4, 4, 3), (3, 9, 3)])
+def test_orderly_enumeration_finds_every_class(budgets, mode):
+    # enumerating only labellings whose attributes are already in sort order
+    # gives the classes of the full labelled enumeration, each payload the
+    # full search's minimum; a filter that also drops tied attributes loses
+    # classes, so the comparison can fail
+    orderly = _fresh_payloads(lambda: [k.payload for k in all_graph_classes(*budgets, mode)])
+    assert len(orderly) == len(set(orderly))
+    assert set(orderly) == _fresh_payloads(_reference_universe, *budgets, mode)
+    for payload in orderly:
+        assert payload[1:] == _reference_canonical(*payload[1:])
+    if budgets == (3, 3, 3):
+        strict = _fresh_payloads(_reference_universe, *budgets, mode, _strictly_increasing)
+        assert strict < set(orderly)
 
 
 @pytest.mark.parametrize("mode", ["c", "n"])

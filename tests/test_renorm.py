@@ -379,6 +379,26 @@ def test_birkhoff_names_a_wrong_counterterm(trees_sym4_normalized, monkeypatch):
     assert str(err.value).splitlines()[2:] == [f"  {bad}: phi- * phi != phi+"]
 
 
+def test_birkhoff_prepares_each_key_once(trees_sym4_normalized, monkeypatch):
+    # phibar has its own memo: phi- and phi+ read one preparation sum per
+    # non-unit key, not one each
+    import sweedler.renorm as renorm
+
+    prepared, real = [], renorm.convolve_into
+
+    def counted(acc, c, f, g, key, skip=None):
+        prepared.append(key)
+        return real(acc, c, f, g, key, skip)
+
+    monkeypatch.setattr(renorm, "convolve_into", counted)
+    B = trees_sym4_normalized.bialgebra
+    phi = CharacterSpec(LAURENT, {"vertex": parse_laurent("z^-1")})
+    birkhoff(phi, B, pole_part_operator())
+    unit, = [k for k, _ in B.unit]
+    assert len(prepared) == len(set(prepared)) == 154
+    assert set(prepared) == set(B.keys) - {unit}
+
+
 def test_birkhoff_requires_connected(trees_sym4):
     phi = CharacterSpec(LAURENT, {"vertex": parse_laurent("z^-1")})
     with pytest.raises(ConfigurationError):
