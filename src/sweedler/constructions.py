@@ -31,7 +31,7 @@ from typing import Callable
 from .errors import ConfigurationError, UnsupportedError
 from .linear import (
     BasisKey, FormalSum, TensorSum, _addto, _encode_atom, _iadd, intern, key_literal,
-    register_constructor, register_literal, register_rule_counts, rule_counts,
+    register_family, rule_counts,
 )
 from .specs import (
     AlgebraSpec, BialgebraSpec, CoalgebraSpec, ValidationReport, _comodule_laws, _Memo,
@@ -183,10 +183,9 @@ def _q_literal(key: BasisKey) -> str:
     return suffix if base_lit == "1" else f"{base_lit}*{suffix}"
 
 
-register_literal("q", _q_literal)
-register_constructor("q", lambda payload: q_key(BasisKey(*payload[:2]), dict(payload[2])))
-register_rule_counts(  # the base's generators, then one grouplike per parameter unit
-    "q", lambda k: rule_counts(k.base) + (("grouplike", sum(e for _, e in k.payload[2])),))
+register_family(  # counts: the base's generators, then one grouplike per parameter unit
+    "q", _q_literal, lambda payload: q_key(BasisKey(*payload[:2]), dict(payload[2])),
+    lambda k: rule_counts(k.base) + (("grouplike", sum(e for _, e in k.payload[2])),))
 
 
 def split_q_key(key: BasisKey):
@@ -310,10 +309,8 @@ def q_deform(B: BialgebraSpec, laurent: bool = False,
         return q_key(base, {g: -e for g, e in exps.items()})
 
     alg = AlgebraSpec(name, product, unit, key_inverse=key_inverse)
-    hooks = dict(B.hooks)
-    hooks.pop("factors", None)  # it splits B's keys, not the q keys
-    hooks["graded_filtration"] = True
-    hooks["strip_grouplikes"] = lambda k: (k, {})
+    # B's hooks read B's keys, not the q keys
+    hooks = {"graded_filtration": True, "strip_grouplikes": lambda k: (k, {})}
     bialg = BialgebraSpec(coalg, alg, hooks)
     return QDeformedBialgebra(B, bialg)
 

@@ -41,11 +41,11 @@ class GrouplikeNotInvertible(MathError):
 
 
 class FiltrationNotExhaustive(MathError):
-    """A key never enters the filtration within the configured bound."""
+    """A key never enters the filtration: the sweep settles nothing more."""
 
     def __init__(self, key):
         self.key = key
-        super().__init__(f"key {key} does not reach the filtration bound")
+        super().__init__(f"key {key} never enters the filtration")
 
 
 class RuleNotFound(SweedlerError):

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .errors import InputError, UnsupportedError, json_array
-from .linear import (
-    BasisKey, FormalSum, TensorSum, intern, register_constructor, register_literal,
-)
+from .linear import BasisKey, FormalSum, TensorSum, intern, register_family
 from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec
 from .trees import _bounded
 
@@ -36,10 +34,6 @@ def _check_name(name: str, what: str) -> str:
 
 # ---------------------------------------------------------------------------
 # Quiver path coalgebra
-
-register_literal("vx", lambda k: k.payload[0])
-register_literal("path", lambda k: ".".join(k.payload))
-
 
 @dataclass(frozen=True)
 class Quiver:
@@ -74,6 +68,9 @@ class Quiver:
         return {name: (src, tgt) for name, src, tgt in self.edges}
 
 
+register_family("vx", lambda k: k.payload[0])
+
+
 def vertex_key(v: str) -> BasisKey:
     return BasisKey("vx", (v,))
 
@@ -88,7 +85,7 @@ def path_key(edge_names) -> BasisKey:
     return intern(_PATHS, payload, "path", payload)
 
 
-register_constructor("path", path_key)
+register_family("path", lambda k: ".".join(k.payload), path_key)
 
 
 def path_coproduct(emap: dict, key: BasisKey) -> TensorSum:
@@ -147,9 +144,6 @@ def complete_quiver(vertices) -> Quiver:
 
 # ---------------------------------------------------------------------------
 # Poset incidence coalgebra
-
-register_literal("int", lambda k: f"[{k.payload[0]},{k.payload[1]}]")
-
 
 class Poset:
     """A finite poset given by cover relations; closure computed eagerly."""
@@ -222,6 +216,9 @@ class Poset:
         return length.get(a, 0)
 
 
+register_family("int", lambda k: f"[{k.payload[0]},{k.payload[1]}]")
+
+
 def interval_key(x, y) -> BasisKey:
     return BasisKey("int", (str(x), str(y)))
 
@@ -271,9 +268,6 @@ def boolean_poset(atoms: int) -> Poset:
 
 # ---------------------------------------------------------------------------
 # Colored monoids and the categorical coalgebra
-
-register_literal("mon", lambda k: k.payload[0])
-
 
 class ColoredMonoid:
     """A finite (truncation of a) colored monoid with a partial product table.
@@ -335,6 +329,9 @@ class ColoredMonoid:
             if c in ids and (a not in ids or b not in ids):
                 return a if a not in ids else b
         return None
+
+
+register_family("mon", lambda k: k.payload[0])
 
 
 def monoid_key(name: str) -> BasisKey:
@@ -405,13 +402,6 @@ def _word_literal(k: BasisKey) -> str:
     return f"I({a0};{','.join(letters)};{a1})"
 
 
-register_literal("word", _word_literal)
-register_literal(
-    "wprod",
-    lambda k: ".".join(_word_literal(BasisKey("word", p)) for p in k.payload),
-)
-
-
 # Word and product keys by payload.  A word payload starts with a letter
 # and a product payload with a word payload, so one table holds both kinds.
 _WORDS: dict = {}
@@ -421,8 +411,10 @@ def _word(tag: str, payload) -> BasisKey:
     return intern(_WORDS, payload, tag, payload)
 
 
-register_constructor("word", lambda payload: _word("word", payload))
-register_constructor("wprod", lambda payload: _word("wprod", payload))
+register_family("word", _word_literal, lambda payload: _word("word", payload))
+register_family(
+    "wprod", lambda k: ".".join(_word_literal(BasisKey("word", p)) for p in k.payload),
+    lambda payload: _word("wprod", payload))
 
 
 def word_key(left: str, letters, right: str) -> BasisKey:
@@ -511,7 +503,7 @@ def build_word_coalgebra(alphabet, max_length: int, closed: bool = False) -> Coa
 # ---------------------------------------------------------------------------
 # Setlike coalgebra
 
-register_literal("set", lambda k: k.payload[0])
+register_family("set", lambda k: k.payload[0])
 
 
 def setlike_key(name: str) -> BasisKey:
@@ -597,8 +589,8 @@ def symmetric_group_3() -> Group:
     return Group([name(p) for p in perms], table)
 
 
-register_literal("dbl", lambda k: f"<{k.payload[0]},{k.payload[1]}>")
-register_literal("ddbl", lambda k: f"d<{k.payload[0]},{k.payload[1]}>")
+register_family("dbl", lambda k: f"<{k.payload[0]},{k.payload[1]}>")
+register_family("ddbl", lambda k: f"d<{k.payload[0]},{k.payload[1]}>")
 
 
 def double_key(g, x) -> BasisKey:

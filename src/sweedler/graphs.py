@@ -72,10 +72,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InputError, json_array
-from .linear import (
-    BasisKey, FormalSum, TensorSum, intern, register_constructor, register_literal,
-    register_rule_counts,
-)
+from .linear import BasisKey, FormalSum, TensorSum, intern, register_family
 from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec, ValidationReport, _Memo
 
 
@@ -337,10 +334,6 @@ def _graph_literal(key: BasisKey) -> str:
     return f"g({s}|{e}|{g})"
 
 
-register_literal("graph", _graph_literal)
-register_constructor("graph", lambda payload: graph_class_key(*payload[1:], payload[0]))
-
-
 # ---------------------------------------------------------------------------
 # Degrees
 
@@ -368,7 +361,8 @@ def _rule_counts(key: BasisKey) -> tuple:
             ("merger", len(sizes) - len(blocks)))
 
 
-register_rule_counts("graph", _rule_counts)
+register_family("graph", _graph_literal,
+                lambda payload: graph_class_key(*payload[1:], payload[0]), _rule_counts)
 
 
 # ---------------------------------------------------------------------------

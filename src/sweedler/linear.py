@@ -12,12 +12,15 @@ object per key.  Equal keys are identical, and keys hash and compare with
 the C-level identity defaults.  ``intern`` is the one code that builds and
 publishes a key: it looks a signature up in a table and, on a miss, builds
 the key without bytes and publishes it with ``dict.setdefault``, so threads
-that build the same key at once still share one object.  A family that
-keeps its keys in a table of its own registers its constructor
-(``register_constructor``), and ``BasisKey(tag, payload)``, copies and
-unpickling hand that tag's payloads to it; its keys get their bytes on
-first use.  Every other tag is interned in ``_KEYS``, keyed by the
-encoding, so ``True`` and ``1`` stay distinct.
+that build the same key at once still share one object.
+
+A family declares its tag once, with ``register_family``: the key's
+literal, its constructor when the family keeps its keys in a table of its
+own, and its character rule counts when it has generators.  For a tag with
+a constructor, ``BasisKey(tag, payload)``, copies and unpickling hand the
+payload to it, and its keys get their bytes on first use.  Every other tag
+is interned in ``_KEYS``, keyed by the encoding, so ``True`` and ``1`` stay
+distinct.
 
 One private core, ``_SparseSum``, underlies every sum type: a term dict that
 never stores a zero coefficient, so equality of sums is plain map equality
@@ -44,8 +47,8 @@ Payload = object  # nested tuples of int/str
 
 # encoding -> the one key of a tag that no family constructor builds
 _KEYS: dict = {}
-# tag -> the family constructor that builds every key of that tag
-_CONSTRUCTORS: dict[str, Callable[[Payload], BasisKey]] = {}
+# tag -> (literal, constructor or None, rule counts or None): ``register_family``
+_FAMILIES: dict[str, tuple] = {}
 
 
 class BasisKey:
@@ -53,16 +56,16 @@ class BasisKey:
 
     Keys are hash-consed: ``BasisKey(tag, payload)`` hands back the one
     object stored for that key, so equal keys are identical and compare and
-    hash by identity.  A tag with a registered family constructor is built
+    hash by identity.  A tag whose family declares a constructor is built
     by it; any other tag is interned in ``_KEYS`` by its encoding.
     """
 
     __slots__ = ("tag", "payload", "_enc")
 
     def __new__(cls, tag: str, payload=()):
-        make = _CONSTRUCTORS.get(tag)
-        if make is not None:
-            return make(payload)
+        family = _FAMILIES.get(tag)
+        if family is not None and family[1] is not None:
+            return family[1](payload)
         enc = b"k" + _encode_atom(tag, payload)
         return intern(_KEYS, enc, tag, payload, _enc=enc)
 
@@ -139,43 +142,32 @@ def _encode_atom(*xs) -> bytes:
     return "".join(parts).encode()
 
 
-# Per-family literal renderers, registered by the modules that own each tag.
-_LITERALS: dict[str, Callable[[BasisKey], str]] = {}
+def register_family(tag: str, literal: Callable[[BasisKey], str],
+                    make: Callable[[Payload], BasisKey] | None = None,
+                    counts: Callable[[BasisKey], tuple] | None = None) -> None:
+    """Declare the family of ``tag`` keys; ``literal(key)`` is a key's text.
 
-
-def register_literal(tag: str, fn: Callable[[BasisKey], str]) -> None:
-    _LITERALS[tag] = fn
-
-
-def register_constructor(tag: str, fn: Callable[[Payload], BasisKey]) -> None:
-    """Build every ``tag`` key through the family's constructor, so a key
-    made from a raw payload, or unpickled in another interpreter, holds the
-    family's interned parts.  ``fn`` must not call ``BasisKey(tag, ...)``."""
-    _CONSTRUCTORS[tag] = fn
-
-
-# Per-family character rule counts: tag -> fn(key) -> ((rule, count), ...).
-_RULE_COUNTS: dict[str, Callable[[BasisKey], tuple]] = {}
-
-
-def register_rule_counts(tag: str, fn: Callable[[BasisKey], tuple]) -> None:
-    """Name the generators of a ``tag`` key for characters: ``fn(key)``
-    gives ``(rule, count)`` pairs, and a character's value on the key is
-    the product of each rule's value to its count."""
-    _RULE_COUNTS[tag] = fn
+    ``make(payload)`` builds every ``tag`` key, so a key made from a raw
+    payload, or unpickled in another interpreter, holds the family's
+    interned parts; it must not call ``BasisKey(tag, ...)``.
+    ``counts(key)`` names a key's generators for characters as
+    ``(rule, count)`` pairs, and a character's value on the key is the
+    product of each rule's value to its count.
+    """
+    _FAMILIES[tag] = (literal, make, counts)
 
 
 def rule_counts(key: BasisKey) -> tuple:
-    fn = _RULE_COUNTS.get(key.tag)
-    if fn is None:
+    family = _FAMILIES.get(key.tag)
+    if family is None or family[2] is None:
         raise RuleNotFound(key.tag)
-    return fn(key)
+    return family[2](key)
 
 
 def key_literal(key: BasisKey) -> str:
-    fn = _LITERALS.get(key.tag)
-    if fn is not None:
-        return fn(key)
+    family = _FAMILIES.get(key.tag)
+    if family is not None:
+        return family[0](key)
     return f"{key.tag}:{key.payload!r}"
 
 

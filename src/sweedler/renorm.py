@@ -15,7 +15,7 @@ assumed.  ``check_rota_baxter`` is the one check of an operator's laws: the
 Atkinson split of a projector returns its report.
 
 Characters are rule sets evaluated multiplicatively over the generators
-that a key's own family counts (``linear.register_rule_counts``), so this
+that a key's own family counts (``linear.register_family``), so this
 module reads no family's payloads.  The factorization recursion is the
 standard subtraction scheme: the counterterm is minus the projected
 preparation, a ``specs.convolve_into`` sum, and the Birkhoff identity
@@ -257,7 +257,7 @@ RULES = ("vertex", "edge", "loop", "merger", "grouplike")
 @dataclass
 class CharacterSpec:
     """A multiplicative rule set: a key's value is the product of each
-    rule's value to the count its family registers (``register_rule_counts``):
+    rule's value to the count its family declares (``register_family``):
     ``vertex`` per forest vertex, ``edge`` per non-loop ghost edge, ``loop``
     per ghost loop, ``merger`` per corolla-count drop, ``grouplike`` per bare
     line, identity corolla or parameter unit.  A missing ``grouplike`` or

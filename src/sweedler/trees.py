@@ -53,10 +53,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import InputError
-from .linear import (
-    BasisKey, FormalSum, TensorSum, intern, register_constructor, register_literal,
-    register_rule_counts,
-)
+from .linear import BasisKey, FormalSum, TensorSum, intern, register_family
 from .specs import AlgebraSpec, BialgebraSpec, CoalgebraSpec
 
 LINE = ("|",)
@@ -294,10 +291,9 @@ def _forest_literal(key: BasisKey) -> str:
     return lit
 
 
-register_literal("forest", _forest_literal)
-register_rule_counts(
-    "forest", lambda k: (("grouplike", k.payload.count(LINE)), ("vertex", forest_grading(k))))
-register_constructor("forest", lambda payload: forest_key(payload[1:], payload[0]))
+register_family(
+    "forest", _forest_literal, lambda payload: forest_key(payload[1:], payload[0]),
+    lambda k: (("grouplike", k.payload.count(LINE)), ("vertex", forest_grading(k))))
 
 
 def parse_tree(text: str, pos: int = 0):

@@ -203,6 +203,16 @@ def test_qdeform_rejects_colliding_exponent_vectors(trees_sym4):
         q_deform(rogue)
 
 
+@pytest.mark.parametrize("mode", ["p", "s"])
+@pytest.mark.parametrize("kind", ["commutator", "central"])
+def test_deformation_has_no_reordering_hooks(mode, kind):
+    # the parent's reordering hooks read forest keys; on q keys they either
+    # crashed (planar) or returned the identity as a quotient (symmetric)
+    D = q_deform(build_tree_bialgebra(3, 3, mode), laurent=True, exponent_window=1)
+    with pytest.raises(UnsupportedError, match=f"has no {kind} reordering hook"):
+        abelianized_quotient(D.bialgebra, kind)
+
+
 def test_brown_coaction_right_factor_parameter_free(trees_sym4):
     D = q_deform(trees_sym4, laurent=True)
     coaction = brown_coaction(D)

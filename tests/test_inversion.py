@@ -644,6 +644,44 @@ def test_uncolorable_source_inverts_by_the_recursion():
     assert conv_maps_equal(inv, takeuchi_inverse(f, filt))
 
 
+def _graded_rational_map(coproducts: dict) -> tuple:
+    """A map into QQ over hand-written coproducts, and a bialgebra over them
+    whose ``graded_filtration`` hook skips the sweep; the keys of degree 0
+    are the ones that are their own coproduct."""
+    grouplike = {k for k, d in coproducts.items() if d.terms == {(k, k): 1}}
+    C = CoalgebraSpec("hand", coproducts, coproducts.__getitem__,
+                      lambda k: int(k in grouplike), lambda k: int(k not in grouplike))
+    B = BialgebraSpec(C, AlgebraSpec("hand", lambda a, b: None, FormalSum.basis(min(grouplike))),
+                      {"graded_filtration": True})
+    return ConvMap(C, RationalTarget(), lambda k: 1, "f"), B
+
+
+def test_colored_recursion_refuses_a_key_with_two_left_flanks():
+    g1, g2, h, x = map(vertex_key, ("g1", "g2", "h", "x"))
+    f, B = _graded_rational_map({
+        g1: TensorSum.of([(g1, g1)]),
+        g2: TensorSum.of([(g2, g2)]),
+        h: TensorSum.of([(h, h)]),
+        x: TensorSum.of([(g1, x), (g2, x), (x, h)]),
+    })
+    inv = convolution_inverse(f, B)
+    assert inv(g2) == 1
+    with pytest.raises(ConfigurationError, match="key x has no well-defined flanks"):
+        inv(x)
+
+
+def test_colored_recursion_refuses_keys_that_need_each_other():
+    g, x, y = map(vertex_key, "gxy")
+    f, B = _graded_rational_map({
+        g: TensorSum.of([(g, g)]),
+        x: TensorSum.of([(g, x), (x, g), (g, y)]),
+        y: TensorSum.of([(g, y), (y, g), (g, x)]),
+    })
+    inv = convolution_inverse(f, B)
+    with pytest.raises(ConfigurationError, match="colored recursion cycles at x"):
+        inv(x)
+
+
 # ---------------------------------------------------------------------------
 # thread safety and stack use of the default route
 

@@ -4,10 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweedler.linear import BasisKey, FormalSum, TensorSum, _encode_atom
+from sweedler import linear
+from sweedler.constructions import q_key
+from sweedler.errors import RuleNotFound
+from sweedler.gallery import (
+    double_key, interval_key, monoid_key, path_key, setlike_key, vertex_key, word_key,
+    word_product_key,
+)
+from sweedler.graphs import graph_class_key
+from sweedler.linear import BasisKey, FormalSum, TensorSum, _encode_atom, rule_counts
 from sweedler.renorm import LaurentPoly
 from sweedler.scalars import render_scalar
-from sweedler.trees import forest_key, ladder
+from sweedler.trees import forest_key, ladder, parse_forest
 
 
 # strategies for structured payloads and sums
@@ -382,3 +390,46 @@ def test_sparse_sum_core(value):
     assert twin == value and hash(twin) == hash(value)
     assert FormalSum.zero() != TensorSum.zero() != LaurentPoly.zero()
     assert FormalSum.zero() != LaurentPoly.zero()
+
+
+# One sample key per declared family, its literal, and its character rule
+# counts (None where the family counts no generators).
+_FAMILY_SAMPLES = {
+    "forest": (parse_forest("v(.),|", "p"), "v(.),|", (("grouplike", 1), ("vertex", 1))),
+    "graph": (graph_class_key((3, 1, 1), ((0, 1), (0, 0)), [(0, 1), (2,)], "n"),
+              "g(1,1,3|1-2,2-2|1.2)",
+              (("grouplike", 1), ("edge", 1), ("loop", 1), ("merger", 1))),
+    "q": (q_key(parse_forest("v(.)", "s"), {"q": -1}), "v(.)*q^-1",
+          (("grouplike", 0), ("vertex", 1), ("grouplike", -1))),
+    "vx": (vertex_key("v"), "v", None),
+    "path": (path_key(("e", "f")), "e.f", None),
+    "int": (interval_key("x", "y"), "[x,y]", None),
+    "mon": (monoid_key("m"), "m", None),
+    "word": (word_key("a", ("b", "c"), "d"), "I(a;b,c;d)", None),
+    "wprod": (word_product_key([word_key("a", ("b", "c"), "d"), word_key("a", ("b",), "a")]),
+              "I(a;b;a).I(a;b,c;d)", None),
+    "set": (setlike_key("s"), "s", None),
+    "dbl": (double_key("g", "x"), "<g,x>", None),
+    "ddbl": (BasisKey("ddbl", ("g", "x")), "d<g,x>", None),
+}
+
+
+def test_every_declared_family_has_a_sample():
+    assert sorted(_FAMILY_SAMPLES) == sorted(linear._FAMILIES)
+
+
+@pytest.mark.parametrize("tag", sorted(linear._FAMILIES))
+def test_declared_family_keys(tag):
+    # each family's key renders its literal, is the one key its payload
+    # builds, pickles to itself and counts its generators or none
+    import pickle
+
+    key, literal, counts = _FAMILY_SAMPLES[tag]
+    assert key.tag == tag and str(key) == literal
+    assert BasisKey(tag, key.payload) is key
+    assert pickle.loads(pickle.dumps(key)) is key
+    if counts is None:
+        with pytest.raises(RuleNotFound):
+            rule_counts(key)
+    else:
+        assert rule_counts(key) == counts

@@ -277,6 +277,23 @@ def test_character_on_deformation(trees_sym4):
     assert phi(k) == LaurentPoly.one()
 
 
+def _on_inverse_parameter(grouplike: str):
+    """A character's value on v(.)*q^-1, whose q^-1 counts -1 grouplikes."""
+    D = q_deform(build_tree_bialgebra(2, 2, "s"), laurent=True, exponent_window=1)
+    k, = (k for k in D.bialgebra.keys if str(k) == "v(.)*q^-1")
+    return CharacterSpec(LAURENT, {"vertex": parse_laurent("2"),
+                                  "grouplike": parse_laurent(grouplike)})(k)
+
+
+def test_character_inverts_a_unit_rule_on_a_negative_count():
+    assert _on_inverse_parameter("3z").render() == "2/3*z^-1"
+
+
+def test_character_refuses_a_negative_power_of_a_non_unit():
+    with pytest.raises(ConfigurationError, match="negative power of a non-unit rule value"):
+        _on_inverse_parameter("1+z")
+
+
 # ---------------------------------------------------------------------------
 # factorization
 

@@ -320,20 +320,23 @@ def test_skew_primitives_from_color_blocks_on_graphs(graphs_c33, graphs_n33):
 
 
 def test_structure_reduces_each_key_at_most_once(graphs_n33, monkeypatch):
-    # a skew scan per grouplike pair reduced every key at each of 53 x 53 pairs
-    import sweedler.structure
+    # a skew scan per grouplike pair read every key's coproduct at each of
+    # 53 x 53 pairs; with the grouplike scan kept on C, the report reads a
+    # key's coproduct at most 3 times: its flanks, color check and skew test
+    from collections import Counter
 
-    calls = []
-
-    def counting(C, key, g, h):
-        calls.append(key)
-        return reduced_coproduct(C, key, g, h)
-
-    monkeypatch.setattr(sweedler.structure, "reduced_coproduct", counting)
     C = graphs_n33.coalgebra
-    report = analyze_structure(C)
     assert len(find_grouplikes(C)[0]) == 53 and len(C.keys) == 672
-    assert len(calls) <= len(C.keys)
+    reads = Counter()
+    delta = CoalgebraSpec.delta
+
+    def counting(self, key):
+        reads[key] += 1
+        return delta(self, key)
+
+    monkeypatch.setattr(CoalgebraSpec, "delta", counting)
+    report = analyze_structure(C)
+    assert reads and max(reads.values()) <= 3
     assert sum(map(len, report.skew_primitive_pairs.values())) == 116
 
 
