@@ -191,7 +191,7 @@ class Poset:
     @classmethod
     def from_doc(cls, doc: dict) -> "Poset":
         try:
-            covers = [tuple(c) for c in doc["covers"]]
+            covers = [tuple(json_array(c, "cover")) for c in json_array(doc["covers"], "covers")]
             for c in covers:
                 if len(c) != 2:
                     raise InputError(f"bad poset document: cover {list(c)!r} is not a pair")

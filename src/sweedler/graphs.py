@@ -642,12 +642,13 @@ class GraphMorphism:
                         for c in doc["corollas"]]
             names = [n for n, _ in corollas]
             edges = []
-            for a, b in doc.get("edges", ()):
+            for a, b in json_array(doc.get("edges", []), "edges"):
                 ca, fa = a.split(".", 1)
                 cb, fb = b.split(".", 1)
                 edges.append(((names.index(ca), fa), (names.index(cb), fb)))
             merges = []
-            for grp in doc.get("merge", ()):
+            for grp in json_array(doc.get("merge", []), "merge"):
+                grp = json_array(grp, "merge group")
                 for x, y in zip(grp, grp[1:]):
                     merges.append((names.index(x), names.index(y)))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:

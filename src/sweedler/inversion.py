@@ -2,13 +2,13 @@
 
 Two routes to the inverse of a map out of a coalgebra:
 
-* the colored recursion, peeling the left-flank term off the coproduct of
-  each key; :func:`convolution_inverse` takes it whenever the filtration is
-  exhaustive.  There f has a two-sided inverse, and the recursion solves
-  f * h = eta.eps key by key, so it returns that inverse.  It runs without
-  Python recursion, keeps all of its bookkeeping local to the call, and
-  shares only an idempotent memo, so one inverse map can be evaluated from
-  several threads at once;
+* the colored recursion, peeling each key's left flank, as read by
+  :func:`~sweedler.structure.flanks`; :func:`convolution_inverse` takes it
+  whenever the filtration is exhaustive.  There f has a two-sided inverse,
+  and the recursion solves f * h = eta.eps key by key, so it returns that
+  inverse.  It runs without Python recursion, keeps all of its bookkeeping
+  local to the call, and shares only an idempotent memo, so one inverse map
+  can be evaluated from several threads at once;
 * an exact sparse linear solve on finite-dimensional instances
   (:func:`finite_convolution_inverse`), which needs no filtration at all.
   :func:`convolution_inverse` takes it when the filtration is not
@@ -94,17 +94,17 @@ def _inverse_failures(f: ConvMap, h: ConvMap):
 def _colored_inverse(f: ConvMap) -> ConvMap:
     """The colored recursion, evaluated bottom-up from an explicit stack.
 
-    For a key x with left flank g the two-sided inverse h satisfies
+    For a key x with flanks g (x) x and x (x) r (its
+    :func:`~sweedler.structure.flanks`) the two-sided inverse h satisfies
     f(g) h(x) = eps(x) 1 - sum c f(a) h(b) over the other terms of delta(x),
-    so h(x) needs h at the right factors b of those terms.  On a memo miss
-    the right factors that are still missing are walked depth first with an
-    explicit stack and evaluated in post-order, so each one is ready before
-    the keys that need it.  The order needs no filtration table: a right
-    factor of a reduced term sits strictly lower in any admissible
-    filtration, and a key that needs itself is reported as a cycle.  The
-    walk state is local to the call; values, h(g) included, live only in the
-    map's memo, which only gains complete, equal values, so threads race
-    harmlessly.
+    so h(x) needs h(r) and h at the right factors of the rest.  On a memo
+    miss the missing ones are walked depth first with an explicit stack and
+    evaluated in post-order, so each one is ready before the keys that need
+    it.  The order needs no filtration table: a right factor of a reduced
+    term sits strictly lower in any admissible filtration, and a key that
+    needs itself is reported as a cycle.  The walk state is local to the
+    call; values, h(g) included, live only in the map's memo, which only
+    gains complete, equal values, so threads race harmlessly.
 
     When f is a bialgebra's identity (``identity_of``), h is its antipode,
     and a key that bialgebra's ``factors`` hook splits depends on its
@@ -120,13 +120,11 @@ def _colored_inverse(f: ConvMap) -> ConvMap:
         parts = factors(key) if factors is not None else None
         if parts is not None:
             return key, None, parts, iter(parts)
-        pair = flanks(C, key)
-        if pair is None:
+        read = flanks(C, key)
+        if read is None:
             raise ConfigurationError(f"key {key} has no well-defined flanks")
-        g = pair[0]
-        return key, g, None, iter(
-            [b for (a, b), _ in C.delta(key) if not (a == g and b == key)]
-        )
+        g, right, rest = read
+        return key, g, None, iter([right] + [b for _, b in rest])
 
     def evaluate(key, g, parts):
         if parts is not None:

@@ -1,10 +1,11 @@
 """Grouplike/skew-primitive detection and the filtration machinery.
 
 Basis-level analysis of a truncated coalgebra: which basis keys are
-(semi)grouplike, the color block of every key read off from the flanking
-terms of its coproduct, the skew primitives taken from those blocks, and the
-inductive two-sided filtration.  Each analysis reads a key's coproduct once,
-as its term dict.  An exhaustive filtration is what makes inversion possible:
+(semi)grouplike, the color block and skew primitives of every key, and the
+inductive two-sided filtration.  Each reads a key's coproduct once, through
+:func:`flanks`: its flank pair g (x) key, key (x) h and its other terms, the
+reading that the colored recursion of :mod:`sweedler.inversion` peels too.
+An exhaustive filtration is what makes inversion possible:
 a key of degree r is annihilated by any (r+1)-fold product of maps vanishing
 on the degree-0 base, so the geometric series for the inverse truncates, and
 :func:`~sweedler.inversion.convolution_inverse` takes the colored recursion
@@ -58,17 +59,28 @@ def is_grouplike(C: CoalgebraSpec, key: BasisKey) -> bool:
     return C.counit(key) == 1 and C.delta(key).terms == {(key, key): 1}
 
 
-def flanks(C: CoalgebraSpec, key: BasisKey):
-    """The grouplike flank pair (g, h) of a key, or None when not unique.
+def flanks(C: CoalgebraSpec, key: BasisKey, base=None):
+    """``(g, h, rest)`` for a key, or None when its flanks are not unique.
 
     The flanks are the terms g (x) key and key (x) h of delta(key) with
-    grouplike g, h and coefficient 1; a grouplike key is its own pair.
+    coefficient 1 and g, h in ``base`` (the grouplikes when None); a
+    grouplike key is its own pair.  ``rest`` holds the coproduct's other
+    pairs, the tuples of its own term dict.
     """
-    delta = C.delta(key)
-    lefts = [a for (a, b), c in delta if b == key and c == 1 and is_grouplike(C, a)]
-    rights = [b for (a, b), c in delta if a == key and c == 1 and is_grouplike(C, b)]
+    inside = base.__contains__ if base is not None else (lambda x: is_grouplike(C, x))
+    lefts, rights, rest = [], [], []
+    for pair, c in C.delta(key).terms.items():
+        a, b = pair
+        left = b == key and c == 1 and inside(a)
+        right = a == key and c == 1 and inside(b)
+        if left:
+            lefts.append(a)
+        if right:
+            rights.append(b)
+        if not (left or right):
+            rest.append(pair)
     if len(lefts) == 1 and len(rights) == 1:
-        return lefts[0], rights[0]
+        return lefts[0], rights[0], tuple(rest)
     return None
 
 
@@ -81,14 +93,13 @@ def find_skew_primitives(C: CoalgebraSpec, g: BasisKey, h: BasisKey) -> set:
     """Basis keys k with delta(k) = g (x) k + k (x) h exactly.
 
     Flank order is (left, right): a quiver edge v -> w is reported for the
-    pair (v, w).  Linear combinations such as g - h are handled separately by
-    :func:`skew_primitive_space`.
+    pair (v, w).  Read off the structure report; linear combinations such as
+    g - h are handled separately by :func:`skew_primitive_space`.
     """
     gpl, _ = find_grouplikes(C)
     if g not in gpl or h not in gpl:
         raise ConfigurationError(f"flanks must be grouplike basis keys: {g}, {h}")
-    return {k for k in C.keys
-            if k not in (g, h) and C.delta(k).terms == {(g, k): 1, (k, h): 1}}
+    return analyze_structure(C).skew_primitive_pairs.get((g, h), set())
 
 
 def skew_primitive_space(C: CoalgebraSpec, g: BasisKey, h: BasisKey,
@@ -117,7 +128,6 @@ class FiltrationTable:
     """
 
     degrees: dict
-    bound: int
     unreached: frozenset
     fallback: object = None
 
@@ -155,31 +165,26 @@ def filtration_from_grading(C: CoalgebraSpec) -> FiltrationTable:
                 f"degree-0 key {k} is not semigrouplike; grading filtration invalid"
             )
         degrees[k] = d
-    return FiltrationTable(degrees, C.max_degree(), frozenset(), fallback=C.grading)
+    return FiltrationTable(degrees, frozenset(), fallback=C.grading)
 
 
 def bivariate_filtration(C: CoalgebraSpec) -> FiltrationTable:
     """Inductive sweep assigning each basis key its two-sided reduction depth.
 
-    Degree 0 is the semigrouplike base.  A key enters degree n when for some
-    pair of semigrouplike flanks every term of its reduced coproduct has both
-    tensor factors already at degree <= n-1.  A flank pair qualifies only when
-    g (x) key and key (x) h (coefficient 1) are the only pairs naming the key,
-    so a key has at most one candidate: its other pairs.  The sweep ends at
-    the first round that settles nothing.
+    Degree 0 is the semigrouplike base.  A key enters degree n when both
+    tensor factors of every pair in the ``rest`` of its :func:`flanks` over
+    that base are already at degree <= n-1; a key without unique flanks, or
+    whose rest names the key itself, never enters.  The sweep ends at the
+    first round that settles nothing.
     """
     _, sgpl = find_grouplikes(C)
     degrees = {k: 0 for k in sgpl}
     pending: dict = {}
     for k in C.keys:
-        if k in sgpl:
-            continue
-        terms = C.delta(k).terms
-        named = [p for p in terms if k in p]
-        lefts = [a for a, b in named if b == k and a in sgpl and terms[a, b] == 1]
-        rights = [b for a, b in named if a == k and b in sgpl and terms[a, b] == 1]
-        if len(named) == 2 and len(lefts) == 1 and len(rights) == 1:
-            pending[k] = tuple(p for p in terms if k not in p)
+        if k not in sgpl:
+            read = flanks(C, k, sgpl)
+            if read is not None:
+                pending[k] = read[2]
 
     n = 0
     while True:
@@ -197,7 +202,7 @@ def bivariate_filtration(C: CoalgebraSpec) -> FiltrationTable:
             degrees[k] = n
             del pending[k]
     unreached = frozenset(k for k in C.keys if k not in degrees)
-    return FiltrationTable(degrees, max(C.max_degree(), 1), unreached)
+    return FiltrationTable(degrees, unreached)
 
 
 @dataclass
@@ -227,7 +232,7 @@ def verify_pathlike(C: CoalgebraSpec) -> PathlikeVerdict:
         witnesses.append(f"semigrouplike {k} has counit {C.counit(k)} != 1")
     table = bivariate_filtration(C)
     for k in sorted(table.unreached):
-        witnesses.append(f"key {k} not reached by the filtration (bound {table.bound})")
+        witnesses.append(f"key {k} not reached by the filtration")
     return PathlikeVerdict(not witnesses, witnesses)
 
 
@@ -262,42 +267,33 @@ class StructureReport:
 
 
 def color_decompose(C: CoalgebraSpec):
-    """Assign each key its (left, right) grouplike flank pair.
-
-    The flanks are read off by :func:`flanks`.  The reduced coproduct at
-    the flank pair, the pairs of delta(k) other than g (x) k and k (x) h,
-    must have both tensor factors outside the grouplike span; keys violating
-    this, or without a unique flank pair, are reported as uncolorable.
-    """
-    blocks: dict = {}
-    uncolorable = []
-    for k in C.keys:
-        if is_grouplike(C, k):
-            blocks.setdefault((k, k), set()).add(k)
-            continue
-        pair = flanks(C, k)
-        if pair is None:
-            uncolorable.append((k, "flanking grouplikes not unique"))
-            continue
-        g, h = pair
-        flanked = ((g, k), (k, h))
-        if any(is_grouplike(C, a) or is_grouplike(C, b)
-               for a, b in C.delta(k).terms if (a, b) not in flanked):
-            uncolorable.append((k, "reduced part touches the grouplike span"))
-            continue
-        blocks.setdefault((g, h), set()).add(k)
-    return blocks, uncolorable
+    """The color blocks and uncolorable keys of :func:`analyze_structure`."""
+    report = analyze_structure(C)
+    return report.color_blocks, report.uncolorable
 
 
 def analyze_structure(C: CoalgebraSpec) -> StructureReport:
-    """The report; a skew primitive between grouplikes g and h of the
-    universe has the flank pair (g, h), so it is read off that color block."""
+    """The report, from one :func:`flanks` reading per non-grouplike key: a
+    key is in the color block of its flanks when no factor of its rest is
+    grouplike (uncolorable otherwise, or without unique flanks), and a skew
+    primitive when it has no rest and its flanks lie in the universe."""
     gpl, sgpl = find_grouplikes(C)
-    blocks, uncolorable = color_decompose(C)
+    blocks: dict = {}
     skew: dict = {}
-    for (g, h), keys in blocks.items():
-        found = {k for k in keys if k not in (g, h)
-                 and C.delta(k).terms == {(g, k): 1, (k, h): 1}}
-        if found and g in gpl and h in gpl:
-            skew[(g, h)] = found
+    uncolorable = []
+    for k in C.keys:
+        if k in gpl:
+            blocks.setdefault((k, k), set()).add(k)
+            continue
+        read = flanks(C, k)
+        if read is None:
+            uncolorable.append((k, "flanking grouplikes not unique"))
+            continue
+        g, h, rest = read
+        if any(is_grouplike(C, a) or is_grouplike(C, b) for a, b in rest):
+            uncolorable.append((k, "reduced part touches the grouplike span"))
+            continue
+        blocks.setdefault((g, h), set()).add(k)
+        if not rest and g in gpl and h in gpl:
+            skew.setdefault((g, h), set()).add(k)
     return StructureReport(gpl, sgpl, skew, blocks, uncolorable)

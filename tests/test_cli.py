@@ -227,6 +227,23 @@ def test_deep_inputs_are_input_errors(argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_TWO_COROLLAS = '{"corollas":[{"name":"u","flags":["a","b"]},{"name":"v","flags":["c","d"]}]'
+# fields that must be JSON arrays, given as strings: a string once iterated
+# as its letters, so "01" read as the cover 0 < 1 and "uv" as a merge of u, v
+_STRING_FIELDS = {
+    "cover-string": (["structure", "--poset",
+                      '{"elements":["0","1","2"],"covers":["01","12"]}'], "cover"),
+    "covers-string": (["structure", "--poset",
+                       '{"elements":["0","1","2"],"covers":"01"}'], "covers"),
+    "merge-group-string": (["coproduct", "--graph", _TWO_COROLLAS + ',"merge":["uv"]}',
+                            "--nonconnected"], "merge group"),
+    "merge-string": (["coproduct", "--graph", _TWO_COROLLAS + ',"merge":"uv"}',
+                      "--nonconnected"], "merge"),
+    "edges-string": (["coproduct", "--graph", _TWO_COROLLAS + ',"edges":""}',
+                      "--nonconnected"], "edges"),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["inverse", "--character", '{"rules":5}'],
     ["inverse", "--character", '{"rules":{"vertex":5}}'],
@@ -250,18 +267,26 @@ def test_deep_inputs_are_input_errors(argv):
      "--character", '{"rules":{"vertex":"z^-1","loop":"z"}}'],
     ["inverse", "--bialgebra", "double-z3", "--character", '{"rules":{"vertex":"z"}}'],
     ["inverse", "--bialgebra", "double-z3", "--character", '{"rules":{}}'],
+    *(argv for argv, _ in _STRING_FIELDS.values()),
 ], ids=["rules-not-object", "rule-not-string", "cover-singleton",
         "cover-triple", "word-name-not-string", "element-number",
         "element-null", "element-float", "elements-string", "letters-string",
         "vertices-string", "flags-string", "rule-zero-denominator", "rule-unknown-name",
         "rule-uncounted-graphs", "rule-uncounted-trees", "rule-on-uncounting-family",
-        "no-rules-on-uncounting-family"])
+        "no-rules-on-uncounting-family", *_STRING_FIELDS])
 def test_bad_document_fields_are_input_errors(argv):
     code, out, err = _run_cli_stderr(argv)
     assert code == 2
     assert out == b""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(_STRING_FIELDS))
+def test_string_fields_are_not_split_into_letters(name):
+    argv, field = _STRING_FIELDS[name]
+    _, _, err = _run_cli_stderr(argv)
+    assert err.startswith(f"error: {field} must be a JSON array, not str")
 
 
 @pytest.mark.parametrize("command", ["inverse", "birkhoff"])

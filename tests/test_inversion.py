@@ -132,7 +132,7 @@ def test_series_truncates_at_degree_plus_one(two_vertex_complete_paths):
     f = path_letters(C)
     full = bivariate_filtration(C)
     kept = {k: d for k, d in full.degrees.items() if d <= 2}
-    table = FiltrationTable(kept, 2, frozenset(full.degrees.keys() - kept.keys()))
+    table = FiltrationTable(kept, frozenset(full.degrees.keys() - kept.keys()))
     assert not table.exhaustive
     inv = takeuchi_inverse(f, table)
     with pytest.raises(FiltrationNotExhaustive):
@@ -242,7 +242,10 @@ def test_validator_catches_a_broken_factors_hook(trees_planar4, broken):
 @pytest.mark.parametrize("mode", ["s", "p"])
 def test_recursion_runs_on_trees_only(mode, monkeypatch):
     # work guard: every forest of two or more trees is a product of values,
-    # and the flank-peeling recursion evaluates each tree once
+    # and the flank-peeling recursion evaluates each tree once, reading its
+    # coproduct twice: for its flanks and for the convolution sum
+    from collections import Counter
+
     import sweedler.inversion as inversion
 
     B = _trees5(mode, "normalized")
@@ -251,11 +254,16 @@ def test_recursion_runs_on_trees_only(mode, monkeypatch):
     monkeypatch.setattr(inversion, "flanks",
                         lambda C, key: peeled.append(key) or real(C, key))
     S = antipode(B, validate=False)
+    reads = Counter()
+    delta = CoalgebraSpec.delta
+    monkeypatch.setattr(CoalgebraSpec, "delta",
+                        lambda self, key: reads.update((key,)) or delta(self, key))
     for k in B.keys:
         S(k)
     trees = [k for k in B.keys if len(k.payload) == 2]
     assert len(peeled) == len(set(peeled)) == len(trees)
     assert set(peeled) == set(trees)
+    assert max(reads[k] for k in peeled) <= 2
 
 
 def test_antipode_builds_no_identity_sums(trees_sym4_normalized, monkeypatch):

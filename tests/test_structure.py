@@ -190,9 +190,9 @@ def test_flanks_read_off_the_universe():
     assert long not in C.keys
     assert is_grouplike(C, a) and not is_grouplike(C, path_key(("e1",)))
     assert not is_grouplike(C, long)
-    assert flanks(C, a) == (a, a)
-    assert flanks(C, path_key(("e1",))) == (a, b)
-    assert flanks(C, long) == (a, c)
+    assert flanks(C, a) == (a, a, ())
+    assert flanks(C, path_key(("e1",))) == (a, b, ())
+    assert flanks(C, long) == (a, c, ((path_key(("e1",)), path_key(("e2",))),))
 
 
 def test_color_blocks_on_intervals():
@@ -289,7 +289,7 @@ def _filtration_oracle(C):
             all(degrees.get(a, n) < n and degrees.get(b, n) < n for (a, b), _ in r)
             for r in reductions[k])]
         degrees.update((k, n) for k in new)
-    return degrees, bound, frozenset(k for k in C.keys if k not in degrees)
+    return degrees, frozenset(k for k in C.keys if k not in degrees)
 
 
 _SKEW_UNIVERSES = {
@@ -322,7 +322,7 @@ def test_skew_primitives_from_color_blocks_on_graphs(graphs_c33, graphs_n33):
 def test_structure_reduces_each_key_at_most_once(graphs_n33, monkeypatch):
     # a skew scan per grouplike pair read every key's coproduct at each of
     # 53 x 53 pairs; with the grouplike scan kept on C, the report reads a
-    # key's coproduct at most 3 times: its flanks, color check and skew test
+    # key's coproduct at most once: the flanks serve blocks and skew test
     from collections import Counter
 
     C = graphs_n33.coalgebra
@@ -336,8 +336,23 @@ def test_structure_reduces_each_key_at_most_once(graphs_n33, monkeypatch):
 
     monkeypatch.setattr(CoalgebraSpec, "delta", counting)
     report = analyze_structure(C)
-    assert reads and max(reads.values()) <= 3
+    assert reads and max(reads.values()) <= 1
     assert sum(map(len, report.skew_primitive_pairs.values())) == 116
+
+
+def test_flanks_rest_reuses_the_coproduct_pairs(graphs_n33):
+    # the rest holds the term dict's own pair tuples, not repacked copies,
+    # so the sweep's pending table shares them with the coproduct memo
+    C = graphs_n33.coalgebra
+    gpl, _ = find_grouplikes(C)
+    checked = 0
+    for k in C.keys:
+        read = None if k in gpl else flanks(C, k)
+        if read is not None:
+            own = {id(p) for p in C.delta(k).terms}
+            assert all(id(p) in own for p in read[2])
+            checked += len(read[2])
+    assert checked
 
 
 @pytest.mark.parametrize("name", ["graphs-n", "graphs-c", "trees(5,p)", "words(ab,3)",
@@ -351,4 +366,4 @@ def test_filtration_matches_round_by_round_reference(name, graphs_c33, graphs_n3
          "quiver(2)": lambda: two_vertex_complete_paths,
          "stuck": _stuck}[name]()
     table = bivariate_filtration(C)
-    assert (table.degrees, table.bound, table.unreached) == _filtration_oracle(C)
+    assert (table.degrees, table.unreached) == _filtration_oracle(C)
