@@ -32,9 +32,10 @@ attribute, the sorted relabelling is the canonical payload; only the rest
 are searched.  The universe enumeration makes only labellings that are
 already sorted, so it skips the sort and keeps none of them.  Equal classes
 are the same ``BasisKey`` object.
-A graph key carries no bytes until ``encoded()`` or the key order first
-asks for them, so product and factor classes that nothing sorts are never
-encoded.
+A universe key gets its bytes from ``_graph_bytes`` before the universe
+is sorted; any other graph key carries none until ``encoded()`` or the key
+order first asks, so product and factor classes that nothing sorts are
+never encoded.
 
 In connected mode every target group must be connected by its ghost edges
 (mergers are forbidden) and the partition is forced to the edge components;
@@ -361,6 +362,26 @@ def _rule_counts(key: BasisKey) -> tuple:
             ("merger", len(sizes) - len(blocks)))
 
 
+def _graph_bytes(payload) -> bytes:
+    """``b"k" + linear._encode_atom("graph", payload)``, written in one pass
+    over the four fields of ``(mode, sizes, edges, blocks)``: each int as
+    ``i<digits>:<int>`` and each tuple as ``t<length>:`` before its items."""
+    mode, sizes, edges, blocks = payload
+    parts = [f"ks5:grapht4:s{len(mode)}:{mode}t{len(sizes)}:"]
+    for s in map(str, sizes):
+        parts.append(f"i{len(s)}:{s}")
+    parts.append(f"t{len(edges)}:")
+    for a, b in edges:
+        a, b = str(a), str(b)
+        parts.append(f"t2:i{len(a)}:{a}i{len(b)}:{b}")
+    parts.append(f"t{len(blocks)}:")
+    for blk in blocks:
+        parts.append(f"t{len(blk)}:")
+        for c in map(str, blk):
+            parts.append(f"i{len(c)}:{c}")
+    return "".join(parts).encode()
+
+
 register_family("graph", _graph_literal,
                 lambda payload: graph_class_key(*payload[1:], payload[0]), _rule_counts)
 
@@ -494,50 +515,72 @@ def graph_grading(key: BasisKey) -> int:
 # ---------------------------------------------------------------------------
 # Universe enumeration
 
+def _fitting_edges(sizes, max_edges: int):
+    """Each multiset of at most ``max_edges`` ghost edges on corollas of
+    these sizes whose flags fit every corolla (an edge takes one flag at
+    each end, a loop two), with the corolla attributes (size, loops, flags
+    used), when those attributes are nondecreasing.  The order is
+    ``itertools.combinations_with_replacement``'s, edge count first: the
+    multisets with one more edge extend those that fit by a pair no smaller
+    than their last, so none that overflows a corolla is made."""
+    n = len(sizes)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    level = [((), 0, [0] * n, [0] * n)]  # edges, first pair to add, loops, used
+    while level:
+        longer = []
+        for edges, first, loops, used in level:
+            attrs = list(zip(sizes, loops, used))
+            if attrs == sorted(attrs):
+                yield edges, attrs
+            if len(edges) == max_edges:
+                continue
+            for p in range(first, len(pairs)):
+                a, b = pair = pairs[p]
+                if used[a] + (a == b) < sizes[a] and used[b] < sizes[b]:
+                    grown, looped = used.copy(), loops
+                    grown[a] += 1
+                    grown[b] += 1
+                    if a == b:
+                        looped = loops.copy()
+                        looped[a] += 1
+                    longer.append((edges + (pair,), p, looped, grown))
+        level = longer
+
+
 def _graph_universe(max_corollas: int, max_edges: int, max_flags: int, mode: str):
     """The sorted classes within the budgets, closed under coproduct factors,
     and the coproduct memo the closure filled: one entry per class.
 
     The enumeration is orderly (Read 1978; McKay 1998): it keeps only the
     labellings whose corolla attributes (size, loops, flags used, group
-    size) are already nondecreasing, testing the first three before it
-    walks the groupings.  Every class has one, its sorted relabelling: that
-    has nondecreasing sizes, a sorted edge multiset and groups made of edge
-    components.  A kept labelling is what ``_sort`` returns for it, so it
-    goes to ``_class_of`` with its attributes and is not stored.
+    size) are already nondecreasing.  ``_fitting_edges`` makes only the
+    edge multisets that fit the flags and tests the first three; the group
+    size is tested for each grouping.  Every class has one, its sorted
+    relabelling: that has nondecreasing sizes, a sorted edge multiset and
+    groups made of edge components.  A kept labelling is what ``_sort``
+    returns for it, so it goes to ``_class_of`` with its attributes and is
+    not stored.
 
     Residue factors merge corollas, so their targets can exceed the flag
     budget; the closure pass adds those keys (mostly identity aggregates) to
-    keep the enumerated universe an honest subcoalgebra.
+    keep the enumerated universe an honest subcoalgebra.  Every key gets its
+    bytes from ``_graph_bytes`` before the final sort.
     """
     keys = set()
     for n in range(max_corollas + 1):
         for sizes in itertools.combinations_with_replacement(
             range(max_flags + 1), n
         ):
-            pairs = [(i, j) for i in range(n) for j in range(i, n)]
-            # Each ghost edge takes two flags, so larger multisets all fail.
-            for count in range(min(max_edges, sum(sizes) // 2) + 1):
-                for edges in itertools.combinations_with_replacement(pairs, count):
-                    loops = [0] * n
-                    used = [0] * n
-                    for a, b in edges:
-                        used[a] += 1
-                        used[b] += 1
-                        if a == b:
-                            loops[a] += 1
-                    attrs = list(zip(sizes, loops, used))
-                    if attrs != sorted(attrs) or any(map(int.__gt__, used, sizes)):
-                        continue
-                    comps = _components(n, edges)
-                    parts = [[[comp] for comp in comps]] if mode == "c" else _set_partitions(comps)
-                    for part in parts:
-                        blocks = tuple(sorted(
-                            tuple(sorted(itertools.chain(*cell))) for cell in part))
-                        group = {c: len(blk) for blk in blocks for c in blk}
-                        full = [attrs[i] + (group[i],) for i in range(n)]
-                        if full == sorted(full):
-                            keys.add(_class_of((mode, sizes, edges, blocks), full))
+            for edges, attrs in _fitting_edges(sizes, max_edges):
+                comps = _components(n, edges)
+                parts = [[[comp] for comp in comps]] if mode == "c" else _set_partitions(comps)
+                for part in parts:
+                    blocks = tuple(sorted(
+                        tuple(sorted(itertools.chain(*cell))) for cell in part))
+                    group = {c: len(blk) for blk in blocks for c in blk}
+                    full = [attrs[i] + (group[i],) for i in range(n)]
+                    if full == sorted(full):
+                        keys.add(_class_of((mode, sizes, edges, blocks), full))
     delta = _Memo(graph_coproduct)
     frontier = list(keys)
     while frontier:
@@ -549,6 +592,9 @@ def _graph_universe(max_corollas: int, max_edges: int, max_flags: int, mode: str
                         keys.add(f)
                         new.append(f)
         frontier = new
+    for k in keys:
+        if k._enc is None:
+            k._enc = _graph_bytes(k.payload)
     return sorted(keys), delta
 
 

@@ -86,7 +86,8 @@ class _Row(dict):
 
 class CoalgebraSpec:
     """A truncated key universe; ``delta`` reads the spec's memo of
-    ``raw_delta``, and ``find_grouplikes`` keeps its scan in ``_grouplikes``."""
+    ``raw_delta``, ``find_grouplikes`` keeps its scan in ``_grouplikes`` and
+    ``analyze_structure`` its report in ``_structure``."""
 
     def __init__(
         self,
@@ -106,6 +107,7 @@ class CoalgebraSpec:
         self._delta_memo = _Memo(delta)
         self._key_set = set(self.keys)
         self._grouplikes = None
+        self._structure = None
 
     def delta(self, key: BasisKey) -> TensorSum:
         return self._delta_memo[key]

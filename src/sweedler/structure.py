@@ -65,23 +65,30 @@ def flanks(C: CoalgebraSpec, key: BasisKey, base=None):
     The flanks are the terms g (x) key and key (x) h of delta(key) with
     coefficient 1 and g, h in ``base`` (the grouplikes when None); a
     grouplike key is its own pair.  ``rest`` holds the coproduct's other
-    pairs, the tuples of its own term dict.
+    pairs in term order, the tuples of its own term dict.  Keys are
+    hash-consed, so a pair names the key when it holds that very object:
+    the rule reads only the few pairs that do, and one of them that flanks
+    nothing stays in ``rest``, in its place.
     """
     inside = base.__contains__ if base is not None else (lambda x: is_grouplike(C, x))
-    lefts, rights, rest = [], [], []
-    for pair, c in C.delta(key).terms.items():
+    terms = C.delta(key).terms
+    lefts, rights, stray = [], [], False
+    for pair in [p for p in terms if p[0] is key or p[1] is key]:
         a, b = pair
-        left = b == key and c == 1 and inside(a)
-        right = a == key and c == 1 and inside(b)
+        unit = terms[pair] == 1
+        left = unit and b is key and inside(a)
+        right = unit and a is key and inside(b)
         if left:
             lefts.append(a)
         if right:
             rights.append(b)
-        if not (left or right):
-            rest.append(pair)
-    if len(lefts) == 1 and len(rights) == 1:
-        return lefts[0], rights[0], tuple(rest)
-    return None
+        stray = stray or not (left or right)
+    if len(lefts) != 1 or len(rights) != 1:
+        return None
+    g, h = lefts[0], rights[0]
+    if stray:
+        return g, h, tuple([p for p in terms if p not in ((g, key), (key, h))])
+    return g, h, tuple([p for p in terms if p[0] is not key and p[1] is not key])
 
 
 def reduced_coproduct(C: CoalgebraSpec, key: BasisKey, g: BasisKey, h: BasisKey) -> TensorSum:
@@ -93,13 +100,15 @@ def find_skew_primitives(C: CoalgebraSpec, g: BasisKey, h: BasisKey) -> set:
     """Basis keys k with delta(k) = g (x) k + k (x) h exactly.
 
     Flank order is (left, right): a quiver edge v -> w is reported for the
-    pair (v, w).  Read off the structure report; linear combinations such as
-    g - h are handled separately by :func:`skew_primitive_space`.
+    pair (v, w).  Read off the report the spec keeps, so a loop over pairs
+    reads each coproduct once; linear combinations such as g - h are
+    handled separately by :func:`skew_primitive_space`.
     """
     gpl, _ = find_grouplikes(C)
     if g not in gpl or h not in gpl:
         raise ConfigurationError(f"flanks must be grouplike basis keys: {g}, {h}")
-    return analyze_structure(C).skew_primitive_pairs.get((g, h), set())
+    report = C._structure or analyze_structure(C)
+    return report.skew_primitive_pairs.get((g, h), set())
 
 
 def skew_primitive_space(C: CoalgebraSpec, g: BasisKey, h: BasisKey,
@@ -276,7 +285,8 @@ def analyze_structure(C: CoalgebraSpec) -> StructureReport:
     """The report, from one :func:`flanks` reading per non-grouplike key: a
     key is in the color block of its flanks when no factor of its rest is
     grouplike (uncolorable otherwise, or without unique flanks), and a skew
-    primitive when it has no rest and its flanks lie in the universe."""
+    primitive when it has no rest and its flanks lie in the universe.  The
+    report is kept in the spec's ``_structure`` (universes are immutable)."""
     gpl, sgpl = find_grouplikes(C)
     blocks: dict = {}
     skew: dict = {}
@@ -296,4 +306,5 @@ def analyze_structure(C: CoalgebraSpec) -> StructureReport:
         blocks.setdefault((g, h), set()).add(k)
         if not rest and g in gpl and h in gpl:
             skew.setdefault((g, h), set()).add(k)
-    return StructureReport(gpl, sgpl, skew, blocks, uncolorable)
+    C._structure = StructureReport(gpl, sgpl, skew, blocks, uncolorable)
+    return C._structure

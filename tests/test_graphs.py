@@ -22,7 +22,7 @@ from sweedler.graphs import (
     merger_class,
     strip_identity_corollas,
 )
-from sweedler.linear import TensorSum
+from sweedler.linear import TensorSum, _encode_atom
 from sweedler.specs import validate_bialgebra, validate_coalgebra
 from sweedler.structure import find_grouplikes, verify_pathlike
 
@@ -364,6 +364,82 @@ def test_orderly_enumeration_finds_every_class(budgets, mode):
     if budgets == (3, 3, 3):
         strict = _fresh_payloads(_reference_universe, *budgets, mode, _strictly_increasing)
         assert strict < set(orderly)
+
+
+def _combinations_filter(sizes, max_edges, loop_flags=2):
+    # the enumeration's former edge loop: every multiset of
+    # combinations_with_replacement up to the edges the flags can hold, kept
+    # when its flags fit and its attributes (size, loops, flags used) are
+    # nondecreasing; a loop takes ``loop_flags`` flags
+    n = len(sizes)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    for count in range(min(max_edges, sum(sizes) // min(2, loop_flags)) + 1):
+        for edges in itertools.combinations_with_replacement(pairs, count):
+            loops, used = [0] * n, [0] * n
+            for a, b in edges:
+                if a == b:
+                    loops[a] += 1
+                    used[a] += loop_flags
+                else:
+                    used[a] += 1
+                    used[b] += 1
+            attrs = list(zip(sizes, loops, used))
+            if attrs == sorted(attrs) and all(u <= s for u, s in zip(used, sizes)):
+                yield edges, attrs
+
+
+def test_fitting_edge_walk_equals_the_combinations_filter():
+    # the walk makes, in the same order and with the same attributes, the
+    # edge multisets the filter kept, for every sizes multiset of at most 4
+    # corollas and 3 flags and every edge budget up to 9; the filter with a
+    # loop charged one flag differs, so the comparison can fail
+    from sweedler.graphs import _fitting_edges
+
+    cases = [sizes for n in range(5)
+             for sizes in itertools.combinations_with_replacement(range(4), n)]
+    kept = 0
+    for sizes in cases:
+        reference = list(_combinations_filter(sizes, 9))
+        for max_edges in range(10):
+            walked = list(_fitting_edges(sizes, max_edges))
+            assert walked == [(e, a) for e, a in reference if len(e) <= max_edges]
+        kept += len(list(_fitting_edges(sizes, 4)))
+    assert (len(cases), kept) == (70, 1_087)
+    assert any(list(_combinations_filter(sizes, 4, loop_flags=1))
+               != list(_fitting_edges(sizes, 4)) for sizes in cases)
+
+
+def _writer_mismatches(writer, keys):
+    return [k for k in keys if writer(k.payload) != b"k" + _encode_atom("graph", k.payload)]
+
+
+def test_graph_bytes_are_the_reference_encoding():
+    # the universe's byte writer writes what the generic payload encoder
+    # writes, on every key of graphs(4,4,3) c and n and (3,9,3,n) and on
+    # random products; residues reach sizes 10-12, so a writer that drops
+    # the int length (writes i1: for every int) fails on exactly those keys
+    import re
+
+    from sweedler.graphs import _graph_bytes
+
+    universes = {budgets: all_graph_classes(*budgets)
+                 for budgets in ((4, 4, 3, "c"), (4, 4, 3, "n"), (3, 9, 3, "n"))}
+    keys = [k for universe in universes.values() for k in universe]
+    assert not _writer_mismatches(_graph_bytes, keys)
+    assert all(k.encoded() == _graph_bytes(k.payload) for k in keys)
+    rng = random.Random(33)
+    nc = universes[4, 4, 3, "n"]
+    products = [graph_product(rng.choice(nc), rng.choice(nc)) for _ in range(500)]
+    assert not _writer_mismatches(_graph_bytes, products)
+
+    def wide(key):
+        _, sizes, edges, blocks = key.payload
+        return max(itertools.chain(sizes, *edges, *blocks), default=0) >= 10
+
+    assert sum(map(wide, nc)) == 15
+    broken = _writer_mismatches(
+        lambda payload: re.sub(rb"i\d+:", b"i1:", _graph_bytes(payload)), keys + products)
+    assert broken and set(broken) == {k for k in keys + products if wide(k)}
 
 
 @pytest.mark.parametrize("mode", ["c", "n"])

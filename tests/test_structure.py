@@ -6,18 +6,21 @@ from sweedler.errors import ConfigurationError
 from sweedler.constructions import normalized_quotient, q_deform
 from sweedler.gallery import (
     boolean_poset,
+    build_drinfeld_double,
     build_incidence_coalgebra,
     build_path_coalgebra,
     build_setlike_coalgebra,
     build_word_coalgebra,
     chain_poset,
     complete_quiver,
+    cyclic_group,
     interval_key,
     path_key,
     setlike_key,
     vertex_key,
     Quiver,
 )
+from sweedler.graphs import build_graph_bialgebra
 from sweedler.linear import BasisKey, FormalSum, TensorSum
 from sweedler.specs import CoalgebraSpec
 from sweedler.structure import (
@@ -353,6 +356,101 @@ def test_flanks_rest_reuses_the_coproduct_pairs(graphs_n33):
             assert all(id(p) in own for p in read[2])
             checked += len(read[2])
     assert checked
+
+
+def _reference_flanks(C, key, base=None):
+    # the per-term loop that ``flanks`` replaced: every pair is tested
+    # against the flank rule and the others are collected in term order
+    inside = base.__contains__ if base is not None else (lambda x: is_grouplike(C, x))
+    lefts, rights, rest = [], [], []
+    for pair, c in C.delta(key).terms.items():
+        a, b = pair
+        left = b == key and c == 1 and inside(a)
+        right = a == key and c == 1 and inside(b)
+        if left:
+            lefts.append(a)
+        if right:
+            rights.append(b)
+        if not (left or right):
+            rest.append(pair)
+    if len(lefts) == 1 and len(rights) == 1:
+        return lefts[0], rights[0], tuple(rest)
+    return None
+
+
+def _third_pair_names_the_key():
+    # x's coproduct holds g (x) x and x (x) g, and x (x) x with coefficient 2
+    # between two pairs that do not name x: that third pair stays in rest,
+    # in its place
+    g, x, y, z = (BasisKey("x3", (i,)) for i in range(4))
+    coproducts = {
+        g: TensorSum.pure(g, g),
+        x: TensorSum.of([(y, z), (g, x), (x, x, 2), (z, y), (x, g)]),
+        y: TensorSum.of([(g, y), (y, g)]),
+        z: TensorSum.of([(g, z), (z, g)]),
+    }
+    return CoalgebraSpec("third pair", coproducts, coproducts.__getitem__,
+                         lambda key: int(key is g), lambda key: 0 if key is g else 1)
+
+
+_FLANK_UNIVERSES = {
+    "graphs(4,4,3,n)": lambda: build_graph_bialgebra(4, 4, 3, connected=False).coalgebra,
+    "trees(5,s)/normalized": lambda: normalized_quotient(
+        build_tree_bialgebra(5, 5, "s")).bialgebra.coalgebra,
+    "trees(4,p)": lambda: build_tree_bialgebra(4, 4, "p").coalgebra,
+    "words(ab,3),closed": lambda: build_word_coalgebra("ab", 3, closed=True),
+    "quiver(3)": lambda: build_path_coalgebra(complete_quiver(("0", "1", "2")), 3),
+    "double-z2": lambda: build_drinfeld_double(cyclic_group(2)).coalgebra,
+    "third pair": _third_pair_names_the_key,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLANK_UNIVERSES))
+def test_flanks_equal_the_per_term_reference(name):
+    # the flank pair by identity and the rest as the same tuple, order
+    # included, over the grouplikes and over the semigrouplike base
+    C = _FLANK_UNIVERSES[name]()
+    _, sgpl = find_grouplikes(C)
+    read = 0
+    for base in (None, sgpl):
+        for k in C.keys:
+            got, want = flanks(C, k, base), _reference_flanks(C, k, base)
+            if want is None:
+                assert got is None
+                continue
+            assert got[0] is want[0] and got[1] is want[1]
+            assert type(got[2]) is tuple and got[2] == want[2]
+            read += 1
+    assert (read == 0) == (name == "double-z2")  # no double key has unique flanks
+    if name == "third pair":
+        y, z, x = (BasisKey("x3", (i,)) for i in (2, 3, 1))
+        assert flanks(C, x)[2] == ((y, z), (x, x), (z, y))
+
+
+def test_skew_primitive_loop_reads_each_coproduct_once(monkeypatch):
+    # a loop over every grouplike pair reads the structure report the spec
+    # keeps, so each coproduct is read at most once over the whole loop
+    from collections import Counter
+
+    quiver = complete_quiver(("0", "1", "2"))
+    C = build_path_coalgebra(quiver, 5)
+    gpl, _ = find_grouplikes(C)
+    pairs = [(g, h) for g in sorted(gpl) for h in sorted(gpl)]
+    assert (len(C.keys), len(pairs)) == (189, 9)
+    reads = Counter()
+    delta = CoalgebraSpec.delta
+
+    def counting(self, key):
+        reads[key] += 1
+        return delta(self, key)
+
+    monkeypatch.setattr(CoalgebraSpec, "delta", counting)
+    found = {pair: find_skew_primitives(C, *pair) for pair in pairs}
+    monkeypatch.undo()
+    assert reads and max(reads.values()) <= 1
+    fresh = analyze_structure(build_path_coalgebra(quiver, 5)).skew_primitive_pairs
+    assert found == {pair: fresh.get(pair, set()) for pair in pairs}
+    assert sum(map(len, found.values())) == 6
 
 
 @pytest.mark.parametrize("name", ["graphs-n", "graphs-c", "trees(5,p)", "words(ab,3)",
