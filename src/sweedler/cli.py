@@ -185,8 +185,8 @@ def _cmd_coproduct(args) -> int:
         if name in quiver.vertices:
             key = vertex_key(name)
         else:
-            edges = tuple(p for p in name.split(".") if p)
-            if not edges or any(e not in emap for e in edges):
+            edges = tuple(name.split("."))
+            if any(e not in emap for e in edges):
                 raise InputError(f"unknown path literal {args.path!r}")
             for e, f in zip(edges, edges[1:]):
                 if emap[e][1] != emap[f][0]:

@@ -29,11 +29,11 @@ within one type.  It owns construction, ``zero``, ``is_zero``, iteration,
 ``repr``.  :class:`FormalSum` adds ``basis``, ``coeff``, ``map_keys`` and
 the key order; :class:`TensorSum` adds ``pure``, ``of``, ``coeff``,
 ``flip``, ``tensor_mul`` and the pair order; ``renorm.LaurentPoly`` adds
-the Laurent product and units.  Sums are immutable after construction and
-safe to share across threads.  The engine's accumulation loops grow a
-private sum from ``zero()`` in place (see the ``accumulate`` method of the
-convolution targets in :mod:`sweedler.specs`) and publish it only when it
-is complete.
+units and the exponent order, and takes its product from
+``renorm.LAURENT``.  Sums are immutable after construction and safe to
+share across threads.  The engine's accumulation loops grow a private sum
+from ``zero()`` in place (see the ``accumulate`` method of the convolution
+targets in :mod:`sweedler.specs`) and publish it only when it is complete.
 """
 
 from __future__ import annotations

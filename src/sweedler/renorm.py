@@ -4,10 +4,13 @@ The target algebra is Laurent polynomials with exact rational coefficients
 (finite support; every character in scope produces finitely many terms per
 basis key, so no series truncation policy is needed).  ``LaurentPoly`` is a
 sparse sum on the shared core of :mod:`sweedler.linear`, keyed by exponent;
-it adds only ``one``, ``monomial``, the product (one exponent-convolution
-loop, shared with ``LaurentTarget.accumulate``), units and the exponent
-rendering.  Its coefficients follow :mod:`sweedler.scalars`: ``int`` until
-a division (a unit's inverse, a parsed ``p/q``) needs a rational.
+it adds only ``one``, ``monomial``, units and the exponent rendering, and
+has no product loop of its own.  The target ``LAURENT`` is the
+:class:`~sweedler.specs.AlgebraSpec` of the monoid of exponents (z^a z^b =
+z^(a+b), unit z^0, z^e inverted by z^-e), so every Laurent product,
+accumulation and unit inverse is the algebra's ``mul_into`` and
+``try_inverse``.  Its coefficients follow :mod:`sweedler.scalars`: ``int``
+until a division (a unit's inverse, a parsed ``p/q``) needs a rational.
 
 The pole-part projector keeps the strictly negative exponents and satisfies
 the weight -1 Rota-Baxter identity, which is checked by fuzzing rather than
@@ -33,9 +36,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ConfigurationError, InputError, MathError, RuleNotFound, UnsupportedError
-from .linear import BasisKey, _SparseSum, _addto, _iadd, rule_counts
+from .linear import BasisKey, _SparseSum, rule_counts
 from .scalars import quotient, render_scalar
-from .specs import BialgebraSpec, ConvMap, ValidationReport, convolve, convolve_into
+from .specs import AlgebraSpec, BialgebraSpec, ConvMap, ValidationReport, convolve, convolve_into
 from .structure import find_grouplikes
 
 
@@ -53,18 +56,16 @@ class LaurentPoly(_SparseSum):
         return cls({exponent: coeff})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict = {}
-        _mul_into(out, 1, self.terms, other.terms)
-        return LaurentPoly(out, _clean=True)
+        return LAURENT.mul(self, other)
 
     def is_unit(self) -> bool:
         return len(self.terms) == 1
 
     def inverse(self) -> "LaurentPoly":
-        if not self.is_unit():
+        inv = LAURENT.try_inverse(self)
+        if inv is None:
             raise ConfigurationError(f"{self.render()} is not a unit")
-        (e, c), = self.terms.items()
-        return LaurentPoly({-e: quotient(1, c)}, _clean=True)
+        return inv
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -77,12 +78,9 @@ class LaurentPoly(_SparseSum):
         return f"{render_scalar(c)}*{mono}"
 
 
-def _mul_into(out: dict, c, a: dict, b: dict) -> None:
-    """``out += c * a * b`` on exponent dicts, in place, dropping zeros."""
-    left = a.items() if c == 1 else [(e, c * v) for e, v in a.items()]
-    for e1, c1 in left:
-        for e2, c2 in b.items():
-            _addto(out, e1 + e2, c1 * c2)
+# the algebra of the monoid of exponents: z^a z^b = z^(a+b), z^e z^-e = 1
+LAURENT = AlgebraSpec("laurent", lambda a, b: a + b, LaurentPoly.one(),
+                      key_inverse=lambda e: -e)
 
 
 _TERM_RE = re.compile(
@@ -114,39 +112,6 @@ def parse_laurent(text: str) -> LaurentPoly:
         out = out + LaurentPoly.monomial(e, c)
         pos = m.end()
     return out
-
-
-class LaurentTarget:
-    name = "laurent"
-
-    def zero(self):
-        return LaurentPoly.zero()
-
-    def one(self):
-        return LaurentPoly.one()
-
-    def scale(self, c, a):
-        return a.scale(c)
-
-    def mul(self, a, b):
-        return a * b
-
-    def accumulate(self, acc, c, a, b=None):
-        if c:
-            if b is None:
-                _iadd(acc.terms, a.terms, c)
-            else:
-                _mul_into(acc.terms, c, a.terms, b.terms)
-        return acc
-
-    def try_inverse(self, v: LaurentPoly):
-        return v.inverse() if v.is_unit() else None
-
-    def render(self, v):
-        return v.render()
-
-
-LAURENT = LaurentTarget()
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ An :class:`AlgebraSpec` is given its product as a function from two keys
 to one key (coefficient 1) or ``None`` where the product is zero: every
 family's basis is a partial monoid.  The spec memoises keys in one row
 per left factor, a dict that holds the product and that factor and fills
-an entry on a miss; ``product`` and ``mul`` are ``FormalSum`` views of
-that memo.  A key times a sum costs one product-row read and then one
-lookup per term: ``key_mul_into`` adds ``c * k * s`` and ``mul_key_into``
-adds ``c * s * k`` into a term dict, and ``mul_into`` runs
-``key_mul_into`` once per term of its left factor.
+an entry on a miss; ``product`` and ``mul`` are views of that memo in
+the sum type of the spec's unit.  A key times a sum costs one product-row
+read and then one lookup per term: ``key_mul_into`` adds ``c * k * s``
+and ``mul_key_into`` adds ``c * s * k`` into a term dict, and
+``mul_into`` runs ``key_mul_into`` once per term of its left factor.
 
 Each value is memoised once, by the spec or ``ConvMap`` that serves it:
 ``CoalgebraSpec.delta`` and ``AlgebraSpec.key_product`` are memoised views of
@@ -24,12 +24,13 @@ entry where there is one, ``raw_delta`` otherwise) and its products with
 ``raw_product``, so its evaluations fill its own memos and never its
 parent's.
 
-Convolution maps can land in the bialgebra itself (formal sums), in the
-rationals, or in Laurent polynomials; the dual algebra of a coalgebra is
-convolution into :class:`RationalTarget`.  An :class:`AlgebraSpec` is its own
-target; :class:`RationalTarget` and ``renorm.LaurentTarget`` share its
-surface: ``zero``, ``one``, ``scale``, ``mul``, ``accumulate``,
-``try_inverse`` and ``render``; values compare with ``==``.
+Convolution maps land in an algebra or in the rationals: every sum-valued
+target is an :class:`AlgebraSpec`, formal sums for a bialgebra's own
+algebra and Laurent polynomials for ``renorm.LAURENT`` (the algebra of the
+monoid of exponents), and the dual algebra of a coalgebra is convolution
+into :class:`RationalTarget`, which shares the algebra's target surface:
+``zero``, ``one``, ``scale``, ``mul``, ``accumulate``, ``try_inverse`` and
+``render``; values compare with ``==``.
 ``accumulate(acc, c, a, b=None)`` adds ``c*a`` (or ``c*a*b``) into an
 accumulator that the caller obtained from ``zero()`` and has not yet
 shared; it returns the accumulator, which is the same object for the
@@ -139,9 +140,11 @@ class CoalgebraSpec:
 class AlgebraSpec:
     """An algebra on a partial monoid of keys: ``product(a, b)`` is the key
     ``a*b`` (coefficient 1) or ``None`` where the product is zero.  ``unit``
-    is a sum, of several identities in the doubles.  The spec memoises
-    ``memo[a][b]``; ``key_product`` reads it, ``product`` and ``mul`` are
-    ``FormalSum`` views, and ``raw_product`` is the unmemoised map."""
+    is a sum, of several identities in the doubles, and its type is the
+    type of every sum the spec makes: ``FormalSum`` for a family,
+    ``LaurentPoly`` over int exponent keys for ``renorm.LAURENT``.  The
+    spec memoises ``memo[a][b]``; ``key_product`` reads it, ``product`` and
+    ``mul`` are views of it, and ``raw_product`` is the unmemoised map."""
 
     def __init__(
         self,
@@ -157,7 +160,7 @@ class AlgebraSpec:
         self._memo = _Memo(lambda a: _Row(product, a))
 
     def zero(self) -> FormalSum:
-        return FormalSum.zero()
+        return type(self.unit).zero()
 
     def one(self) -> FormalSum:
         return self.unit
@@ -177,14 +180,14 @@ class AlgebraSpec:
         unit = self.unit
         if len(v) == len(unit) and len(unit) > 0:
             k0, c0 = next(iter(unit))
-            ratio = quotient(v.coeff(k0), c0) if c0 else None
-            if ratio and v == unit.scale(ratio):
-                return unit.scale(quotient(1, ratio))
+            c = v.terms.get(k0)
+            if c is not None and v == unit.scale(quotient(c, c0)):
+                return unit.scale(quotient(c0, c))
         if len(v) == 1 and self.key_inverse is not None:
             (k, c), = v
             inv = self.key_inverse(k)
             if inv is not None:
-                return FormalSum.basis(inv, quotient(1, c))
+                return type(unit)({inv: quotient(1, c)}, _clean=True)
         return None
 
     def render(self, v: FormalSum) -> str:
@@ -195,12 +198,12 @@ class AlgebraSpec:
 
     def product(self, a: BasisKey, b: BasisKey) -> FormalSum:
         k = self._memo[a][b]
-        return FormalSum.zero() if k is None else FormalSum.basis(k)
+        return self.zero() if k is None else type(self.unit)({k: 1}, _clean=True)
 
     def mul(self, s1: FormalSum, s2: FormalSum) -> FormalSum:
         out: dict = {}
         self.mul_into(out, 1, s1, s2)
-        return FormalSum(out, _clean=True)
+        return type(self.unit)(out, _clean=True)
 
     def mul_into(self, out: dict, c, s1: FormalSum, s2: FormalSum) -> None:
         """Add ``c * s1 * s2`` into the term dict ``out`` in place, one key

@@ -175,6 +175,14 @@ def test_quiver_path_whose_edges_do_not_compose_is_input_error(path, pair):
     assert (code, out) == (0, b"delta(e.f.e) = 1*a(x)e.f.e + 1*e(x)f.e + 1*e.f(x)e + 1*e.f.e(x)b\n")
 
 
+@pytest.mark.parametrize("path", ["e1..e2", ".e1", "e1."])
+def test_quiver_path_with_an_empty_edge_name_is_unknown(path):
+    # an empty name between, before or after the dots is not an edge
+    code, out, err = _run_cli_stderr(["coproduct", "--quiver", QUIVER, "--path", path])
+    assert (code, out) == (2, b"")
+    assert err == f"error: unknown path literal {path!r}\n"
+
+
 def test_path_coproduct_builds_no_path_universe(monkeypatch):
     # a path's coproduct needs only the quiver's edge map
     def no_universe(quiver, max_length):

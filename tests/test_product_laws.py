@@ -3,10 +3,12 @@
 A family's product is a partial monoid on its basis keys: ``a*b`` is one
 key, with coefficient 1, or ``None`` where the product is zero.  Each row
 draws triples of keys from its universe with Hypothesis and looks for one
-that breaks a law: the product is not a key or ``None`` (or its
-``FormalSum`` view disagrees), associativity fails, or a unit law fails.
-The projecting product ``a*b = a`` is the negative control and must fail
-its cell.
+that breaks a law: the product is not a key or ``None`` (or its sum view
+disagrees), associativity fails, or a unit law fails.  The projecting
+product ``a*b = a`` is the negative control and must fail its cell.  The
+``laurent`` row is ``renorm.LAURENT``, the algebra of the monoid of
+exponents, on the int keys -6..6; every sum a row builds has the type of
+its algebra's unit.
 
 Each row also has a multiply cell: Hypothesis draws a scalar and sums with
 int and ``Fraction`` coefficients, 0 among them, and ``mul``, ``mul_into``,
@@ -29,8 +31,17 @@ from sweedler.gallery import (
     build_drinfeld_double_dual,
     symmetric_group_3,
 )
-from sweedler.linear import BasisKey, FormalSum
-from sweedler.specs import AlgebraSpec, BialgebraSpec
+from sweedler.linear import BasisKey
+from sweedler.renorm import LAURENT
+from sweedler.specs import AlgebraSpec
+
+
+def _parts(B):
+    return B.algebra, B.keys
+
+
+def _fixture(name):
+    return lambda r: _parts(r.getfixturevalue(name))
 
 
 def _central(r):
@@ -39,45 +50,53 @@ def _central(r):
 
 def _projecting(r):
     B = r.getfixturevalue("trees_sym4")
-    return BialgebraSpec(B.coalgebra, AlgebraSpec("broken", lambda a, b: a, B.unit))
+    return AlgebraSpec("broken", lambda a, b: a, B.unit), B.keys
 
 
-# name -> (builder taking the pytest request, whether the laws hold)
+# name -> (builder taking the pytest request and returning an algebra and
+# the keys to draw, whether the laws hold)
 ROWS = {
-    "trees-s": (lambda r: r.getfixturevalue("trees_sym4"), True),
-    "trees-p": (lambda r: r.getfixturevalue("trees_planar4"), True),
-    "graphs-c": (lambda r: r.getfixturevalue("graphs_c33"), True),
-    "graphs-n": (lambda r: r.getfixturevalue("graphs_n33"), True),
-    "normalized": (lambda r: r.getfixturevalue("trees_sym4_normalized").bialgebra, True),
-    "commutator": (lambda r: abelianized_quotient(
-        r.getfixturevalue("trees_planar4"), "commutator").bialgebra, True),
-    "central": (_central, True),
-    "q-deform": (lambda r: q_deform(r.getfixturevalue("trees_sym4")).bialgebra, True),
-    "q-deform-laurent": (lambda r: q_deform(
-        r.getfixturevalue("trees_sym4"), laurent=True).bialgebra, True),
-    "localize-central": (lambda r: localize_central(_central(r)).bialgebra, True),
-    "double": (lambda r: build_drinfeld_double(symmetric_group_3()), True),
-    "double-dual": (lambda r: build_drinfeld_double_dual(symmetric_group_3()), True),
+    "trees-s": (_fixture("trees_sym4"), True),
+    "trees-p": (_fixture("trees_planar4"), True),
+    "graphs-c": (_fixture("graphs_c33"), True),
+    "graphs-n": (_fixture("graphs_n33"), True),
+    "normalized": (lambda r: _parts(r.getfixturevalue("trees_sym4_normalized").bialgebra),
+                   True),
+    "commutator": (lambda r: _parts(abelianized_quotient(
+        r.getfixturevalue("trees_planar4"), "commutator").bialgebra), True),
+    "central": (lambda r: _parts(_central(r)), True),
+    "q-deform": (lambda r: _parts(q_deform(r.getfixturevalue("trees_sym4")).bialgebra), True),
+    "q-deform-laurent": (lambda r: _parts(q_deform(
+        r.getfixturevalue("trees_sym4"), laurent=True).bialgebra), True),
+    "localize-central": (lambda r: _parts(localize_central(_central(r)).bialgebra), True),
+    "double": (lambda r: _parts(build_drinfeld_double(symmetric_group_3())), True),
+    "double-dual": (lambda r: _parts(build_drinfeld_double_dual(symmetric_group_3())), True),
+    "laurent": (lambda r: (LAURENT, range(-6, 7)), True),
     "projecting": (_projecting, False),
 }
+
+
+def _is_key(k) -> bool:
+    return isinstance(k, BasisKey) or type(k) is int
 
 
 def law_failures(A: AlgebraSpec, a, b, c) -> list:
     """The laws that the triple (a, b, c) breaks in A."""
     out = []
+    S = type(A.unit)
     ab = A.key_product(a, b)
-    if not (ab is None or isinstance(ab, BasisKey)):
+    if not (ab is None or _is_key(ab)):
         out.append(f"{a}*{b} is {ab!r}, not a key or None")
-    elif A.product(a, b) != (FormalSum.zero() if ab is None else FormalSum.basis(ab)):
+    elif A.product(a, b) != (S.zero() if ab is None else S({ab: 1})):
         out.append(f"product({a}, {b}) is not the view of {ab}")
     elif any(type(coeff) is not int for _, coeff in A.product(a, b)):
         out.append(f"product({a}, {b}) has a coefficient that is not an int")
     bc = A.key_product(b, c)
     left = None if ab is None else A.key_product(ab, c)
     right = None if bc is None else A.key_product(a, bc)
-    if left is not right:
+    if left != right:
         out.append(f"({a}*{b})*{c} is {left} but {a}*({b}*{c}) is {right}")
-    s = FormalSum.basis(a)
+    s = S({a: 1})
     if A.mul(A.unit, s) != s:
         out.append(f"1*{a} != {a}")
     if A.mul(s, A.unit) != s:
@@ -85,7 +104,7 @@ def law_failures(A: AlgebraSpec, a, b, c) -> list:
     return out
 
 
-def reference_product(A: AlgebraSpec, c, s1: FormalSum, s2: FormalSum) -> dict:
+def reference_product(A: AlgebraSpec, c, s1, s2) -> dict:
     """The term dict of ``c * s1 * s2``, by a double loop over ``key_product``."""
     out: dict = {}
     for k1, c1 in s1:
@@ -96,18 +115,19 @@ def reference_product(A: AlgebraSpec, c, s1: FormalSum, s2: FormalSum) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def multiply_failures(A: AlgebraSpec, c, s1: FormalSum, s2: FormalSum) -> list:
+def multiply_failures(A: AlgebraSpec, c, s1, s2) -> list:
     """The multiplies of A that disagree with the double loop on c, s1, s2."""
+    S = type(A.unit)
     cases = [("mul_into", lambda out: A.mul_into(out, c, s1, s2),
               reference_product(A, c, s1, s2))]
     for k in s1.terms:
         cases.append((f"key_mul_into({k})",
                       lambda out, k=k: A.key_mul_into(out, c, k, s2),
-                      reference_product(A, c, FormalSum.basis(k), s2)))
+                      reference_product(A, c, S({k: 1}), s2)))
     for k in s2.terms:
         cases.append((f"mul_key_into({k})",
                       lambda out, k=k: A.mul_key_into(out, c, s1, k),
-                      reference_product(A, c, s1, FormalSum.basis(k))))
+                      reference_product(A, c, s1, S({k: 1}))))
     out = []
     if A.mul(s1, s2).terms != reference_product(A, 1, s1, s2):
         out.append(f"mul({s1}, {s2}) is not the double loop")
@@ -134,7 +154,7 @@ def sums(A: AlgebraSpec, keys):
         d: dict = {}
         for k, c in terms:
             d[k] = d.get(k, 0) + c
-        return FormalSum(d)
+        return type(A.unit)(d)
 
     drawn = st.lists(st.tuples(st.sampled_from(list(keys)), coeff), max_size=3).map(build)
     return coeff, st.one_of(drawn, st.just(A.unit), drawn.map(lambda s: s + A.unit))
@@ -166,9 +186,8 @@ def counterexample(A: AlgebraSpec, keys, examples: int = 100):
 @pytest.mark.parametrize("name", sorted(ROWS))
 def test_product_laws(name, request):
     build, lawful = ROWS[name]
-    B = build(request)
-    A = B.algebra
-    found = counterexample(A, B.keys)
+    A, keys = build(request)
+    found = counterexample(A, keys)
     if lawful:
         assert found is None, law_failures(A, *found)
     else:
@@ -180,7 +199,7 @@ def test_product_laws(name, request):
         # a unit that is a sum, with zero products among its terms
         assert len(A.unit) > 1
         assert any(A.key_product(a, b) is None for a in A.unit.terms for b in A.unit.terms)
-    bad = multiply_counterexample(A, B.keys)
+    bad = multiply_counterexample(A, keys)
     assert bad is None, multiply_failures(A, *bad)
 
 

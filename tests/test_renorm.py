@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
+from hypothesis.errors import NoSuchExample
 
 from sweedler.constructions import normalized_quotient, q_deform, q_key
 from sweedler.errors import (
@@ -29,7 +30,7 @@ from sweedler.renorm import (
     pole_part,
     pole_part_operator,
 )
-from sweedler.specs import convolution_unit, conv_maps_equal
+from sweedler.specs import AlgebraSpec, convolution_unit, conv_maps_equal
 from sweedler.trees import (
     build_tree_bialgebra,
     ladder,
@@ -81,6 +82,60 @@ def test_units_are_monomials():
     assert not parse_laurent("1+z").is_unit()
     with pytest.raises(ConfigurationError):
         parse_laurent("1+z").inverse()
+
+
+# zero, constants, monomials and sums of several terms, with int and
+# Fraction coefficients
+_coeffs = st.one_of(st.integers(-9, 9),
+                    st.fractions(min_value=-9, max_value=9, max_denominator=7))
+_exponents = st.integers(-6, 6)
+oracle_polys = st.one_of(
+    st.just(LaurentPoly.zero()),
+    _coeffs.map(lambda c: LaurentPoly({0: c})),
+    st.builds(LaurentPoly.monomial, _exponents, _coeffs),
+    st.dictionaries(_exponents, _coeffs, min_size=2, max_size=5).map(LaurentPoly),
+)
+
+
+def exponent_convolution(a: LaurentPoly, b: LaurentPoly) -> dict:
+    """The terms of ``a * b``, by a double loop over both exponent dicts."""
+    out: dict = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def laurent_failures(A: AlgebraSpec, a: LaurentPoly, b: LaurentPoly) -> list:
+    """Where the Laurent algebra A disagrees with the oracle on a and b."""
+    out = []
+    if A.mul(a, b).terms != exponent_convolution(a, b):
+        out.append(f"{a.render()} times {b.render()} is not the exponent convolution")
+    inv = A.try_inverse(a)
+    if (inv is None) != (len(a) != 1):
+        out.append(f"try_inverse({a.render()}) is {inv!r}")
+    elif inv is not None and A.mul(a, inv) != LaurentPoly.one():
+        out.append(f"{a.render()} times its inverse {inv.render()} is not one")
+    return out
+
+
+@given(oracle_polys, oracle_polys)
+@settings(max_examples=150)
+def test_laurent_algebra_matches_the_exponent_convolution(a, b):
+    assert isinstance(LAURENT, AlgebraSpec)
+    assert (a * b).terms == exponent_convolution(a, b)
+    assert laurent_failures(LAURENT, a, b) == []
+
+
+def test_laurent_oracle_catches_a_product_that_subtracts_exponents():
+    broken = AlgebraSpec("broken", lambda a, b: a - b, LaurentPoly.one(),
+                         key_inverse=lambda e: -e)
+    try:
+        find(st.tuples(oracle_polys, oracle_polys),
+             lambda t: bool(laurent_failures(broken, *t)),
+             settings=settings(max_examples=100, deadline=None, database=None))
+    except NoSuchExample:
+        pytest.fail("the oracle missed a product that subtracts exponents")
 
 
 # ---------------------------------------------------------------------------

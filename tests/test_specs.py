@@ -392,6 +392,26 @@ def test_one_convolution_sum():
             assert "inversion" not in names
 
 
+def test_one_algebra_target_for_sums():
+    # every sum-valued target is an AlgebraSpec and plain rationals are
+    # RationalTarget: no other module defines a class with accumulate
+    import ast
+    from pathlib import Path
+
+    import sweedler
+
+    package = Path(sweedler.__file__).parent
+    owners = set()
+    for path in sorted(package.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.ClassDef) and any(
+                    isinstance(f, ast.FunctionDef) and f.name == "accumulate"
+                    for f in n.body):
+                owners.add((path.name, n.name))
+    assert owners == {("specs.py", "AlgebraSpec"), ("specs.py", "RationalTarget")}
+    assert isinstance(LAURENT, AlgebraSpec)
+
+
 def test_one_check_per_law():
     # each law has one implementation, which every other check calls: the
     # comodule laws in specs, the projector laws in check_rota_baxter, the
